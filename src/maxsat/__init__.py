@@ -15,13 +15,12 @@ from .gen import (GeneratorSpec, encode_3coloring, encode_maxcut, gen_from_spec,
 from .oracle import (OracleCapExceeded, brute_force_maxcut, brute_force_optimum,
                      check_equivalence)
 from .propagate import (ComplementaryUnitsError, ConflictAnalysis,
-                        ImplicationGraph, NoConflictError,
+                        ImplicationGraph, NoConflictError, apply_conflict_rule,
                         build_implication_graph, classify_conflict,
                         extract_inconsistent_subset, underestimation)
 from .rules import (MandatoryConflictError, NO_RULE, PatternError, R1, R2, R3,
                     R4, R5, R6, RULE_IDS, RuleApplication, SolverConfig,
-                    VARIANT_NAMES, apply_rule1, apply_rule2, apply_rule3,
-                    apply_rule4, apply_rule5, apply_rule6)
+                    VARIANT_NAMES, apply_rule1, apply_rule2)
 from .solver import (MANDATORY_CONFLICT, OPTIMAL, TIMED_OUT, SearchStats,
                      SolveResult, Solver, initial_upper_bound, select_value,
                      select_variable, solve)

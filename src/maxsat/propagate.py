@@ -19,7 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .formula import Clause, Formula
-from .rules import NO_RULE, R3, R4, R5, R6, SolverConfig, _fire
+from .rules import (NO_RULE, R3, R4, R5, R6, PatternError, RuleApplication,
+                    SolverConfig, _check_live, _fire)
 
 
 class ComplementaryUnitsError(ValueError):
@@ -63,7 +64,7 @@ class ImplicationGraph:
                 assert pos[p] < pos[lit], f"edge {p}->{lit} violates acyclicity"
 
 
-def _propagate(formula: Formula, pop_log=None) -> ImplicationGraph:
+def _propagate(formula: Formula) -> ImplicationGraph:
     """One construction pass; stops at the first complementary node pair."""
     occ = formula.occ
     n = formula.num_vars
@@ -80,8 +81,6 @@ def _propagate(formula: Formula, pop_log=None) -> ImplicationGraph:
     while True:
         if q2:
             lit, reason = q2.popleft()
-            if pop_log is not None:
-                pop_log.append(("q2", lit, len(q2)))
         elif i1 < n1:
             c = q1[i1]
             i1 += 1
@@ -89,8 +88,6 @@ def _propagate(formula: Formula, pop_log=None) -> ImplicationGraph:
                 continue
             lit = c.lits[0]
             reason = c
-            if pop_log is not None:
-                pop_log.append(("q1", lit, len(q2)))
         else:
             return g
         if lit in nodes:
@@ -121,7 +118,7 @@ def _propagate(formula: Formula, pop_log=None) -> ImplicationGraph:
                     q2.append((r, c))
 
 
-def build_implication_graph(formula: Formula, pop_log=None) -> ImplicationGraph:
+def build_implication_graph(formula: Formula) -> ImplicationGraph:
     """Construct the implication graph of the formula's unit propagation.
 
     The formula must not contain a complementary unit pair (those belong
@@ -135,7 +132,7 @@ def build_implication_graph(formula: Formula, pop_log=None) -> ImplicationGraph:
             raise ComplementaryUnitsError(
                 f"complementary unit clauses on variable {abs(lit)}")
         seen.add(lit)
-    return _propagate(formula, pop_log=pop_log)
+    return _propagate(formula)
 
 
 @dataclass
@@ -306,8 +303,34 @@ def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> st
     return analysis.classification
 
 
+def apply_conflict_rule(formula: Formula, clauses, stats=None,
+                        trace=None) -> RuleApplication:
+    """Fire rule 3, 4, 5 or 6 on a pattern through the solver's own path.
+
+    The pattern is propagated in a scratch formula and its conflict
+    classified by `classify_conflict`; the pattern must be exactly the
+    consumed clauses. The matching caller clauses are then rewritten by
+    `_fire` with the classifier's rule id and replacement literals.
+    """
+    clauses = list(clauses)
+    _check_live(clauses)
+    scratch = Formula(formula.num_vars, top=formula.top)
+    origin = {scratch.add_clause(c.active(), c.weight): c for c in clauses}
+    graph = _propagate(scratch)
+    if graph.conflict is None:
+        raise PatternError("pattern propagates to no conflict")
+    analysis = extract_inconsistent_subset(graph)
+    if analysis.classification == NO_RULE:
+        raise PatternError("conflict matches no rule 3-6 shape")
+    if len(analysis.consumed) != len(clauses):
+        raise PatternError("the rule consumes only part of the pattern")
+    return _fire(formula, analysis.classification,
+                 [origin[c] for c in analysis.consumed], analysis.produced,
+                 stats=stats, trace=trace)
+
+
 def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
-                    stats=None, trace=None, pop_log=None) -> int:
+                    stats=None, trace=None) -> int:
     """Lower-bound underestimation via repeated propagation conflicts.
 
     Each conflict either fires an enabled inference rule (the formula is
@@ -321,7 +344,7 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     detached: list[Clause] = []
     try:
         while True:
-            graph = _propagate(formula, pop_log=pop_log)
+            graph = _propagate(formula)
             if graph.conflict is None:
                 break
             analysis = extract_inconsistent_subset(graph)

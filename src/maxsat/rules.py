@@ -6,6 +6,12 @@ assignment. Rule 1 resolves two almost-common clauses; rules 2-6 make
 one contradiction explicit as empty-clause weight so it never has to be
 re-detected below the current node.
 
+This module holds rules 1 and 2 and `_fire`, the transformation shared by
+rules 2-6. The shapes of rules 3-6 are recognised in one place only,
+`propagate.classify_conflict`, which hands the consumed clauses and the
+replacement literals to `_fire`; `propagate.apply_conflict_rule` applies
+a given pattern through that same path.
+
 In weighted mode a rule fires with w = min over the pattern weights: the
 replacement clauses carry weight w, each consumed clause loses w, and
 clauses reaching weight 0 are removed (TOP - w = TOP). A contradiction
@@ -16,7 +22,7 @@ caller to backtrack on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import Clause, Formula
 
@@ -30,15 +36,10 @@ class MandatoryConflictError(Exception):
     """An inconsistent subset of mandatory (TOP) clauses was derived."""
 
 
-# every application is audited against the termination argument: the
-# replacement clauses must carry strictly fewer literals than the pattern
-SIZE_AUDIT = {"applications": 0, "violations": 0}
-
-
 def _audit_sizes(consumed_size: int, produced_size: int) -> None:
-    SIZE_AUDIT["applications"] += 1
+    """The termination argument: the replacement clauses of every
+    application carry strictly fewer literals than its pattern."""
     if produced_size >= consumed_size:
-        SIZE_AUDIT["violations"] += 1
         raise AssertionError("rule application did not shrink the formula")
 
 
@@ -54,9 +55,6 @@ class SolverConfig:
     enable_r12: bool = True
     enable_r34: bool = True
     enable_r56: bool = True
-    # almost-common-clause matching for length-3 clauses; off to mirror the
-    # reference behavior of applying the rule only to derive units
-    rule1_ternary: bool = False
 
     @classmethod
     def variant(cls, name: str) -> "SolverConfig":
@@ -121,11 +119,6 @@ def _check_live(clauses) -> None:
             raise PatternError(f"clause {c.cid} is not live")
 
 
-def negated(c: Clause) -> list[int]:
-    """Every literal of the clause negated."""
-    return [-lit for lit in c.active()]
-
-
 # ---------- rule 1: replacement of almost common clauses ----------
 
 def _clash_literal(c1: Clause, c2: Clause) -> int:
@@ -177,117 +170,3 @@ def apply_rule2(formula: Formula, u1: Clause, u2: Clause,
     if u1.size != 1 or u2.size != 1 or u1.lits[0] != -u2.lits[0]:
         raise PatternError("rule 2 needs a complementary unit pair")
     return _fire(formula, R2, [u1, u2], [], stats=stats, trace=trace)
-
-
-# ---------- rules 3/4: linear refutations consuming two unit clauses ----------
-
-def _walk_linear(clauses) -> tuple[Clause, Clause, list[Clause]]:
-    """Validate the chain {l1, -l1 v l2, ..., -lk v lk+1, -lk+1}; returns
-    (head unit, tail unit, binaries in chain order)."""
-    units = [c for c in clauses if c.size == 1]
-    binaries = [c for c in clauses if c.size == 2]
-    if len(units) != 2 or len(units) + len(binaries) != len(clauses):
-        raise PatternError("linear pattern needs two units and binary links")
-    head, tail = units
-    current = head.lits[0]
-    chain = []
-    remaining = list(binaries)
-    while remaining:
-        nxt = [c for c in remaining if -current in c.active()]
-        if len(nxt) != 1:
-            raise PatternError("binaries do not form a single implication chain")
-        c = nxt[0]
-        remaining.remove(c)
-        chain.append(c)
-        a, b = c.active()
-        current = b if a == -current else a
-    if current != -tail.lits[0]:
-        raise PatternError("chain does not end at the complementary unit")
-    return head, tail, chain
-
-
-def apply_rule3(formula: Formula, clauses, stats=None, trace=None) -> RuleApplication:
-    """{l1, -l1 v -l2, l2} -> {empty, l1 v l2}."""
-    clauses = list(clauses)
-    _check_live(clauses)
-    if len(clauses) != 3:
-        raise PatternError("rule 3 consumes exactly three clauses")
-    _, _, chain = _walk_linear(clauses)
-    return _fire(formula, R3, clauses, [negated(c) for c in chain],
-                 stats=stats, trace=trace)
-
-
-def apply_rule4(formula: Formula, clauses, stats=None, trace=None) -> RuleApplication:
-    """{l1, -l1 v l2, ..., -lk v lk+1, -lk+1} -> {empty, l1 v -l2, ..., lk v -lk+1}.
-
-    The replacement binaries are the eliminated ones with both literals
-    negated, so the transformation is orientation-independent.
-    """
-    clauses = list(clauses)
-    _check_live(clauses)
-    _, _, chain = _walk_linear(clauses)
-    return _fire(formula, R4, clauses, [negated(c) for c in chain],
-                 stats=stats, trace=trace)
-
-
-# ---------- rules 5/6: refutations consuming a single unit clause ----------
-
-def _walk_forked(clauses) -> tuple[list[Clause], Clause, int, int, int]:
-    """Validate the chain-plus-fork pattern of rules 5/6: a chain from the
-    unit to some lk, two binaries {-lk, A} and {-lk, B}, and {-A, -B}.
-    Returns (chain binaries, unit, lk, A, B)."""
-    units = [c for c in clauses if c.size == 1]
-    binaries = [c for c in clauses if c.size == 2]
-    if len(units) != 1 or len(units) + len(binaries) != len(clauses):
-        raise PatternError("forked pattern needs one unit and binary links")
-    unit = units[0]
-    current = unit.lits[0]
-    chain: list[Clause] = []
-    remaining = list(binaries)
-    while True:
-        nxt = [c for c in remaining if -current in c.active()]
-        if len(nxt) == 1 and len(remaining) > 1:
-            c = nxt[0]
-            remaining.remove(c)
-            chain.append(c)
-            a, b = c.active()
-            current = b if a == -current else a
-            continue
-        if len(nxt) != 2 or len(remaining) != 3:
-            raise PatternError("pattern does not fork into the rule 5 triangle")
-        others = [c for c in remaining if c not in nxt]
-        fa, fb = nxt
-        a = next(x for x in fa.active() if x != -current)
-        b = next(x for x in fb.active() if x != -current)
-        if set(others[0].active()) != {-a, -b}:
-            raise PatternError("fork targets are not joined by their negated pair")
-        return chain, unit, current, a, b
-
-
-def _forked_products(chain, lk, a, b) -> list[list[int]]:
-    out = [negated(c) for c in chain]
-    out.append([lk, -a, -b])
-    out.append([-lk, a, b])
-    return out
-
-
-def apply_rule5(formula: Formula, clauses, stats=None, trace=None) -> RuleApplication:
-    """{l1, -l1 v l2, -l1 v l3, -l2 v -l3} ->
-    {empty, l1 v -l2 v -l3, -l1 v l2 v l3}."""
-    clauses = list(clauses)
-    _check_live(clauses)
-    if len(clauses) != 4:
-        raise PatternError("rule 5 consumes exactly four clauses")
-    chain, _, lk, a, b = _walk_forked(clauses)
-    return _fire(formula, R5, clauses, _forked_products(chain, lk, a, b),
-                 stats=stats, trace=trace)
-
-
-def apply_rule6(formula: Formula, clauses, stats=None, trace=None) -> RuleApplication:
-    """Chain prefix ending in the rule 5 triangle: the chain binaries are
-    negated and the triangle becomes the two ternaries."""
-    clauses = list(clauses)
-    _check_live(clauses)
-    chain, _, lk, a, b = _walk_forked(clauses)
-    return _fire(formula, R6, clauses, _forked_products(chain, lk, a, b),
-                 stats=stats, trace=trace)

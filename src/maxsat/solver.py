@@ -153,9 +153,12 @@ class Solver:
         # below TOP the trail arithmetic is exact; at or above it raw sums
         # may drift from the input formula's (all such costs mean infeasible)
         true_cost = f.cost(self.incumbent)
-        assert true_cost == self.incumbent_cost or (
-            f.top is not None
-            and true_cost >= f.top and self.incumbent_cost >= f.top)
+        if true_cost != self.incumbent_cost and not (
+                f.top is not None
+                and true_cost >= f.top and self.incumbent_cost >= f.top):
+            raise RuntimeError(
+                f"incumbent reported at cost {self.incumbent_cost} but its "
+                f"assignment costs {true_cost}")
         if timed_out:
             return SolveResult(true_cost, self.incumbent, self.stats, TIMED_OUT)
         optimum = self.ub
@@ -254,10 +257,9 @@ class Solver:
         f = self.f
         fired = False
         sig: dict[tuple, list] = {}
-        lengths = (2, 3) if self.config.rule1_ternary else (2,)
         for i in range(len(f.slots)):
             c = f.slots[i]
-            if c is None or not c.live or c.size not in lengths:
+            if c is None or not c.live or c.size != 2:
                 continue
             while c.live:
                 partner = self._find_partner(sig, c)

@@ -1,12 +1,13 @@
 """Randomized rule-schema instantiation shared by the rule tests and the
 acceptance suite: build a pattern embedded in a random side formula, apply
-the rule, and let the oracle compare against the untouched copy.
+the rule, and let the oracle compare against the untouched copy. Rules 3-6
+are applied through `apply_conflict_rule`, the solver's classify-and-fire
+path.
 """
 
 import random
 
-from maxsat import (Formula, apply_rule1, apply_rule2, apply_rule3,
-                    apply_rule4, apply_rule5, apply_rule6)
+from maxsat import Formula, apply_conflict_rule, apply_rule1, apply_rule2
 
 TOP = 1000
 
@@ -51,10 +52,10 @@ def make_pattern(rule_id: str, rng: random.Random, n: int):
 APPLIERS = {
     "r1": lambda f, cs: apply_rule1(f, cs[0], cs[1]),
     "r2": lambda f, cs: apply_rule2(f, cs[0], cs[1]),
-    "r3": apply_rule3,
-    "r4": apply_rule4,
-    "r5": apply_rule5,
-    "r6": apply_rule6,
+    "r3": apply_conflict_rule,
+    "r4": apply_conflict_rule,
+    "r5": apply_conflict_rule,
+    "r6": apply_conflict_rule,
 }
 
 
@@ -75,5 +76,8 @@ def instantiate(rule_id: str, rng: random.Random, n: int, weighted: bool = False
         lits = _signed(rng, rng.sample(range(1, n + 1), k))
         f.add_clause(lits, rng.randint(1, 10) if weighted else 1)
     original = f.copy()
-    APPLIERS[rule_id](f, pattern_clauses)
+    app = APPLIERS[rule_id](f, pattern_clauses)
+    # rule 4 at k=1, {l1, -l1 v l2, -l2}, is rule 3 after renaming l2
+    expected = "r3" if rule_id == "r4" and len(pattern) == 3 else rule_id
+    assert app.rule_id == expected, (rule_id, pattern, app.rule_id)
     return original, f

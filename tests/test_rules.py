@@ -1,9 +1,8 @@
 import pytest
 
 from maxsat import (Formula, MandatoryConflictError, PatternError, R1, R2, R3,
-                    R4, R5, R6, RULE_IDS, SolverConfig, apply_rule1,
-                    apply_rule2, apply_rule3, apply_rule4, apply_rule5,
-                    apply_rule6, check_equivalence)
+                    R4, R5, R6, RULE_IDS, SolverConfig, apply_conflict_rule,
+                    apply_rule1, apply_rule2, check_equivalence)
 
 from conftest import TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, build
 from schema_helpers import instantiate
@@ -67,7 +66,7 @@ def test_rule2_weighted_split():
 def test_rule3_statement_and_costs():
     f = build(2, [[1], [-1, -2], [2]])
     orig = f.copy()
-    apply_rule3(f, clauses_of(f))
+    assert apply_conflict_rule(f, clauses_of(f)).rule_id == R3
     assert f.empty_weight == 1
     assert f.as_multiset() == {((1, 2), 1): 1}
     # both sides unsatisfy 2 clauses at l1=l2=0 and 1 clause at l1=1,l2=0
@@ -79,7 +78,7 @@ def test_rule3_statement_and_costs():
 def test_rule3_weighted_example():
     f = build(2, [[1], [-1, -2], [2]], weights=[2, 5, 3], top=100)
     orig = f.copy()
-    apply_rule3(f, clauses_of(f))
+    apply_conflict_rule(f, clauses_of(f))
     assert f.empty_weight == 2
     assert f.as_multiset() == {((1, 2), 2): 1, ((-2, -1), 3): 1, ((2,), 1): 1}
     assert check_equivalence(orig, f) is None
@@ -87,7 +86,7 @@ def test_rule3_weighted_example():
 
 def test_rule3_top_weight_unchanged():
     f = build(2, [[1], [-1, -2], [2]], weights=[100, 5, 3], top=100)
-    apply_rule3(f, clauses_of(f))
+    apply_conflict_rule(f, clauses_of(f))
     ms = f.as_multiset()
     assert ms[((1,), 100)] == 1  # TOP - w = TOP
     assert f.empty_weight == 3
@@ -96,7 +95,7 @@ def test_rule3_top_weight_unchanged():
 def test_rule_on_all_mandatory_pattern_signals_conflict():
     f = build(2, [[1], [-1, -2], [2]], weights=[100, 100, 100], top=100)
     with pytest.raises(MandatoryConflictError):
-        apply_rule3(f, clauses_of(f))
+        apply_conflict_rule(f, clauses_of(f))
     # nothing was mutated by the aborted application
     assert f.as_multiset() == build(2, [[1], [-1, -2], [2]],
                                     weights=[100, 100, 100], top=100).as_multiset()
@@ -104,7 +103,8 @@ def test_rule_on_all_mandatory_pattern_signals_conflict():
 
 def test_rule4_chain_k1():
     f = build(2, [[1], [-1, 2], [-2]])
-    apply_rule4(f, clauses_of(f))
+    # k=1 is rule 3 after renaming l2, and classifies as such
+    assert apply_conflict_rule(f, clauses_of(f)).rule_id == R3
     assert f.empty_weight == 1
     assert f.as_multiset() == {((-2, 1), 1): 1}
 
@@ -112,7 +112,7 @@ def test_rule4_chain_k1():
 def test_rule4_two_chain_rewriting():
     f = build(6, TWO_UNIT_CHAINS)
     orig = f.copy()
-    apply_rule4(f, clauses_of(f))
+    assert apply_conflict_rule(f, clauses_of(f)).rule_id == R4
     # binaries replaced by their negations, both units gone, one contradiction
     assert f.empty_weight == 1
     assert f.as_multiset() == build(6, [[1, -2], [2, -3], [3, -4],
@@ -123,14 +123,14 @@ def test_rule4_two_chain_rewriting():
 def test_rule4_equivalence_k3():
     f = build(4, [[1], [-1, 2], [-2, 3], [-3, 4], [-4]])
     orig = f.copy()
-    apply_rule4(f, clauses_of(f))
+    apply_conflict_rule(f, clauses_of(f))
     assert check_equivalence(orig, f) is None
 
 
 def test_rule5_statement():
     f = build(3, [[1], [-1, 2], [-1, 3], [-2, -3]])
     orig = f.copy()
-    apply_rule5(f, clauses_of(f))
+    assert apply_conflict_rule(f, clauses_of(f)).rule_id == R5
     assert f.empty_weight == 1
     assert f.as_multiset() == build(3, [[1, -2, -3], [-1, 2, 3]]).as_multiset()
     assert check_equivalence(orig, f) is None
@@ -139,7 +139,7 @@ def test_rule5_statement():
 def test_rule6_shared_prefix_fork():
     f = build(4, SHARED_PREFIX_FORK)
     orig = f.copy()
-    apply_rule6(f, clauses_of(f))
+    assert apply_conflict_rule(f, clauses_of(f)).rule_id == R6
     assert f.empty_weight == 1
     assert f.as_multiset() == build(4, [[1, -2], [2, -3, -4],
                                         [-2, 3, 4]]).as_multiset()
@@ -149,8 +149,30 @@ def test_rule6_shared_prefix_fork():
 def test_rule6_equivalence_k2():
     f = build(5, [[1], [-1, 2], [-2, 3], [-3, 4], [-3, 5], [-4, -5]])
     orig = f.copy()
-    apply_rule6(f, clauses_of(f))
+    apply_conflict_rule(f, clauses_of(f))
     assert check_equivalence(orig, f) is None
+
+
+def test_conflict_rule_rejects_non_patterns():
+    for clauses in ([[1], [-1, 2]],                      # no conflict
+                    [[1], [-1, 2], [-1, -2]],           # a fork without a triangle
+                    [[1], [-1, 2], [-2], [3, 4]],       # a clause left over
+                    [[1], [2], [-1, -2, 3], [-3]]):     # a ternary link
+        f = build(4, clauses)
+        before = f.as_multiset()
+        with pytest.raises(PatternError):
+            apply_conflict_rule(f, clauses_of(f))
+        assert f.as_multiset() == before and f.empty_weight == 0
+
+
+def test_conflict_rule_ignores_pattern_order(rng):
+    for _ in range(20):
+        clauses = [[1], [-1, 2], [-2, 3], [-2, 4], [-3, -4]]
+        rng.shuffle(clauses)
+        f = build(4, clauses)
+        orig = f.copy()
+        assert apply_conflict_rule(f, clauses_of(f)).rule_id == R6
+        assert check_equivalence(orig, f) is None
 
 
 def test_lemma1_equivalence():
@@ -186,9 +208,9 @@ def test_rule_application_shrinks_formula(rule_id, rng):
 def test_all_equal_weights_behave_like_unweighted():
     w = 7
     fw = build(2, [[1], [-1, -2], [2]], weights=[w, w, w], top=100)
-    apply_rule3(fw, clauses_of(fw))
+    apply_conflict_rule(fw, clauses_of(fw))
     fu = build(2, [[1], [-1, -2], [2]])
-    apply_rule3(fu, clauses_of(fu))
+    apply_conflict_rule(fu, clauses_of(fu))
     assert fw.empty_weight == w * fu.empty_weight
     assert {lits for lits, _ in fw.as_multiset()} == \
         {lits for lits, _ in fu.as_multiset()}
@@ -198,7 +220,7 @@ def test_rule_applications_ride_the_trail():
     f = build(4, [[1], [-1, 2], [-2], [3, 4]])
     before = f.as_multiset()
     mark = f.mark()
-    apply_rule4(f, clauses_of(f)[:3])
+    apply_conflict_rule(f, clauses_of(f)[:3])
     assert f.empty_weight == 1
     f.undo_to(mark)
     assert f.as_multiset() == before

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import maxsat
 import maxsat.solver as solver_mod
 from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     SolverConfig, brute_force_optimum, formula_cost,
@@ -267,13 +272,29 @@ def test_solve_mandatory_clauses_satisfiable():
     assert res.status == OPTIMAL and res.optimum == 1
 
 
-def test_solve_with_ternary_resolution_enabled(rng):
-    # length-3 almost-common matching is optional and must not change optima
-    config = SolverConfig(True, True, True, rule1_ternary=True)
-    for _ in range(20):
-        n = rng.randint(4, 9)
-        f = build(n, random_clauses(rng, n, rng.randint(6, 28)))
-        assert solve(f.copy(), config).optimum == brute_force_optimum(f)[0]
+def test_incumbent_cost_check_survives_optimize_flag():
+    # the post-search cross-check of the incumbent is an explicit raise, so
+    # python -O (which strips asserts) still reports a misreported cost
+    script = textwrap.dedent("""
+        import maxsat.solver as s
+        from maxsat import Formula
+        if __debug__:
+            raise SystemExit("not running under -O")
+        # claims cost 0 for an assignment that falsifies one clause
+        s.initial_upper_bound = lambda f: (0, {1: True})
+        try:
+            s.solve(Formula.from_clauses(1, [[1], [-1]]))
+        except RuntimeError as e:
+            print("raised:", e)
+    """)
+    src = os.path.dirname(os.path.dirname(maxsat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised:"), out.stdout
 
 
 def test_simplify_exhausts_almost_common_binary_pairs(rng):

@@ -341,13 +341,18 @@ class Formula:
             # every active literal must be present in its occurrence list
             n = self.num_vars
             for lit in c.active():
-                assert any(o is c for o in self.occ[lit + n]), \
-                    f"clause {c.cid} missing from occ[{lit}]"
+                if not any(o is c for o in self.occ[lit + n]):
+                    raise AssertionError(
+                        f"clause {c.cid} missing from occ[{lit}]")
         for name, arr in exp.items():
-            assert getattr(self, name) == arr, f"count mismatch in {name}"
-        assert lit_count == self.lit_count, "lit_count mismatch"
-        assert set(units) == set(self.units), "unit registry mismatch"
-        assert self.empty_weight >= 0
+            if getattr(self, name) != arr:
+                raise AssertionError(f"count mismatch in {name}")
+        if lit_count != self.lit_count:
+            raise AssertionError("lit_count mismatch")
+        if set(units) != set(self.units):
+            raise AssertionError("unit registry mismatch")
+        if self.empty_weight < 0:
+            raise AssertionError("negative empty_weight")
 
 
 def clause_cost(clause: Clause, assignment) -> int:

@@ -56,12 +56,15 @@ class ImplicationGraph:
         """Acyclicity (edges point forward in insertion order) and the
         in-degree = clause length - 1 correspondence."""
         pos = {lit: i for i, lit in enumerate(self.order)}
-        assert len(pos) == len(self.nodes)
+        if len(pos) != len(self.nodes):
+            raise AssertionError("insertion order and node set differ")
         for lit, reason in self.nodes.items():
             ps = self.preds.get(lit, ())
-            assert len(ps) == reason.size - 1, f"in-degree mismatch at {lit}"
+            if len(ps) != reason.size - 1:
+                raise AssertionError(f"in-degree mismatch at {lit}")
             for p in ps:
-                assert pos[p] < pos[lit], f"edge {p}->{lit} violates acyclicity"
+                if pos[p] >= pos[lit]:
+                    raise AssertionError(f"edge {p}->{lit} violates acyclicity")
 
 
 def _propagate(formula: Formula) -> ImplicationGraph:

@@ -22,8 +22,6 @@ OPTIMAL = "optimal"
 TIMED_OUT = "timed_out"
 MANDATORY_CONFLICT = "mandatory_conflict"
 
-TIMEOUT_CHECK_MASK = 1023  # deadline polled every 1024 nodes
-
 
 class SearchTimeout(Exception):
     pass
@@ -124,6 +122,9 @@ class Solver:
         self.ub = 0
         self.incumbent_cost = 0
         self.incumbent: dict[int, bool] = {}
+        # trail length at the last point with no almost-common binary pair,
+        # None until the first rule-1 pass
+        self.r1_mark: int | None = None
 
     def solve(self) -> SolveResult:
         f = self.f
@@ -176,11 +177,11 @@ class Solver:
         stats.nodes += 1
         if depth > stats.peak_depth:
             stats.peak_depth = depth
-        if self.deadline is not None and stats.nodes & TIMEOUT_CHECK_MASK == 0 \
-                and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout
         f = self.f
         mark = f.mark()
+        r1_mark = self.r1_mark
         try:
             try:
                 hopeful = self._simplify()
@@ -226,6 +227,7 @@ class Solver:
                     break
         finally:
             f.undo_to(mark)
+            self.r1_mark = r1_mark
 
     # ---------- node simplification ----------
 
@@ -253,8 +255,21 @@ class Solver:
                 return True
 
     def _rule1_pass(self) -> bool:
-        """Exhaust almost-common binary pairs {l v r, -l v r} -> {r}."""
+        """Exhaust almost-common binary pairs {l v r, -l v r} -> {r}.
+
+        When a pass ends no two live binaries are almost common, and
+        ``r1_mark`` keeps the trail length of that point. Removals, weight
+        cuts and detach/attach cannot create a pair, and undo returns to an
+        earlier state whose records are still on the trail, so a new pair
+        needs a binary made since the mark by an "add" record (a rule
+        product) or a "hide" record (a shrunk ternary). The slot scan, the
+        only code that fires rule 1, runs only when such a binary has a
+        partner.
+        """
         f = self.f
+        if not self._pair_possible():
+            self.r1_mark = len(f.trail)
+            return False
         fired = False
         sig: dict[tuple, list] = {}
         for i in range(len(f.slots)):
@@ -269,7 +284,33 @@ class Solver:
                 fired = True
             if c.live:
                 sig.setdefault(tuple(sorted(c.active())), []).append(c)
+        self.r1_mark = len(f.trail)
         return fired
+
+    def _pair_possible(self) -> bool:
+        """Whether a binary added or shrunk since ``r1_mark`` has an
+        almost-common partner; True before the first pass."""
+        if self.r1_mark is None:
+            return True
+        f = self.f
+        occ = f.occ
+        n = f.num_vars
+        for rec in f.trail[self.r1_mark:]:
+            op = rec[0]
+            if op != "add" and op != "hide":
+                continue
+            c = rec[1]
+            if not c.live or c.size != 2:
+                continue
+            a, b = c.lits[0], c.lits[1]
+            # a partner is {-a, b} (found in occ[-a]) or {a, -b} (in occ[-b])
+            for x, y in ((-a, b), (-b, a)):
+                for d in occ[x + n]:
+                    if d.live and d.size == 2:
+                        p, q = d.lits[0], d.lits[1]
+                        if (p == x and q == y) or (p == y and q == x):
+                            return True
+        return False
 
     @staticmethod
     def _find_partner(sig, c):

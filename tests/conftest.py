@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import maxsat
 from maxsat import Formula
 
 # Worked formulas used across the suite (clause order matters for the
@@ -34,3 +39,14 @@ def random_clauses(rng: random.Random, n: int, m: int, max_len: int = 3):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run a script under ``python -O`` (asserts stripped) with this
+    checkout's package on the path."""
+    src = os.path.dirname(os.path.dirname(maxsat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True, timeout=120)

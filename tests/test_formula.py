@@ -5,7 +5,8 @@ import pytest
 from maxsat import Clause, Formula, clause_cost, formula_cost, neg
 from maxsat.formula import normalize_lits
 
-from conftest import THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses
+from conftest import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
+                      run_optimized)
 
 
 def all_assignments(n):
@@ -207,6 +208,33 @@ def test_audit_detects_corruption():
     f.pos2[1] += 1
     with pytest.raises(AssertionError):
         f.audit()
+
+
+def test_audits_survive_optimize_flag():
+    # the audits raise explicitly, so python -O (which strips asserts)
+    # still reports a corrupted formula or implication graph
+    out = run_optimized("""
+        from maxsat import Formula
+        from maxsat.propagate import build_implication_graph
+        if __debug__:
+            raise SystemExit("not running under -O")
+        f = Formula.from_clauses(2, [[1, 2]])
+        f.pos2[1] += 1
+        try:
+            f.audit()
+        except AssertionError as e:
+            print("formula:", e)
+        g = build_implication_graph(Formula.from_clauses(2, [[1], [-1, 2]]))
+        g.preds[2] = ()
+        try:
+            g.audit()
+        except AssertionError as e:
+            print("graph:", e)
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "formula: count mismatch in pos2", "graph: in-degree mismatch at 2"], \
+        out.stdout
 
 
 def test_interleaved_operations_fuzz(rng):

@@ -1,20 +1,16 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
+import random
+import time
 
 import pytest
 
-import maxsat
-import maxsat.solver as solver_mod
 from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     SolverConfig, brute_force_optimum, formula_cost,
                     gen_random_maxksat, initial_upper_bound, select_value,
                     select_variable, solve)
 from maxsat.solver import Solver
 
-from conftest import THREE_DISJOINT, build, random_clauses
+from conftest import THREE_DISJOINT, build, random_clauses, run_optimized
 
 VARIANTS = ("0", "12", "1234", "z")
 
@@ -220,12 +216,24 @@ def test_solve_with_injected_upper_bound():
     assert res.optimum == 2 and res.best_assignment is None
 
 
-def test_solve_timeout_anytime_soundness(monkeypatch):
-    monkeypatch.setattr(solver_mod, "TIMEOUT_CHECK_MASK", 0)
+def test_solve_timeout_anytime_soundness():
     f = gen_random_maxksat(14, 80, 2, 11)
     res = solve(f, SolverConfig.variant("0"), timeout=0.0)
     assert res.status == TIMED_OUT
     assert res.best_assignment is not None
+    assert formula_cost(f, res.best_assignment) == res.optimum
+
+
+def test_solve_timeout_overshoot_is_bounded():
+    # the deadline is checked at every node: a search whose nodes cost
+    # milliseconds stops close to the limit, with a valid witness
+    f = gen_random_maxksat(40, 800, 2, 3)
+    limit = 0.5
+    start = time.perf_counter()
+    res = solve(f, SolverConfig.variant("0"), timeout=limit)
+    elapsed = time.perf_counter() - start
+    assert res.status == TIMED_OUT
+    assert elapsed <= 2 * limit + 0.2, f"stopped after {elapsed:.2f} s"
     assert formula_cost(f, res.best_assignment) == res.optimum
 
 
@@ -275,7 +283,7 @@ def test_solve_mandatory_clauses_satisfiable():
 def test_incumbent_cost_check_survives_optimize_flag():
     # the post-search cross-check of the incumbent is an explicit raise, so
     # python -O (which strips asserts) still reports a misreported cost
-    script = textwrap.dedent("""
+    out = run_optimized("""
         import maxsat.solver as s
         from maxsat import Formula
         if __debug__:
@@ -287,12 +295,6 @@ def test_incumbent_cost_check_survives_optimize_flag():
         except RuntimeError as e:
             print("raised:", e)
     """)
-    src = os.path.dirname(os.path.dirname(maxsat.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised:"), out.stdout
 
@@ -310,6 +312,47 @@ def test_simplify_exhausts_almost_common_binary_pairs(rng):
         for a, b in binaries:
             assert tuple(sorted((-a, b))) not in binaries
             assert tuple(sorted((a, -b))) not in binaries
+
+
+class FullScanSolver(Solver):
+    """Reference search: every rule-1 pass runs the full slot scan."""
+
+    def _pair_possible(self) -> bool:
+        return True
+
+
+def _rule1_gate_instances():
+    """60 seeded formulas: Max-2SAT and Max-3SAT with n 8-14, every third
+    one weighted (soft binaries of weight 1-9 plus TOP ternaries)."""
+    rng = random.Random(0x51DE)
+    for i in range(60):
+        n = rng.randint(8, 14)
+        if i % 3 == 0:
+            top = 1000
+            soft = [c.active() for c in
+                    gen_random_maxksat(n, 6 * n, 2, i).clauses()]
+            hard = [c.active() for c in
+                    gen_random_maxksat(n, n // 2, 3, 1000 + i).clauses()]
+            weights = [rng.randint(1, 9) for _ in soft] + [top] * len(hard)
+            yield Formula.from_clauses(n, soft + hard, weights=weights, top=top)
+        else:
+            k = rng.choice((2, 3))
+            yield gen_random_maxksat(n, rng.randint(3, 8) * n, k, i)
+
+
+def test_rule1_gate_matches_full_scan():
+    # skipping rule-1 passes that cannot fire changes nothing the search
+    # does: same optimum, branches, nodes and every rule firing in order
+    for f in _rule1_gate_instances():
+        for variant in ("12", "1234", "z"):
+            config = SolverConfig.variant(variant)
+            runs = []
+            for cls in (Solver, FullScanSolver):
+                trace = []
+                res = cls(f.copy(), config, trace=trace).solve()
+                runs.append((res.optimum, res.status, res.stats.branches,
+                             res.stats.nodes, res.stats.rule_apps, trace))
+            assert runs[0] == runs[1], f"variant {variant} diverged"
 
 
 def test_stats_counters_monotone_and_populated():

@@ -9,7 +9,8 @@ counting a conflict and transforming it with a rule.
 import math
 
 from maxsat import (Formula, SolverConfig, build_implication_graph,
-                    extract_inconsistent_subset, underestimation, write_cnf)
+                    classify_conflict, extract_inconsistent_subset,
+                    underestimation, write_cnf)
 
 
 def show(f):
@@ -31,7 +32,7 @@ print(f"conflict pair: {graph.conflict}")
 analysis = extract_inconsistent_subset(graph)
 print(f"inconsistent subset has {len(analysis.subset_clauses())} clauses "
       f"(one clause of the ten contributes nothing)")
-print(f"rule classification: {analysis.classification!r}\n")
+print(f"rule classification: {classify_conflict(analysis, graph)!r}\n")
 
 # --- 2. counting disjoint conflicts -------------------------------------
 lb_formula = [[1], [2], [3], [4], [-1, -2, -3], [-4], [5], [-5, -2], [-5, 2]]

@@ -52,7 +52,7 @@ def _write_trace(path: str, trace) -> None:
 def cmd_solve(args) -> int:
     try:
         formula = _load_formula(args.path, strict=args.strict)
-    except (OSError, DimacsError) as exc:
+    except (OSError, UnicodeDecodeError, DimacsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = SolverConfig.variant(args.variant)
@@ -130,9 +130,10 @@ def cmd_oracle(args) -> int:
 
 def parse_manifest(text: str):
     """Instance sources, one per line: a DIMACS path, or an inline
-    generator spec like 'gen ksat n=15 m=60 k=2 seed=7'."""
+    generator spec like 'gen ksat n=15 m=60 k=2 seed=7'. A field value
+    that is not a number raises ValueError naming the line."""
     entries = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -142,7 +143,11 @@ def parse_manifest(text: str):
             kv = {}
             for item in fields[2:]:
                 key, _, value = item.partition("=")
-                kv[key] = float(value) if key == "density" else int(value)
+                try:
+                    kv[key] = float(value) if key == "density" else int(value)
+                except ValueError:
+                    raise ValueError(f"manifest line {lineno}: bad value "
+                                     f"in {item!r}") from None
             spec = GeneratorSpec(
                 family=family,
                 seed=kv.get("seed", 0),
@@ -199,7 +204,7 @@ def cmd_bench(args) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             entries = parse_manifest(fh.read())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     variants = args.variants.split(",")

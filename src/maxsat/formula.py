@@ -35,7 +35,8 @@ class Clause:
 
     ``lits[:size]`` are the active literals; literals hidden by the
     one-literal rule are swapped behind ``size`` so undo can restore them.
-    ``nfalse``/``stamp`` are scratch counters for unit propagation.
+    ``nfalse``/``stamp`` are scratch counters that unit propagation keeps
+    for clauses of length three or more.
     """
 
     __slots__ = ("lits", "size", "weight", "cid", "live", "nfalse", "stamp")
@@ -231,19 +232,24 @@ class Formula:
         if on_trail:
             self.trail.append(("assign", abs(lit)))
 
-    # temporary removal used by the lower-bound computation; not trailed,
-    # the caller guarantees reattachment before the next trail operation
+    # temporary removal used by the lower-bound computation; not trailed.
+    # Only the live flag flips: a detached clause stays in the weight sums,
+    # lit_count and the unit registry, which propagation does not read, so
+    # audit() holds only while nothing is detached. Trail operations may
+    # run in between; the caller reattaches before anything reads counts.
     def detach_clause(self, c: Clause) -> None:
         if not c.live:
             raise ValueError(f"clause {c.cid} is not live")
         c.live = False
-        self._unregister(c)
 
     def attach_clause(self, c: Clause) -> None:
         if c.live:
             raise ValueError(f"clause {c.cid} is already live")
         c.live = True
-        self._register(c)
+        if c.size == 1:
+            # to the end of the registry, where unregistering and
+            # registering again would put it
+            self.units[c] = self.units.pop(c)
 
     # ---------- trail ----------
 
@@ -275,7 +281,10 @@ class Formula:
                 n = self.num_vars
                 for lit in c.lits:
                     self.occ[lit + n].pop()
-                self.slots[c.cid] = displaced
+                if displaced is None and c.cid == len(self.slots) - 1:
+                    self.slots.pop()
+                else:
+                    self.slots[c.cid] = displaced
             elif op == "wt":
                 _, c, old = rec
                 self._bump_counts(c, -1)

@@ -68,7 +68,14 @@ class ImplicationGraph:
 
 
 def _propagate(formula: Formula) -> ImplicationGraph:
-    """One construction pass; stops at the first complementary node pair."""
+    """One construction pass; stops at the first complementary node pair.
+
+    A binary clause forces its other literal as soon as one of its
+    literals is falsified. Longer clauses count their falsified literals
+    in the ``nfalse``/``stamp`` scratch fields. A literal already waiting
+    in Q2 is not queued again: its first entry is popped before Q1 is
+    touched, so a later entry could only be skipped.
+    """
     occ = formula.occ
     n = formula.num_vars
     formula.prop_stamp += 1
@@ -79,46 +86,58 @@ def _propagate(formula: Formula) -> ImplicationGraph:
     order = g.order
     q1 = list(formula.units)
     q2: deque = deque()
+    queued: set[int] = set()
     i1 = 0
     n1 = len(q1)
     while True:
         if q2:
-            lit, reason = q2.popleft()
+            lit, reason, ps = q2.popleft()
+            nodes[lit] = reason
+            preds[lit] = ps
         elif i1 < n1:
             c = q1[i1]
             i1 += 1
             if not c.live or c.size != 1:
                 continue
             lit = c.lits[0]
-            reason = c
+            if lit in nodes:
+                continue
+            nodes[lit] = c
         else:
             return g
-        if lit in nodes:
-            continue
-        nodes[lit] = reason
         order.append(lit)
-        if reason.size > 1:
-            preds[lit] = tuple(-x for x in reason.lits[: reason.size] if x != lit)
         if -lit in nodes:
             g.conflict = (lit, -lit)
             return g
         # every clause holding -lit loses one candidate literal
-        for c in occ[n - lit]:
+        nl = -lit
+        for c in occ[n + nl]:
             if not c.live:
                 continue
-            if c.stamp != stamp:
-                c.stamp = stamp
-                c.nfalse = 1
-            else:
+            k = c.size
+            if k == 2:
+                lits = c.lits
+                r = lits[1] if lits[0] == nl else lits[0]
+                # -r already a node: this binary was met from -r before
+                if r not in queued and r not in nodes and -r not in nodes:
+                    queued.add(r)
+                    q2.append((r, c, (lit,)))
+            elif k > 2:
+                if c.stamp != stamp:
+                    c.stamp = stamp
+                    c.nfalse = 1
+                    continue
                 c.nfalse += 1
-            if c.nfalse == c.size - 1:
-                r = 0
-                for x in c.lits[: c.size]:
-                    if -x not in nodes:
-                        r = x
-                        break
-                if r and r not in nodes:
-                    q2.append((r, c))
+                if c.nfalse == k - 1:
+                    active = c.lits[:k]
+                    r = 0
+                    for x in active:
+                        if -x not in nodes:
+                            r = x
+                            break
+                    if r and r not in queued and r not in nodes:
+                        queued.add(r)
+                        q2.append((r, c, tuple(-x for x in active if x != r)))
 
 
 def build_implication_graph(formula: Formula) -> ImplicationGraph:
@@ -140,7 +159,8 @@ def build_implication_graph(formula: Formula) -> ImplicationGraph:
 
 @dataclass
 class ConflictAnalysis:
-    """The two sides of a propagation conflict and their rule diagnosis."""
+    """The two sides of a propagation conflict and their rule diagnosis
+    (filled in by `classify_conflict`)."""
 
     lit: int
     neg_lit: int
@@ -155,12 +175,7 @@ class ConflictAnalysis:
 
     def subset_clauses(self) -> list[Clause]:
         """S = S_lit union S_neg as clauses, deduplicated, stable order."""
-        out = list(self.s_lit_clauses)
-        seen = {id(c) for c in out}
-        for c in self.s_neg_clauses:
-            if id(c) not in seen:
-                out.append(c)
-        return out
+        return list(dict.fromkeys(self.s_lit_clauses + self.s_neg_clauses))
 
 
 def _closure(graph: ImplicationGraph, lit: int) -> list[int]:
@@ -178,7 +193,11 @@ def _closure(graph: ImplicationGraph, lit: int) -> list[int]:
 
 
 def extract_inconsistent_subset(graph: ImplicationGraph) -> ConflictAnalysis:
-    """Reverse reachability from both conflict literals, classified."""
+    """Reverse reachability from both conflict literals.
+
+    The analysis is not classified: `classify_conflict` fills in the rule
+    shape, and `underestimation` runs it only when a rule group is on.
+    """
     if graph.conflict is None:
         raise NoConflictError("graph has no complementary node pair")
     lit, nlit = graph.conflict
@@ -192,7 +211,6 @@ def extract_inconsistent_subset(graph: ImplicationGraph) -> ConflictAnalysis:
         s_lit_clauses=[graph.nodes[v] for v in s_lit],
         s_neg_clauses=[graph.nodes[v] for v in s_neg],
     )
-    classify_conflict(analysis, graph)
     return analysis
 
 
@@ -323,7 +341,7 @@ def apply_conflict_rule(formula: Formula, clauses, stats=None,
     if graph.conflict is None:
         raise PatternError("pattern propagates to no conflict")
     analysis = extract_inconsistent_subset(graph)
-    if analysis.classification == NO_RULE:
+    if classify_conflict(analysis, graph) == NO_RULE:
         raise PatternError("conflict matches no rule 3-6 shape")
     if len(analysis.consumed) != len(clauses):
         raise PatternError("the rule consumes only part of the pattern")
@@ -339,10 +357,13 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     Each conflict either fires an enabled inference rule (the formula is
     transformed in place on the trail and the contradiction moves into
     empty-clause weight) or its inconsistent subset is set aside and the
-    count grows by the subset's minimum weight. Stops early once
+    count grows by the subset's minimum weight. Conflicts are classified
+    only when rule group 3/4 or 5/6 is enabled. Stops early once
     count + empty_weight reaches ub. Clauses set aside are reattached on
     exit, so apart from rule transformations the formula is unchanged.
     """
+    r34 = config is not None and config.enable_r34
+    r56 = config is not None and config.enable_r56
     count = 0
     detached: list[Clause] = []
     try:
@@ -352,10 +373,9 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                 break
             analysis = extract_inconsistent_subset(graph)
             applied = False
-            cls = analysis.classification
-            if config is not None and cls != NO_RULE:
-                enabled = config.enable_r34 if cls in (R3, R4) else config.enable_r56
-                if enabled:
+            if r34 or r56:
+                cls = classify_conflict(analysis, graph)
+                if (r34 and cls in (R3, R4)) or (r56 and cls in (R5, R6)):
                     _fire(formula, cls, analysis.consumed, analysis.produced,
                           stats=stats, trace=trace)
                     applied = True

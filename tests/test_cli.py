@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from maxsat.cli import main, parse_manifest
 
 from conftest import THREE_DISJOINT
@@ -68,6 +70,13 @@ def test_solve_parse_error_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_non_utf8_file_exit(tmp_path, capsys):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"p cnf 2 1\n1 -2 0\nc caf\xe9\n")
+    assert main(["solve", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_solve_wcnf_mandatory_conflict(tmp_path, capsys):
     path = tmp_path / "hard.wcnf"
     path.write_text("p wcnf 1 2 10\n10 1 0\n10 -1 0\n")
@@ -108,6 +117,13 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert out[1].startswith("v ")
 
 
+def test_oracle_non_utf8_file_exit(tmp_path, capsys):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"p cnf 2 1\n1 -2 0\nc caf\xe9\n")
+    assert main(["oracle", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_manifest_parsing():
     entries = parse_manifest(
         "# comment\n\nfoo.cnf\ngen ksat n=5 m=10 k=2 seed=3\n"
@@ -115,6 +131,18 @@ def test_manifest_parsing():
     assert entries[0] == ("foo.cnf", None)
     assert entries[1][1].family == "ksat" and entries[1][1].m == 10
     assert entries[2][1].density == 0.5
+
+
+def test_bench_malformed_manifest_exit(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"gen ksat n=5 m=10 k=2\n# caf\xe9\n")
+    bad_value = tmp_path / "bad_value.txt"
+    bad_value.write_text("gen ksat n=5 m=10 k=2\ngen ksat n=x m=10\n")
+    for manifest in (latin1, bad_value):
+        assert main(["bench", str(manifest)]) == 2
+        assert "error" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="line 2"):
+        parse_manifest(bad_value.read_text())
 
 
 def test_bench_csv(tmp_path):

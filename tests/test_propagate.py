@@ -1,10 +1,13 @@
 import math
+from collections import deque
+from contextlib import contextmanager, nullcontext
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import maxsat.propagate as propagate
-from maxsat import (ComplementaryUnitsError, Formula, NoConflictError, NO_RULE,
-                    R3, R4, R5, R6, SolverConfig, brute_force_optimum,
+from maxsat import (ComplementaryUnitsError, Formula, MandatoryConflictError,
+                    NoConflictError, NO_RULE, R3, R4, R5, R6, SolverConfig, brute_force_optimum,
                     build_implication_graph, check_equivalence,
                     classify_conflict, extract_inconsistent_subset,
                     underestimation)
@@ -89,8 +92,8 @@ def test_extract_small_chain():
 def test_classify_two_unit_chains_rule4():
     g = build_implication_graph(build(6, TWO_UNIT_CHAINS))
     analysis = extract_inconsistent_subset(g)
-    assert analysis.classification == R4
     assert classify_conflict(analysis, g) == R4
+    assert analysis.classification == R4
     # the consumed clauses are exactly the seven of the example
     assert clause_sets(analysis.consumed) == clause_sets(build(6, TWO_UNIT_CHAINS).clauses())
 
@@ -98,20 +101,20 @@ def test_classify_two_unit_chains_rule4():
 def test_classify_shared_prefix_fork_rule6():
     g = build_implication_graph(build(4, SHARED_PREFIX_FORK))
     analysis = extract_inconsistent_subset(g)
-    assert analysis.classification == R6
+    assert classify_conflict(analysis, g) == R6
     assert analysis.intersection_chain == [1, 2]
 
 
 def test_classify_rule3_pattern():
     g = build_implication_graph(build(2, [[1], [-1, -2], [2]]))
     analysis = extract_inconsistent_subset(g)
-    assert analysis.classification == R3
+    assert classify_conflict(analysis, g) == R3
 
 
 def test_classify_rule5_pattern():
     g = build_implication_graph(build(3, [[1], [-1, 2], [-1, 3], [-2, -3]]))
     analysis = extract_inconsistent_subset(g)
-    assert analysis.classification == R5
+    assert classify_conflict(analysis, g) == R5
     assert analysis.intersection_chain == [1]
 
 
@@ -119,7 +122,7 @@ def test_classify_ternary_subset_no_rule():
     # the ternary clause blocks every rule
     g = build_implication_graph(build(4, [[1], [3], [4], [-1, -3, -4]]))
     analysis = extract_inconsistent_subset(g)
-    assert analysis.classification == NO_RULE
+    assert classify_conflict(analysis, g) == NO_RULE
 
 
 # ---------- underestimation ----------
@@ -253,3 +256,149 @@ def test_underestimation_weighted_counts_min_weight():
     assert underestimation(f, math.inf, NO_RULES) == 3
     assert f.as_multiset() == build(1, [[1], [-1]], weights=[3, 5],
                                     top=100).as_multiset()
+
+
+# ---------- exactness against the counter-only propagation ----------
+
+def reference_propagate(formula):
+    """The propagation loop before the binary fast path: every clause
+    counts its falsified literals and Q2 may hold duplicates."""
+    occ = formula.occ
+    n = formula.num_vars
+    formula.prop_stamp += 1
+    stamp = formula.prop_stamp
+    g = propagate.ImplicationGraph()
+    nodes, preds, order = g.nodes, g.preds, g.order
+    q1 = list(formula.units)
+    q2 = deque()
+    i1 = 0
+    while True:
+        if q2:
+            lit, reason = q2.popleft()
+        elif i1 < len(q1):
+            c = q1[i1]
+            i1 += 1
+            if not c.live or c.size != 1:
+                continue
+            lit, reason = c.lits[0], c
+        else:
+            return g
+        if lit in nodes:
+            continue
+        nodes[lit] = reason
+        order.append(lit)
+        if reason.size > 1:
+            preds[lit] = tuple(-x for x in reason.lits[: reason.size] if x != lit)
+        if -lit in nodes:
+            g.conflict = (lit, -lit)
+            return g
+        for c in occ[n - lit]:
+            if not c.live:
+                continue
+            if c.stamp != stamp:
+                c.stamp = stamp
+                c.nfalse = 1
+            else:
+                c.nfalse += 1
+            if c.nfalse == c.size - 1:
+                r = 0
+                for x in c.lits[: c.size]:
+                    if -x not in nodes:
+                        r = x
+                        break
+                if r and r not in nodes:
+                    q2.append((r, c))
+
+
+def reference_detach(formula, c):
+    """Detach that also unregisters the clause's counts and unit entry."""
+    c.live = False
+    formula._unregister(c)
+
+
+def reference_attach(formula, c):
+    c.live = True
+    formula._register(c)
+
+
+@contextmanager
+def reference_semantics():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_propagate", reference_propagate)
+        mp.setattr(Formula, "detach_clause", reference_detach)
+        mp.setattr(Formula, "attach_clause", reference_attach)
+        yield
+
+
+@st.composite
+def weighted_states(draw):
+    """Clauses of length 1-4, weights (with TOP clauses or all soft),
+    literals to assign and indices of clauses to detach."""
+    n = draw(st.integers(2, 9))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(
+        st.lists(lit, min_size=1, max_size=min(4, n), unique_by=abs),
+        min_size=1, max_size=24))
+    top = draw(st.sampled_from([None, 50]))
+    weights = draw(st.lists(st.integers(1, 6) if top is None
+                            else st.sampled_from([1, 2, 3, 50]),
+                            min_size=len(clauses), max_size=len(clauses)))
+    assign = draw(st.lists(lit, max_size=max(0, n - 2), unique_by=abs))
+    detach = draw(st.sets(st.integers(0, len(clauses) - 1),
+                          max_size=len(clauses) // 6 + 1))
+    return n, clauses, weights, top, assign, detach
+
+
+def state_formula(n, clauses, weights, top, assign):
+    f = build(n, clauses, weights=weights, top=top)
+    for lit in assign:
+        f.assign_literal(lit)
+    return f
+
+
+def graph_signature(g):
+    return (list(g.order), dict(g.preds),
+            {lit: c.cid for lit, c in g.nodes.items()}, g.conflict)
+
+
+EXACTNESS = settings(max_examples=400, deadline=None, derandomize=True)
+
+
+@EXACTNESS
+@given(weighted_states())
+def test_propagate_matches_counter_only_reference(state):
+    n, clauses, weights, top, assign, detach = state
+    sides = []
+    for reference in (False, True):
+        f = state_formula(n, clauses, weights, top, assign)
+        with reference_semantics() if reference else nullcontext():
+            for i in sorted(detach):
+                c = f.slots[i]
+                if c.live:
+                    f.detach_clause(c)
+            g = propagate._propagate(f)
+        g.audit()
+        sides.append(graph_signature(g))
+    assert sides[0] == sides[1]
+
+
+@EXACTNESS
+@given(weighted_states(),
+       st.sampled_from([None, SolverConfig(enable_r34=False, enable_r56=True)]
+                       + [SolverConfig.variant(v) for v in ("0", "12", "1234", "z")]),
+       st.sampled_from([math.inf, 1, 3]))
+def test_underestimation_matches_unregistering_reference(state, config, ub):
+    n, clauses, weights, top, assign, _ = state
+    sides = []
+    for reference in (False, True):
+        f = state_formula(n, clauses, weights, top, assign)
+        trace = []
+        with reference_semantics() if reference else nullcontext():
+            try:
+                u = underestimation(f, ub, config, trace=trace)
+            except MandatoryConflictError:
+                u = "mandatory conflict"
+        f.audit()
+        sides.append((u, [c.cid for c in f.units], f.empty_weight,
+                      f.as_multiset(), trace))
+    assert sides[0] == sides[1]

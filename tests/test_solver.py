@@ -355,6 +355,20 @@ def test_rule1_gate_matches_full_scan():
             assert runs[0] == runs[1], f"variant {variant} diverged"
 
 
+def test_solve_twice_restores_slots_and_repeats_trace():
+    # undo pops the slots that rule firings appended, so a second solve of
+    # the same formula sees the same slots and fires with the same ids
+    for f in list(_rule1_gate_instances())[::3]:
+        slots = len(f.slots)
+        runs = []
+        for _ in range(2):
+            trace = []
+            res = solve(f, SolverConfig.variant("z"), trace=trace)
+            assert len(f.slots) == slots
+            runs.append((res.optimum, res.stats.branches, trace))
+        assert runs[0] == runs[1]
+
+
 def test_stats_counters_monotone_and_populated():
     f = gen_random_maxksat(12, 80, 2, 5)
     res = solve(f, SolverConfig.variant("z"))

@@ -12,7 +12,7 @@ import sys
 
 from . import gen as generators
 from . import oracle as bruteforce
-from .dimacs import DimacsError, parse_cnf, parse_wcnf, write_cnf, write_wcnf
+from .dimacs import DimacsError, parse_dimacs, write_cnf, write_wcnf
 from .formula import Formula
 from .gen import GeneratorSpec
 from .rules import RULE_IDS, SolverConfig, VARIANT_NAMES
@@ -26,14 +26,7 @@ ORACLE_CHECK_LIMIT = 18
 
 def _load_formula(path: str, strict: bool = False) -> Formula:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    for line in text.splitlines():
-        token = line.strip().split()
-        if token and token[0] == "p":
-            if len(token) > 1 and token[1] == "wcnf":
-                return parse_wcnf(text, strict=strict).formula
-            break
-    return parse_cnf(text, strict=strict).formula
+        return parse_dimacs(fh.read(), strict=strict).formula
 
 
 def _assignment_line(assignment, num_vars) -> str:

@@ -30,10 +30,6 @@ class GraphInstance:
     vertex_count: int
     edges: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def _split_stream(text: str):
     """Comment lines and the token stream of everything else."""
@@ -61,90 +57,104 @@ def _int_token(tok: str) -> int:
         raise DimacsError(f"non-integer token {tok!r}") from None
 
 
-def _parse_clause_body(tokens, pos, n, strict):
-    """Literals until the 0 terminator; returns (lits, new position)."""
-    lits = []
-    while True:
-        if pos >= len(tokens):
-            raise DimacsError("unterminated clause (missing trailing 0)")
-        val = _int_token(tokens[pos])
-        pos += 1
-        if val == 0:
-            return lits, pos
-        if abs(val) > n:
-            if strict:
-                raise DimacsError(f"literal {val} exceeds declared variable count {n}")
-            warnings.warn(f"literal {val} exceeds declared variable count {n}")
-        lits.append(val)
-
-
-def _store_clause(formula, lits, weight):
-    norm = normalize_lits(lits)
-    if norm is None:
-        warnings.warn(f"tautological clause {lits} dropped")
-        return
-    if not norm:
-        formula.add_empty(weight)
-        return
-    formula.add_clause(norm, weight)
+def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
+    """The clause format both dialects share: 'p cnf <vars> <clauses>' or
+    'p wcnf <vars> <clauses> [top]', then clauses ending in 0, each led
+    by its weight in WCNF. A dialect of None takes it from the header
+    (anything but wcnf reads as CNF). Lenient mode warns instead of
+    failing on a wrong clause count and grows the variable count to the
+    largest literal."""
+    comments, header, tokens = _split_stream(text)
+    if dialect is None:
+        dialect = "wcnf" if header is not None and header[1:2] == ["wcnf"] else "cnf"
+    weighted = dialect == "wcnf"
+    if header is None or len(header) not in ((4, 5) if weighted else (4,)) \
+            or header[:2] != ["p", dialect]:
+        shape = " [top]" if weighted else ""
+        raise DimacsError(
+            f"missing or malformed 'p {dialect} <vars> <clauses>{shape}' header")
+    n, m = _int_token(header[2]), _int_token(header[3])
+    if n < 0 or m < 0:
+        raise DimacsError("negative header counts")
+    top = _int_token(header[4]) if len(header) == 5 else None
+    if top is not None and top < 1:
+        raise DimacsError("top must be positive")
+    try:
+        nums = list(map(int, tokens))
+    except ValueError:
+        nums = [_int_token(tok) for tok in tokens]  # raises, naming the token
+    clauses = []
+    num_vars = n
+    pos = 0
+    while pos < len(nums):
+        weight = 1
+        if weighted:
+            weight = nums[pos]
+            pos += 1
+            if weight <= 0:
+                raise DimacsError(f"clause weight {weight} must be >= 1")
+        try:
+            end = nums.index(0, pos)
+        except ValueError:
+            raise DimacsError("unterminated clause (missing trailing 0)") from None
+        lits = nums[pos:end]
+        pos = end + 1
+        for lit in lits:
+            if abs(lit) > n:
+                msg = f"literal {lit} exceeds declared variable count {n}"
+                if strict:
+                    raise DimacsError(msg)
+                warnings.warn(msg)
+                num_vars = max(num_vars, abs(lit))
+        clauses.append((lits, weight))
+    if len(clauses) != m:
+        msg = f"header declares {m} clauses but {len(clauses)} were read"
+        if strict:
+            raise DimacsError(msg)
+        warnings.warn(msg)
+    formula = Formula(num_vars, top=top)
+    for lits, weight in clauses:
+        norm = normalize_lits(lits)
+        if norm is None:
+            warnings.warn(f"tautological clause {lits} dropped")
+        elif norm:
+            formula.add_clause(norm, weight)
+        else:
+            formula.add_empty(weight)
+    return ParsedInstance(formula, comments, n, m)
 
 
 def parse_cnf(text: str, strict: bool = True) -> ParsedInstance:
     """Parse a DIMACS CNF stream into a weight-1 clause multiset."""
-    comments, header, tokens = _split_stream(text)
-    if header is None or len(header) != 4 or header[1] != "cnf":
-        raise DimacsError("missing or malformed 'p cnf <vars> <clauses>' header")
-    n = _int_token(header[2])
-    m = _int_token(header[3])
-    if n < 0 or m < 0:
-        raise DimacsError("negative header counts")
-    lenient_max = 0
-    if not strict:
-        # lenient mode accepts out-of-range literals by growing n
-        lenient_max = max((abs(_int_token(t)) for t in tokens), default=0)
-    formula = Formula(max(n, lenient_max))
-    pos = 0
-    count = 0
-    while pos < len(tokens):
-        lits, pos = _parse_clause_body(tokens, pos, n, strict)
-        _store_clause(formula, lits, 1)
-        count += 1
-    if count != m:
-        msg = f"header declares {m} clauses but {count} were read"
-        if strict:
-            raise DimacsError(msg)
-        warnings.warn(msg)
-    return ParsedInstance(formula, comments, n, m)
+    return _read(text, "cnf", strict)
 
 
 def parse_wcnf(text: str, strict: bool = True) -> ParsedInstance:
     """Parse a DIMACS WCNF stream; weights equal to the declared top are
     mandatory clauses."""
-    comments, header, tokens = _split_stream(text)
-    if header is None or len(header) not in (4, 5) or header[1] != "wcnf":
-        raise DimacsError("missing or malformed 'p wcnf <vars> <clauses> [top]' header")
-    n = _int_token(header[2])
-    m = _int_token(header[3])
-    top = _int_token(header[4]) if len(header) == 5 else None
-    if top is not None and top < 1:
-        raise DimacsError("top must be positive")
-    formula = Formula(n, top=top)
-    pos = 0
-    count = 0
-    while pos < len(tokens):
-        w = _int_token(tokens[pos])
-        pos += 1
-        if w <= 0:
-            raise DimacsError(f"clause weight {w} must be >= 1")
-        lits, pos = _parse_clause_body(tokens, pos, n, strict)
-        _store_clause(formula, lits, w)
-        count += 1
-    if count != m:
-        msg = f"header declares {m} clauses but {count} were read"
-        if strict:
-            raise DimacsError(msg)
-        warnings.warn(msg)
-    return ParsedInstance(formula, comments, n, m)
+    return _read(text, "wcnf", strict)
+
+
+def parse_dimacs(text: str, strict: bool = True) -> ParsedInstance:
+    """Parse CNF or WCNF, whichever the 'p' line declares."""
+    return _read(text, None, strict)
+
+
+def _write(formula: Formula, weighted: bool) -> str:
+    lines = []
+    for c in formula.clauses():
+        lits = " ".join(map(str, c.active()))
+        lines.append(f"{c.weight} {lits} 0" if weighted else f"{lits} 0")
+    if not weighted:
+        lines.extend(["0"] * formula.empty_weight)
+        head = f"p cnf {formula.num_vars} {len(lines)}"
+    else:
+        if formula.empty_weight:
+            lines.append(f"{formula.empty_weight} 0")
+        head = f"p wcnf {formula.num_vars} {len(lines)}"
+        if formula.top is not None:
+            head += f" {formula.top}"
+    return "\n".join([head] + lines) + "\n"
 
 
 def write_cnf(formula: Formula) -> str:
@@ -153,31 +163,11 @@ def write_cnf(formula: Formula) -> str:
     Weights are ignored (write_wcnf keeps them); empty-clause weight is
     emitted as that many bare terminator lines.
     """
-    lines = []
-    count = 0
-    for c in formula.clauses():
-        lines.append(" ".join(str(lit) for lit in c.active()) + " 0")
-        count += 1
-    for _ in range(formula.empty_weight):
-        lines.append("0")
-        count += 1
-    head = f"p cnf {formula.num_vars} {count}"
-    return "\n".join([head] + lines) + "\n"
+    return _write(formula, weighted=False)
 
 
 def write_wcnf(formula: Formula) -> str:
-    lines = []
-    count = 0
-    for c in formula.clauses():
-        lines.append(f"{c.weight} " + " ".join(str(lit) for lit in c.active()) + " 0")
-        count += 1
-    if formula.empty_weight:
-        lines.append(f"{formula.empty_weight} 0")
-        count += 1
-    head = f"p wcnf {formula.num_vars} {count}"
-    if formula.top is not None:
-        head += f" {formula.top}"
-    return "\n".join([head] + lines) + "\n"
+    return _write(formula, weighted=True)
 
 
 def parse_graph(text: str) -> GraphInstance:

@@ -306,9 +306,6 @@ class Formula:
     def clause_count(self) -> int:
         return sum(1 for _ in self.clauses())
 
-    def unit_clauses(self):
-        return list(self.units)
-
     def as_multiset(self) -> Counter:
         """Live clauses as (sorted literal tuple, weight) multiset."""
         return Counter((tuple(sorted(c.active())), c.weight) for c in self.clauses())

@@ -184,26 +184,19 @@ class Solver:
         r1_mark = self.r1_mark
         try:
             try:
-                hopeful = self._simplify()
-            except MandatoryConflictError:
-                if depth == 0:
-                    raise
-                stats.pruned += 1
-                return
-            if not hopeful:
-                stats.pruned += 1
-                return
-            if f.lit_count == 0:
-                cost = f.empty_weight
-                if cost < self.ub:
-                    self.ub = cost
-                    self.incumbent_cost = cost
-                    assignment = dict(f.assignment)
-                    for v in range(1, f.num_vars + 1):
-                        assignment.setdefault(v, False)
-                    self.incumbent = assignment
-                return
-            try:
+                if not self._simplify():
+                    stats.pruned += 1
+                    return
+                if f.lit_count == 0:
+                    cost = f.empty_weight
+                    if cost < self.ub:
+                        self.ub = cost
+                        self.incumbent_cost = cost
+                        assignment = dict(f.assignment)
+                        for v in range(1, f.num_vars + 1):
+                            assignment.setdefault(v, False)
+                        self.incumbent = assignment
+                    return
                 u = underestimation(f, self.ub, self.config,
                                     stats=stats, trace=self.trace)
             except MandatoryConflictError:
@@ -211,7 +204,7 @@ class Solver:
                     raise
                 stats.pruned += 1
                 return
-            lb = f.empty_weight + u
+            lb = f.empty_weight + u  # read after the rules have fired
             if lb >= self.ub:
                 stats.pruned += 1
                 return

@@ -84,6 +84,32 @@ def test_solve_wcnf_mandatory_conflict(tmp_path, capsys):
     assert "s UNSATISFIABLE" in capsys.readouterr().out
 
 
+def test_solve_wcnf_negative_header_exit(tmp_path, capsys):
+    path = tmp_path / "neg.wcnf"
+    path.write_text("p wcnf -1 0\n")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_wcnf_out_of_range_literal_grows_vars(tmp_path, capsys):
+    path = tmp_path / "wide.wcnf"
+    path.write_text("p wcnf 2 2 10\n3 1 5 0\n")
+    with pytest.warns(UserWarning) as record:
+        assert main(["solve", str(path)]) == 0
+    assert any("literal 5 exceeds" in str(w.message) for w in record)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "o 0"
+    assert out[1].split()[0] == "v" and len(out[1].split()) == 1 + 5
+    assert out[2] == "s OPTIMUM FOUND"
+
+
+def test_solve_wcnf_out_of_range_literal_strict_exit(tmp_path, capsys):
+    path = tmp_path / "wide.wcnf"
+    path.write_text("p wcnf 2 2 10\n3 1 5 0\n")
+    assert main(["solve", str(path), "--strict"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gen_ksat_deterministic(tmp_path, capsys):
     args = ["gen", "ksat", "-n", "15", "-m", "90", "-k", "2", "--seed", "7"]
     assert main(args) == 0

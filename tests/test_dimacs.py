@@ -1,9 +1,12 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from maxsat import (DimacsError, GraphInstance, parse_cnf, parse_graph,
-                    parse_wcnf, write_cnf, write_graph, write_wcnf)
+from maxsat import (DimacsError, GraphInstance, ParsedInstance, parse_cnf,
+                    parse_graph, parse_wcnf, write_cnf, write_graph, write_wcnf)
+from maxsat.dimacs import parse_dimacs
 from maxsat.gen import gen_random_maxksat
 
 from conftest import THREE_DISJOINT, build
@@ -64,6 +67,66 @@ def test_parse_never_crashes_on_garbage(rng):
                 parser(text)
             except DimacsError:
                 pass  # structured failure is the contract
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A 'p cnf'/'p wcnf' header with two to four small counts (or none),
+    clause lines of small ints with random 0s, and comment lines."""
+    ints = st.integers(-40, 40).map(str)
+    line = st.one_of(
+        st.lists(ints, max_size=6).map(" ".join),
+        st.lists(ints, max_size=5).map(lambda toks: " ".join(toks + ["0"])),
+        st.text("abc xyz", max_size=8).map(lambda t: "c" + t))
+    lines = draw(st.lists(line, max_size=10))
+    if draw(st.integers(0, 9)):
+        counts = draw(st.lists(st.integers(-3, 30).map(str), min_size=2, max_size=4))
+        dialect = draw(st.sampled_from(["cnf", "wcnf"]))
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(["p", dialect] + counts))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example("p wcnf -1 0\n", True)
+@example("p wcnf -1 0\n", False)
+@example("p wcnf 2 2 10\n3 1 5 0\n", False)
+@given(dimacs_texts(), st.booleans())
+def test_parse_fuzz_ends_in_instance_or_dimacs_error(text, strict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for parser in (parse_cnf, parse_wcnf, parse_dimacs):
+            try:
+                inst = parser(text, strict=strict)
+            except DimacsError:
+                continue
+            assert isinstance(inst, ParsedInstance)
+            assert inst.formula.num_vars >= inst.declared_variables
+            inst.formula.audit()
+
+
+def test_parse_dimacs_follows_header():
+    assert parse_dimacs("p wcnf 1 1 9\n9 1 0\n").formula.top == 9
+    assert parse_dimacs("p cnf 1 1\n1 0\n").formula.as_multiset() == {((1,), 1): 1}
+    for text in ("1 0\n", "px cnf 1 1\n1 0\n", "pp wcnf 1 1\n3 1 0\n"):
+        with pytest.raises(DimacsError, match="header"):
+            parse_dimacs(text)
+
+
+def test_parse_rejects_negative_counts_in_both_dialects():
+    for text in ("p cnf -1 0\n", "p wcnf -1 0\n", "p wcnf 1 -1 5\n"):
+        for strict in (True, False):
+            with pytest.raises(DimacsError, match="negative"):
+                parse_dimacs(text, strict=strict)
+
+
+def test_parse_wcnf_lenient_grows_vars_to_literals_not_weights():
+    with pytest.warns(UserWarning, match="literal 5"):
+        inst = parse_wcnf("p wcnf 2 1 10\n3 1 5 0\n", strict=False)
+    assert inst.formula.num_vars == 5
+    assert inst.formula.as_multiset() == {((1, 5), 3): 1}
+    with pytest.raises(DimacsError, match="literal 5"):
+        parse_wcnf("p wcnf 2 1 10\n3 1 5 0\n")
+    assert parse_wcnf("p wcnf 1 1\n30 1 0\n", strict=False).formula.num_vars == 1
 
 
 def test_parse_wcnf_with_top():

@@ -379,3 +379,55 @@ def test_stats_counters_monotone_and_populated():
     d = stats.as_dict()
     assert set(("branches", "nodes", "pruned", "peak_depth", "elapsed_ms",
                 "r1", "r2", "r3", "r4", "r5", "r6")) <= set(d)
+
+
+def _over_constrained_instances():
+    """40 weighted formulas whose TOP ternaries often leave no feasible
+    assignment, so rules meet all-mandatory patterns below the root."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(6, 10)
+        soft = [c.active() for c in gen_random_maxksat(n, 3 * n, 2, seed).clauses()]
+        hard = [c.active() for c in
+                gen_random_maxksat(n, rng.randint(2, 5) * n, 3, 1000 + seed).clauses()]
+        weights = [rng.randint(1, 9) for _ in soft] + [50] * len(hard)
+        yield Formula.from_clauses(n, soft + hard, weights=weights, top=50)
+
+
+# per variant: nodes, branches, pruned, MandatoryConflictErrors raised
+PINNED_SEARCH_COUNTS = {
+    "0": (1629, 806, 627, 0),
+    "12": (873, 428, 268, 52),
+    "1234": (822, 409, 239, 46),
+    "z": (793, 399, 219, 45),
+}
+
+
+def test_search_counts_pinned(monkeypatch):
+    # the exact tree of the gate corpus and of the over-constrained corpus;
+    # a change here moves branch counts and must say why
+    import maxsat.solver as solver_mod
+    raised = [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except solver_mod.MandatoryConflictError:
+                raised[0] += 1
+                raise
+        return wrapper
+
+    monkeypatch.setattr(solver_mod, "underestimation",
+                        counting(solver_mod.underestimation))
+    monkeypatch.setattr(Solver, "_simplify", counting(Solver._simplify))
+    corpus = list(_rule1_gate_instances()) + list(_over_constrained_instances())
+    for variant in VARIANTS:
+        raised[0] = 0
+        totals = [0, 0, 0]
+        for f in corpus:
+            stats = solve(f, SolverConfig.variant(variant)).stats
+            totals[0] += stats.nodes
+            totals[1] += stats.branches
+            totals[2] += stats.pruned
+        assert (*totals, raised[0]) == PINNED_SEARCH_COUNTS[variant], variant

@@ -57,6 +57,24 @@ def _int_token(tok: str) -> int:
         raise DimacsError(f"non-integer token {tok!r}") from None
 
 
+def _clauses(nums: list[int], weighted: bool):
+    """(literals, weight) of each clause in the integer stream."""
+    pos = 0
+    while pos < len(nums):
+        weight = 1
+        if weighted:
+            weight = nums[pos]
+            pos += 1
+            if weight <= 0:
+                raise DimacsError(f"clause weight {weight} must be >= 1")
+        try:
+            end = nums.index(0, pos)
+        except ValueError:
+            raise DimacsError("unterminated clause (missing trailing 0)") from None
+        yield nums[pos:end], weight
+        pos = end + 1
+
+
 def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
     """The clause format both dialects share: 'p cnf <vars> <clauses>' or
     'p wcnf <vars> <clauses> [top]', then clauses ending in 0, each led
@@ -79,41 +97,20 @@ def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
     top = _int_token(header[4]) if len(header) == 5 else None
     if top is not None and top < 1:
         raise DimacsError("top must be positive")
-    try:
-        nums = list(map(int, tokens))
-    except ValueError:
-        nums = [_int_token(tok) for tok in tokens]  # raises, naming the token
-    clauses = []
+    nums = [_int_token(tok) for tok in tokens]
     num_vars = n
-    pos = 0
-    while pos < len(nums):
-        weight = 1
-        if weighted:
-            weight = nums[pos]
-            pos += 1
-            if weight <= 0:
-                raise DimacsError(f"clause weight {weight} must be >= 1")
-        try:
-            end = nums.index(0, pos)
-        except ValueError:
-            raise DimacsError("unterminated clause (missing trailing 0)") from None
-        lits = nums[pos:end]
-        pos = end + 1
+    if not strict:
+        num_vars = max(n, max((abs(lit) for lits, _ in _clauses(nums, weighted)
+                               for lit in lits), default=0))
+    formula = Formula(num_vars, top=top)
+    count = 0
+    for lits, weight in _clauses(nums, weighted):
         for lit in lits:
             if abs(lit) > n:
                 msg = f"literal {lit} exceeds declared variable count {n}"
                 if strict:
                     raise DimacsError(msg)
                 warnings.warn(msg)
-                num_vars = max(num_vars, abs(lit))
-        clauses.append((lits, weight))
-    if len(clauses) != m:
-        msg = f"header declares {m} clauses but {len(clauses)} were read"
-        if strict:
-            raise DimacsError(msg)
-        warnings.warn(msg)
-    formula = Formula(num_vars, top=top)
-    for lits, weight in clauses:
         norm = normalize_lits(lits)
         if norm is None:
             warnings.warn(f"tautological clause {lits} dropped")
@@ -121,6 +118,12 @@ def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
             formula.add_clause(norm, weight)
         else:
             formula.add_empty(weight)
+        count += 1
+    if count != m:
+        msg = f"header declares {m} clauses but {count} were read"
+        if strict:
+            raise DimacsError(msg)
+        warnings.warn(msg)
     return ParsedInstance(formula, comments, n, m)
 
 
@@ -140,21 +143,10 @@ def parse_dimacs(text: str, strict: bool = True) -> ParsedInstance:
     return _read(text, None, strict)
 
 
-def _write(formula: Formula, weighted: bool) -> str:
-    lines = []
+def _clause_lits(formula: Formula):
+    """Weight and literal string of each live clause."""
     for c in formula.clauses():
-        lits = " ".join(map(str, c.active()))
-        lines.append(f"{c.weight} {lits} 0" if weighted else f"{lits} 0")
-    if not weighted:
-        lines.extend(["0"] * formula.empty_weight)
-        head = f"p cnf {formula.num_vars} {len(lines)}"
-    else:
-        if formula.empty_weight:
-            lines.append(f"{formula.empty_weight} 0")
-        head = f"p wcnf {formula.num_vars} {len(lines)}"
-        if formula.top is not None:
-            head += f" {formula.top}"
-    return "\n".join([head] + lines) + "\n"
+        yield c.weight, " ".join(map(str, c.active()))
 
 
 def write_cnf(formula: Formula) -> str:
@@ -163,11 +155,20 @@ def write_cnf(formula: Formula) -> str:
     Weights are ignored (write_wcnf keeps them); empty-clause weight is
     emitted as that many bare terminator lines.
     """
-    return _write(formula, weighted=False)
+    lines = [f"{lits} 0" for _, lits in _clause_lits(formula)]
+    lines.extend(["0"] * formula.empty_weight)
+    head = f"p cnf {formula.num_vars} {len(lines)}"
+    return "\n".join([head] + lines) + "\n"
 
 
 def write_wcnf(formula: Formula) -> str:
-    return _write(formula, weighted=True)
+    lines = [f"{weight} {lits} 0" for weight, lits in _clause_lits(formula)]
+    if formula.empty_weight:
+        lines.append(f"{formula.empty_weight} 0")
+    head = f"p wcnf {formula.num_vars} {len(lines)}"
+    if formula.top is not None:
+        head += f" {formula.top}"
+    return "\n".join([head] + lines) + "\n"
 
 
 def parse_graph(text: str) -> GraphInstance:

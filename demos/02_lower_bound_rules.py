@@ -23,14 +23,14 @@ clauses = [[1], [1], [-1, 2], [-1, 3], [-2, -3, 4],
 f = Formula.from_clauses(8, clauses)
 graph = build_implication_graph(f)
 print("Implication graph nodes (literal <- forcing clause):")
-for lit in graph.order:
+for lit in graph.nodes:
     preds = graph.predecessors(lit)
     arrow = f" from {preds}" if preds else " (unit clause)"
     print(f"  {lit:>3}{arrow}")
 print(f"conflict pair: {graph.conflict}")
 
 analysis = extract_inconsistent_subset(graph)
-print(f"inconsistent subset has {len(analysis.subset_clauses())} clauses "
+print(f"inconsistent subset has {len(analysis.subset)} clauses "
       f"(one clause of the ten contributes nothing)")
 print(f"rule classification: {classify_conflict(analysis, graph)!r}\n")
 

@@ -1,13 +1,14 @@
 """Comparing solver variants with the benchmark harness.
 
 Runs a scaled-down version of the variant comparison (random Max-2SAT at a
-high clause/variable ratio), collects the CSV the harness emits, and
-summarizes branch counts per variant. The full-scale run lives in the
-acceptance suite (tests/test_acceptance.py).
+high clause/variable ratio), writes the CSV the harness emits into a
+temporary directory, reads it back and summarizes branch counts per
+variant; the directory is removed before the summary is printed. The
+full-scale run lives in the acceptance suite (tests/test_acceptance.py).
 """
 
 import csv
-import io
+import os
 import statistics
 import tempfile
 
@@ -17,15 +18,15 @@ SEEDS = range(1, 16)
 manifest = "".join(f"gen ksat n=20 m=300 k=2 seed={s}\n" for s in SEEDS)
 
 entries = parse_manifest(manifest)
-rows = run_bench(entries, variants=["12", "1234", "z"], jobs=2)
-
-buffer = io.StringIO()
-writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
-writer.writeheader()
-writer.writerows(rows)
-with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as fh:
-    fh.write(buffer.getvalue())
-    print(f"CSV written to {fh.name}\n")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "trend.csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(run_bench(entries, variants=["12", "1234", "z"], jobs=2))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+print(f"CSV holds {len(rows)} rows ({len(SEEDS)} instances x 3 variants)\n")
 
 branches = {"12": [], "1234": [], "z": []}
 optima = {}

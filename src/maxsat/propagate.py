@@ -32,37 +32,34 @@ class NoConflictError(ValueError):
 
 
 class ImplicationGraph:
-    """DAG of forced literals; each node carries the clause that forced it."""
+    """DAG of forced literals; each node carries the clause that forced it.
+
+    ``nodes`` maps each literal to its reason clause, in propagation order;
+    a node's incoming edges come from the negations of the reason's other
+    literals, so they are derived, not stored. A graph is therefore valid
+    only until one of its reason clauses changes: a rule fires on it or an
+    assignment hides one of its literals.
+    """
 
     def __init__(self):
         self.nodes: dict[int, Clause] = {}      # literal -> associated clause
-        self.preds: dict[int, tuple[int, ...]] = {}  # absent for unit-seeded nodes
-        self.order: list[int] = []              # insertion order
         self.conflict: tuple[int, int] | None = None  # (last added, its negation)
 
-    def has_node(self, lit: int) -> bool:
-        return lit in self.nodes
-
-    def reason(self, lit: int) -> Clause:
-        return self.nodes[lit]
-
     def predecessors(self, lit: int) -> tuple[int, ...]:
-        return self.preds.get(lit, ())
+        """The nodes with an edge to lit; empty for a unit-seeded node."""
+        reason = self.nodes[lit]
+        return tuple(-x for x in reason.lits[:reason.size] if x != lit)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def audit(self) -> None:
-        """Acyclicity (edges point forward in insertion order) and the
-        in-degree = clause length - 1 correspondence."""
-        pos = {lit: i for i, lit in enumerate(self.order)}
-        if len(pos) != len(self.nodes):
-            raise AssertionError("insertion order and node set differ")
-        for lit, reason in self.nodes.items():
-            ps = self.preds.get(lit, ())
-            if len(ps) != reason.size - 1:
-                raise AssertionError(f"in-degree mismatch at {lit}")
-            for p in ps:
+        """Acyclicity: every edge points forward in insertion order."""
+        pos = {lit: i for i, lit in enumerate(self.nodes)}
+        for lit in self.nodes:
+            for p in self.predecessors(lit):
+                if p not in pos:
+                    raise AssertionError(f"predecessor {p} of {lit} is not a node")
                 if pos[p] >= pos[lit]:
                     raise AssertionError(f"edge {p}->{lit} violates acyclicity")
 
@@ -82,8 +79,6 @@ def _propagate(formula: Formula) -> ImplicationGraph:
     stamp = formula.prop_stamp
     g = ImplicationGraph()
     nodes = g.nodes
-    preds = g.preds
-    order = g.order
     q1 = list(formula.units)
     q2: deque = deque()
     queued: set[int] = set()
@@ -91,9 +86,8 @@ def _propagate(formula: Formula) -> ImplicationGraph:
     n1 = len(q1)
     while True:
         if q2:
-            lit, reason, ps = q2.popleft()
+            lit, reason = q2.popleft()
             nodes[lit] = reason
-            preds[lit] = ps
         elif i1 < n1:
             c = q1[i1]
             i1 += 1
@@ -105,7 +99,6 @@ def _propagate(formula: Formula) -> ImplicationGraph:
             nodes[lit] = c
         else:
             return g
-        order.append(lit)
         if -lit in nodes:
             g.conflict = (lit, -lit)
             return g
@@ -121,7 +114,7 @@ def _propagate(formula: Formula) -> ImplicationGraph:
                 # -r already a node: this binary was met from -r before
                 if r not in queued and r not in nodes and -r not in nodes:
                     queued.add(r)
-                    q2.append((r, c, (lit,)))
+                    q2.append((r, c))
             elif k > 2:
                 if c.stamp != stamp:
                     c.stamp = stamp
@@ -129,15 +122,14 @@ def _propagate(formula: Formula) -> ImplicationGraph:
                     continue
                 c.nfalse += 1
                 if c.nfalse == k - 1:
-                    active = c.lits[:k]
                     r = 0
-                    for x in active:
+                    for x in c.lits[:k]:
                         if -x not in nodes:
                             r = x
                             break
                     if r and r not in queued and r not in nodes:
                         queued.add(r)
-                        q2.append((r, c, tuple(-x for x in active if x != r)))
+                        q2.append((r, c))
 
 
 def build_implication_graph(formula: Formula) -> ImplicationGraph:
@@ -166,29 +158,27 @@ class ConflictAnalysis:
     neg_lit: int
     s_lit: list[int]                 # nodes with a path to lit, plus lit
     s_neg: list[int]
-    s_lit_clauses: list[Clause]
-    s_neg_clauses: list[Clause]
+    subset: list[Clause]             # reasons of s_lit then s_neg, deduplicated
     classification: str = NO_RULE
     intersection_chain: list[int] = field(default_factory=list)
     consumed: list[Clause] = field(default_factory=list)
     produced: list[list[int]] = field(default_factory=list)
-
-    def subset_clauses(self) -> list[Clause]:
-        """S = S_lit union S_neg as clauses, deduplicated, stable order."""
-        return list(dict.fromkeys(self.s_lit_clauses + self.s_neg_clauses))
 
 
 def _closure(graph: ImplicationGraph, lit: int) -> list[int]:
     """lit plus every node with a path to it, in deterministic DFS order."""
     out: dict[int, None] = {}
     stack = [lit]
-    preds = graph.preds
+    nodes = graph.nodes
     while stack:
         v = stack.pop()
         if v in out:
             continue
         out[v] = None
-        stack.extend(preds.get(v, ()))
+        reason = nodes[v]
+        for x in reason.lits[:reason.size]:
+            if x != v:
+                stack.append(-x)
     return list(out)
 
 
@@ -203,15 +193,11 @@ def extract_inconsistent_subset(graph: ImplicationGraph) -> ConflictAnalysis:
     lit, nlit = graph.conflict
     s_lit = _closure(graph, lit)
     s_neg = _closure(graph, nlit)
-    analysis = ConflictAnalysis(
-        lit=lit,
-        neg_lit=nlit,
-        s_lit=s_lit,
-        s_neg=s_neg,
-        s_lit_clauses=[graph.nodes[v] for v in s_lit],
-        s_neg_clauses=[graph.nodes[v] for v in s_neg],
-    )
-    return analysis
+    nodes = graph.nodes
+    # detach order decides reattach order, and so the unit order Q1 follows
+    subset = list(dict.fromkeys([nodes[v] for v in s_lit + s_neg]))
+    return ConflictAnalysis(lit=lit, neg_lit=nlit, s_lit=s_lit, s_neg=s_neg,
+                            subset=subset)
 
 
 def _chain_from(graph: ImplicationGraph, endpoint: int, side: set[int]):
@@ -220,8 +206,8 @@ def _chain_from(graph: ImplicationGraph, endpoint: int, side: set[int]):
     chain = [endpoint]
     v = endpoint
     while True:
-        ps = graph.preds.get(v)
-        if ps is None:
+        ps = graph.predecessors(v)
+        if not ps:
             break
         if len(ps) != 1:
             return None
@@ -290,7 +276,7 @@ def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> st
     for v in inter:
         if v == unit:
             continue
-        p = graph.preds[v][0]
+        p = graph.predecessors(v)[0]
         if p in succ:
             return NO_RULE
         succ[p] = v
@@ -302,9 +288,9 @@ def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> st
     lk = chain[-1]
     # fork: lk implies the third literal and one conflict literal directly,
     # the third implies the other conflict literal
-    if graph.preds.get(third) != (lk,):
+    if graph.predecessors(third) != (lk,):
         return NO_RULE
-    pl, pn = graph.preds.get(lit), graph.preds.get(nlit)
+    pl, pn = graph.predecessors(lit), graph.predecessors(nlit)
     if pl == (lk,) and pn == (third,):
         z = lit
     elif pn == (lk,) and pl == (third,):
@@ -380,9 +366,8 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                           stats=stats, trace=trace)
                     applied = True
             if not applied:
-                subset = analysis.subset_clauses()
-                count += min(c.weight for c in subset)
-                for c in subset:
+                count += min(c.weight for c in analysis.subset)
+                for c in analysis.subset:
                     formula.detach_clause(c)
                     detached.append(c)
             if count + formula.empty_weight >= ub:

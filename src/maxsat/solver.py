@@ -307,13 +307,13 @@ class Solver:
 
     @staticmethod
     def _find_partner(sig, c):
-        lits = sorted(c.active())
-        for i in range(len(lits)):
-            key = tuple(sorted(lits[:i] + [-lits[i]] + lits[i + 1:]))
+        """The latest live binary {-a, b}, else {a, -b}, for c = {a, b}, a < b."""
+        a, b = sorted(c.active())
+        for key in (tuple(sorted((-a, b))), tuple(sorted((a, -b)))):
             stack = sig.get(key)
             while stack:
                 cand = stack[-1]
-                if cand.live and cand.size == len(lits):
+                if cand.live and cand.size == 2:
                     return cand
                 stack.pop()
         return None

@@ -14,8 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo, tmp_path):
-    # TMPDIR keeps files a demo leaves behind (03 writes its CSV) in tmp_path
+    # tmp_path is the demo's working directory and TMPDIR, so any file it
+    # leaves behind (03 writes a CSV) lands there and must be cleaned up
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert not left, f"{demo.name} left {left} behind"

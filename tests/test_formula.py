@@ -225,7 +225,7 @@ def test_audits_survive_optimize_flag():
         except AssertionError as e:
             print("formula:", e)
         g = build_implication_graph(Formula.from_clauses(2, [[1], [-1, 2]]))
-        g.preds[2] = ()
+        g.nodes = dict(reversed(g.nodes.items()))
         try:
             g.audit()
         except AssertionError as e:
@@ -233,7 +233,8 @@ def test_audits_survive_optimize_flag():
     """)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "formula: count mismatch in pos2", "graph: in-degree mismatch at 2"], \
+        "formula: count mismatch in pos2",
+        "graph: edge 1->2 violates acyclicity"], \
         out.stdout
 
 

@@ -35,7 +35,7 @@ def test_graph_bystander_clause_excluded():
     lit, nlit = g.conflict
     assert abs(lit) == abs(nlit)
     analysis = extract_inconsistent_subset(g)
-    assert clause_sets(analysis.subset_clauses()) == clause_sets(
+    assert clause_sets(analysis.subset) == clause_sets(
         [c for c in build(8, WIDE_GRAPH).clauses()
          if tuple(sorted(c.active())) not in ((-5, 8),)][1:])
     g.audit()
@@ -50,7 +50,7 @@ def test_graph_no_units_is_empty():
 def test_graph_duplicate_units_single_node():
     f = build(1, [[1], [1]])
     g = build_implication_graph(f)
-    assert len(g) == 1 and g.has_node(1) and g.conflict is None
+    assert len(g) == 1 and 1 in g.nodes and g.conflict is None
 
 
 def test_graph_rejects_complementary_unit_pair():
@@ -64,7 +64,15 @@ def test_graph_in_degree_matches_clause_length():
     g = build_implication_graph(f)
     g.audit()
     for lit in g.nodes:
-        assert len(g.predecessors(lit)) == g.reason(lit).size - 1
+        assert len(g.predecessors(lit)) == g.nodes[lit].size - 1
+
+
+def test_graph_audit_rejects_missing_predecessor():
+    g = build_implication_graph(build(2, [[1], [-1, 2]]))
+    assert g.predecessors(1) == () and g.predecessors(2) == (1,)
+    del g.nodes[1]
+    with pytest.raises(AssertionError, match="predecessor 1 of 2"):
+        g.audit()
 
 
 def test_graph_does_not_mutate_formula():
@@ -86,7 +94,7 @@ def test_extract_small_chain():
     f = build(2, [[1], [-1, 2], [-2]])
     g = build_implication_graph(f)
     analysis = extract_inconsistent_subset(g)
-    assert clause_sets(analysis.subset_clauses()) == [(-2,), (-1, 2), (1,)]
+    assert clause_sets(analysis.subset) == [(-2,), (-1, 2), (1,)]
 
 
 def test_classify_two_unit_chains_rule4():
@@ -222,15 +230,16 @@ def test_queue_discipline_never_pops_q1_while_q2_pending(monkeypatch):
         nonlocal seeded_after_derived
         g = inner(formula)
         links = [c.active() for c in formula.clauses() if c.size > 1]
-        for k, lit in enumerate(g.order):
-            if lit in g.preds:
+        order = list(g.nodes)
+        for k, lit in enumerate(order):
+            if g.predecessors(lit):
                 continue
-            prefix = set(g.order[:k])
+            prefix = set(order[:k])
             for lits in links:
                 open_lits = [x for x in lits if -x not in prefix]
                 assert len(open_lits) != 1 or open_lits[0] in prefix, \
                     f"unit {lit} seeded while {lits} forces {open_lits[0]}"
-            seeded_after_derived += any(x in g.preds for x in prefix)
+            seeded_after_derived += any(g.predecessors(x) for x in prefix)
         return g
 
     monkeypatch.setattr(propagate, "_propagate", checked)
@@ -260,6 +269,16 @@ def test_underestimation_weighted_counts_min_weight():
 
 # ---------- exactness against the counter-only propagation ----------
 
+class ReferenceGraph(propagate.ImplicationGraph):
+    """An implication graph that also records its insertion order and each
+    derived node's predecessors as the node is added."""
+
+    def __init__(self):
+        super().__init__()
+        self.order: list[int] = []
+        self.preds: dict[int, tuple[int, ...]] = {}
+
+
 def reference_propagate(formula):
     """The propagation loop before the binary fast path: every clause
     counts its falsified literals and Q2 may hold duplicates."""
@@ -267,7 +286,7 @@ def reference_propagate(formula):
     n = formula.num_vars
     formula.prop_stamp += 1
     stamp = formula.prop_stamp
-    g = propagate.ImplicationGraph()
+    g = ReferenceGraph()
     nodes, preds, order = g.nodes, g.preds, g.order
     q1 = list(formula.units)
     q2 = deque()
@@ -357,8 +376,16 @@ def state_formula(n, clauses, weights, top, assign):
 
 
 def graph_signature(g):
-    return (list(g.order), dict(g.preds),
-            {lit: c.cid for lit, c in g.nodes.items()}, g.conflict)
+    """Order, predecessors, reason slots and conflict; the reference graph
+    supplies its recorded order and predecessors, the solver's graph the
+    ones derived from ``nodes``."""
+    if isinstance(g, ReferenceGraph):
+        order, preds = g.order, g.preds
+    else:
+        order = list(g.nodes)
+        preds = {lit: g.predecessors(lit) for lit in g.nodes
+                 if g.predecessors(lit)}
+    return (order, preds, {lit: c.cid for lit, c in g.nodes.items()}, g.conflict)
 
 
 EXACTNESS = settings(max_examples=400, deadline=None, derandomize=True)

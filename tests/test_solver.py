@@ -3,11 +3,13 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     SolverConfig, brute_force_optimum, formula_cost,
                     gen_random_maxksat, initial_upper_bound, select_value,
                     select_variable, solve)
+import maxsat.solver as solver_mod
 from maxsat.solver import Solver
 
 from conftest import THREE_DISJOINT, build, random_clauses, run_optimized
@@ -406,7 +408,6 @@ PINNED_SEARCH_COUNTS = {
 def test_search_counts_pinned(monkeypatch):
     # the exact tree of the gate corpus and of the over-constrained corpus;
     # a change here moves branch counts and must say why
-    import maxsat.solver as solver_mod
     raised = [0]
 
     def counting(fn):
@@ -431,3 +432,87 @@ def test_search_counts_pinned(monkeypatch):
             totals[1] += stats.branches
             totals[2] += stats.pruned
         assert (*totals, raised[0]) == PINNED_SEARCH_COUNTS[variant], variant
+
+
+def _small_instances():
+    """60 seeded formulas with n 6-10: unweighted, weighted, and weighted
+    with TOP clauses."""
+    rng = random.Random(0xAD41)
+    for i in range(60):
+        n = rng.randint(6, 10)
+        clauses = random_clauses(rng, n, rng.randint(4, 8) * n)
+        if i % 3 == 0:
+            yield build(n, clauses)
+        elif i % 3 == 1:
+            yield build(n, clauses, weights=[rng.randint(1, 9) for _ in clauses])
+        else:
+            yield build(n, clauses, weights=[rng.choice([1, 2, 5, 30])
+                                             for _ in clauses], top=30)
+
+
+def test_search_bound_admissible_at_every_node(monkeypatch):
+    # the bound exactly as the search computes it: every underestimation
+    # call of Solver._search, at the root and below, stays at or under the
+    # optimum of the formula it was called on (TOP saturates)
+    inner = solver_mod.underestimation
+    interior = [0]
+
+    def checked(formula, *args, **kwargs):
+        optimum, _ = brute_force_optimum(formula)
+        u = inner(formula, *args, **kwargs)
+        lb = formula.empty_weight + u
+        if formula.top is not None:
+            lb = min(lb, formula.top)
+        assert lb <= optimum, f"bound {lb} above the node optimum {optimum}"
+        interior[0] += bool(formula.assignment)
+        return u
+
+    monkeypatch.setattr(solver_mod, "underestimation", checked)
+    for f in _small_instances():
+        for variant in VARIANTS:
+            solve(f, SolverConfig.variant(variant))
+    assert interior[0] > 0
+
+
+@st.composite
+def weighted_formulas(draw):
+    """2n-6n clauses of length 1-3 over n = 4-9 variables, with soft
+    weights 1-9, or weights from {1, 2, 5, TOP} with TOP = 20."""
+    n = draw(st.integers(4, 9))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(
+        st.lists(lit, min_size=1, max_size=3, unique_by=abs),
+        min_size=2 * n, max_size=6 * n))
+    top = draw(st.sampled_from([None, 20]))
+    weights = draw(st.lists(st.integers(1, 9) if top is None
+                            else st.sampled_from([1, 2, 5, 20]),
+                            min_size=len(clauses), max_size=len(clauses)))
+    return n, clauses, weights, top
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weighted_formulas())
+@example((1, [[1], [-1]], [20, 20], 20))  # infeasible at exactly TOP
+def test_solve_weighted_and_top_properties(spec):
+    # every variant agrees with the oracle, leaves the formula as it was,
+    # and repeats its statistics and rule firings on a second solve
+    n, clauses, weights, top = spec
+    f = build(n, clauses, weights=weights, top=top)
+    before = f.as_multiset()
+    expected = brute_force_optimum(f)[0]
+    for variant in VARIANTS:
+        runs = []
+        for _ in range(2):
+            trace = []
+            res = solve(f, SolverConfig.variant(variant), trace=trace)
+            f.audit()
+            assert f.as_multiset() == before
+            stats = res.stats.as_dict()
+            del stats["elapsed_ms"]
+            runs.append((res.optimum, res.status, stats, trace))
+        assert runs[0] == runs[1], variant
+        if top is not None and expected >= top:
+            assert res.status == MANDATORY_CONFLICT and res.optimum >= top
+        else:
+            assert res.status == OPTIMAL and res.optimum == expected
+            assert formula_cost(f, res.best_assignment) == expected

@@ -182,11 +182,13 @@ def _bench_task(task):
 
 
 def run_bench(entries, variants, timeout=None, jobs=1):
-    """Rows in manifest x variant order regardless of worker scheduling."""
+    """Rows in manifest x variant order regardless of worker scheduling;
+    at most one worker per task."""
     tasks = [(instance_id, spec, variant, timeout)
              for instance_id, spec in entries for variant in variants]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_bench_task, tasks)
     else:
         rows = [_bench_task(task) for task in tasks]
@@ -194,6 +196,10 @@ def run_bench(entries, variants, timeout=None, jobs=1):
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return 2
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             entries = parse_manifest(fh.read())

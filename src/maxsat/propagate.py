@@ -337,7 +337,7 @@ def apply_conflict_rule(formula: Formula, clauses, stats=None,
 
 
 def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
-                    stats=None, trace=None) -> int:
+                    stats=None, trace=None, *, prior=(), found=None) -> int:
     """Lower-bound underestimation via repeated propagation conflicts.
 
     Each conflict either fires an enabled inference rule (the formula is
@@ -347,12 +347,37 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     only when rule group 3/4 or 5/6 is enabled. Stops early once
     count + empty_weight reaches ub. Clauses set aside are reattached on
     exit, so apart from rule transformations the formula is unchanged.
+
+    ``prior`` holds subsets set aside at an ancestor node. Before any
+    propagation, each one whose clauses are all ``live`` is set aside
+    again, counted at the minimum of its clauses' current weights (rules
+    1 and 2 may have lowered them since). Liveness is the whole test:
+    every variable of a propagation subset occurs in both polarities
+    among its active literals (a node's reason holds the node literal,
+    and a successor's reason or the other conflict side holds its
+    negation), so any assignment that touches the subset satisfies one of
+    its clauses and kills it. A subset whose clauses are all live thus
+    has no assigned variable, its literals are unchanged, and it is still
+    inconsistent. Every subset set aside, carried or new, is appended to
+    ``found``.
     """
     r34 = config is not None and config.enable_r34
     r56 = config is not None and config.enable_r56
+    if found is None:
+        found = []
     count = 0
     detached: list[Clause] = []
     try:
+        for subset in prior:
+            if not all(c.live for c in subset):
+                continue
+            count += min(c.weight for c in subset)
+            for c in subset:
+                formula.detach_clause(c)
+                detached.append(c)
+            found.append(subset)
+            if count + formula.empty_weight >= ub:
+                return count
         while True:
             graph = _propagate(formula)
             if graph.conflict is None:
@@ -370,6 +395,7 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                 for c in analysis.subset:
                     formula.detach_clause(c)
                     detached.append(c)
+                found.append(analysis.subset)
             if count + formula.empty_weight >= ub:
                 break
     finally:

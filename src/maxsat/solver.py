@@ -125,6 +125,12 @@ class Solver:
         # trail length at the last point with no almost-common binary pair,
         # None until the first rule-1 pass
         self.r1_mark: int | None = None
+        # the inconsistent subsets the parent's bound set aside; a node's
+        # bound counts the surviving ones before it propagates. Only without
+        # rules 3-6: carried subsets take the clauses those rules fire on,
+        # and with them on the search branched more in measurements
+        self.carry = not (self.config.enable_r34 or self.config.enable_r56)
+        self.subsets: list = []
 
     def solve(self) -> SolveResult:
         f = self.f
@@ -182,6 +188,7 @@ class Solver:
         f = self.f
         mark = f.mark()
         r1_mark = self.r1_mark
+        subsets = self.subsets
         try:
             try:
                 if not self._simplify():
@@ -197,8 +204,15 @@ class Solver:
                             assignment.setdefault(v, False)
                         self.incumbent = assignment
                     return
-                u = underestimation(f, self.ub, self.config,
-                                    stats=stats, trace=self.trace)
+                if self.carry:
+                    found: list = []
+                    u = underestimation(f, self.ub, self.config, stats=stats,
+                                        trace=self.trace, prior=subsets,
+                                        found=found)
+                    self.subsets = found
+                else:
+                    u = underestimation(f, self.ub, self.config,
+                                        stats=stats, trace=self.trace)
             except MandatoryConflictError:
                 if depth == 0:
                     raise
@@ -221,6 +235,7 @@ class Solver:
         finally:
             f.undo_to(mark)
             self.r1_mark = r1_mark
+            self.subsets = subsets
 
     # ---------- node simplification ----------
 

@@ -1,4 +1,5 @@
 import csv
+import multiprocessing
 
 import pytest
 
@@ -214,3 +215,33 @@ def test_bench_stable_columns(tmp_path):
         csvs.append([(r["instance"], r["variant"], r["optimum"], r["branches"])
                      for r in rows])
     assert csvs[0] == csvs[1]
+
+
+def test_bench_jobs_capped_at_task_count(tmp_path, monkeypatch, capsys):
+    # the pool never outnumbers the tasks, and --jobs below 1 is rejected
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("gen ksat n=6 m=12 k=2 seed=1\n"
+                        "gen ksat n=6 m=12 k=2 seed=2\n")
+    assert main(["bench", str(manifest), "--jobs", "64"]) == 0
+    assert sizes == [2]
+    capsys.readouterr()
+    for jobs in ("0", "-3"):
+        assert main(["bench", str(manifest), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith("error: --jobs")
+    assert sizes == [2]

@@ -59,12 +59,20 @@ def test_graph_rejects_complementary_unit_pair():
         build_implication_graph(f)
 
 
-def test_graph_in_degree_matches_clause_length():
+def test_graph_reasons_force_their_nodes():
+    # each node's reason is a live clause that holds the node literal and
+    # whose every other active literal is falsified by an earlier node
     f = build(8, WIDE_GRAPH)
     g = build_implication_graph(f)
     g.audit()
-    for lit in g.nodes:
-        assert len(g.predecessors(lit)) == g.nodes[lit].size - 1
+    earlier = set()
+    for lit, reason in g.nodes.items():
+        assert reason.live
+        active = reason.lits[:reason.size]
+        assert lit in active
+        assert all(-x in earlier for x in active if x != lit), lit
+        earlier.add(lit)
+    assert len(g.nodes) == 9
 
 
 def test_graph_audit_rejects_missing_predecessor():
@@ -182,6 +190,31 @@ def test_underestimation_early_exit_at_ub():
     assert underestimation(f, 1, NO_RULES) == 1
     assert underestimation(f, 2, NO_RULES) == 2
     assert f.as_multiset() == build(5, THREE_DISJOINT).as_multiset()
+
+
+def test_underestimation_carries_live_prior_subsets():
+    # a prior subset is set aside before any propagation, counted at its
+    # clauses' current weights, and only while every clause of it is live
+    f = build(5, THREE_DISJOINT, weights=[3] * 9)
+    found = []
+    assert underestimation(f, math.inf, NO_RULES, found=found) == 9
+    assert [len(s) for s in found] == [4, 2, 3]
+    carried = []
+    assert underestimation(f, math.inf, NO_RULES, prior=found,
+                           found=carried) == 9
+    assert carried == found
+    f.reduce_weight(found[1][0], 1)
+    f.detach_clause(found[0][-1])
+    carried = []
+    assert underestimation(f, math.inf, NO_RULES, prior=found,
+                           found=carried) == 2 + 3
+    assert carried == [found[1], found[2]]
+    f.attach_clause(found[0][-1])
+    # the early exit at ub also stops the carried subsets
+    carried = []
+    assert underestimation(f, 3, NO_RULES, prior=found, found=carried) == 3
+    assert carried == [found[0]]
+    f.audit()
 
 
 def test_underestimation_determinism(rng):

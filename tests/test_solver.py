@@ -398,8 +398,8 @@ def _over_constrained_instances():
 
 # per variant: nodes, branches, pruned, MandatoryConflictErrors raised
 PINNED_SEARCH_COUNTS = {
-    "0": (1629, 806, 627, 0),
-    "12": (873, 428, 268, 52),
+    "0": (1643, 814, 633, 0),
+    "12": (876, 429, 270, 52),
     "1234": (822, 409, 239, 46),
     "z": (793, 399, 219, 45),
 }
@@ -472,6 +472,39 @@ def test_search_bound_admissible_at_every_node(monkeypatch):
         for variant in VARIANTS:
             solve(f, SolverConfig.variant(variant))
     assert interior[0] > 0
+
+
+def test_carried_subsets_valid_at_every_node(monkeypatch):
+    # without rules 3-6 each node's bound starts from the subsets its
+    # parent set aside; every subset a call hands on was live at entry, is
+    # disjoint from the call's other subsets and inconsistent on its own,
+    # and the call's bound is the sum of their minima at current weights
+    inner = solver_mod.underestimation
+    carried = [0]
+
+    def checked(formula, *args, **kwargs):
+        live = set(formula.clauses())
+        prior = kwargs["prior"]
+        u = inner(formula, *args, **kwargs)
+        found = kwargs["found"]
+        seen = set()
+        for subset in found:
+            assert all(c in live for c in subset), "a subset was not live"
+            assert seen.isdisjoint(subset), "subsets share a clause"
+            seen.update(subset)
+            alone = Formula.from_clauses(
+                formula.num_vars, [c.active() for c in subset])
+            assert brute_force_optimum(alone)[0] > 0, subset
+        assert u == sum(min(c.weight for c in s) for s in found)
+        carried[0] += sum(any(s is p for p in prior) for s in found)
+        return u
+
+    monkeypatch.setattr(solver_mod, "underestimation", checked)
+    corpus = list(_rule1_gate_instances()) + list(_small_instances())
+    for variant in ("0", "12"):
+        for f in corpus:
+            solve(f, SolverConfig.variant(variant))
+    assert carried[0] > 0
 
 
 @st.composite

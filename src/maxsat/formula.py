@@ -217,20 +217,20 @@ class Formula:
         if on_trail:
             self.trail.append(("wt", c, old))
 
-    def assign_literal(self, lit: int, *, on_trail: bool = True) -> None:
+    def assign_literal(self, lit: int) -> None:
         """One-literal rule: delete clauses containing lit, remove all
-        occurrences of -lit (units falsified this way become empty weight)."""
+        occurrences of -lit (units falsified this way become empty weight).
+        Always on the trail."""
         n = self.num_vars
         for c in self.occ[lit + n]:
             if c.live:
-                self.remove_clause(c, on_trail=on_trail)
+                self.remove_clause(c, on_trail=True)
         nl = -lit
         for c in self.occ[nl + n]:
             if c.live:
-                self.hide_literal(c, nl, on_trail=on_trail)
+                self.hide_literal(c, nl, on_trail=True)
         self.assignment[abs(lit)] = lit > 0
-        if on_trail:
-            self.trail.append(("assign", abs(lit)))
+        self.trail.append(("assign", abs(lit)))
 
     # temporary removal used by the lower-bound computation; not trailed.
     # Only the live flag flips: a detached clause stays in the weight sums,

@@ -200,114 +200,58 @@ def extract_inconsistent_subset(graph: ImplicationGraph) -> ConflictAnalysis:
                             subset=subset)
 
 
-def _chain_from(graph: ImplicationGraph, endpoint: int, side: set[int]):
-    """Walk predecessors from the endpoint; the chain in unit-to-endpoint
-    order, or None if the side is not a single implication chain."""
-    chain = [endpoint]
-    v = endpoint
-    while True:
-        ps = graph.predecessors(v)
-        if not ps:
-            break
-        if len(ps) != 1:
-            return None
-        v = ps[0]
-        chain.append(v)
-    if len(chain) != len(side) or any(x not in side for x in chain):
-        return None
-    chain.reverse()
-    return chain
-
-
 def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> str:
     """Match the conflict against the rule-detection shapes.
 
-    Linear shape (both sides disjoint chains, one unit clause each) fires
-    rule 3 or 4; single-unit shape with a shared chain prefix and a
-    three-node fork fires rule 5 or 6. Anything else: no rule. On a match
-    the analysis is filled with the consumed clauses and the replacement
+    Every rule 3-6 shape is made of unit and binary clauses, so a reason
+    with more than two active literals rules them all out. Once every
+    reason is unit or binary, each node has at most one predecessor, and
+    `_closure` returns each side as a path from its conflict literal down
+    to the one unit-seeded node it starts from. Two such paths that meet
+    share everything below the meeting node, so the sides are either
+    disjoint or end in the same suffix. Neither conflict literal is on the
+    other's side: the last node added has no successor, and `_propagate`
+    never forces r through a binary while -r is a node.
+
+    Disjoint sides fire rule 3 (at most three clauses) or rule 4. Sides
+    sharing a suffix fire rule 5 (one shared node) or rule 6 when exactly
+    three nodes lie outside it: the endpoint z alone on one side, the
+    other endpoint behind a third node on the other. On a match the
+    analysis is filled with the consumed clauses and the replacement
     clause literals.
     """
     nodes = graph.nodes
-    lit, nlit = analysis.lit, analysis.neg_lit
-    set_l = set(analysis.s_lit)
-    set_n = set(analysis.s_neg)
-    inter = set_l & set_n
-
+    s_lit, s_neg = analysis.s_lit, analysis.s_neg
     analysis.classification = NO_RULE
     analysis.intersection_chain = []
     analysis.consumed = []
     analysis.produced = []
-
-    if not inter:
-        # rules 3/4 shape: each side one unit and a chain of binaries
-        for side_set, endpoint in ((set_l, lit), (set_n, nlit)):
-            units = [v for v in side_set if nodes[v].size == 1]
-            if len(units) != 1:
-                return NO_RULE
-            if any(nodes[v].size > 2 for v in side_set):
-                return NO_RULE
-            if _chain_from(graph, endpoint, side_set) is None:
-                return NO_RULE
-        consumed = [nodes[v] for v in analysis.s_lit] + \
-                   [nodes[v] for v in analysis.s_neg]
+    if any(nodes[v].size > 2 for v in s_lit + s_neg):
+        return NO_RULE
+    k = len(set(s_lit).intersection(s_neg))
+    if k == 0:
+        consumed = [nodes[v] for v in s_lit + s_neg]
         produced = [[-x for x in c.active()] for c in consumed if c.size == 2]
-        total = len(set_l) + len(set_n)
-        analysis.classification = R3 if total <= 3 else R4
-        analysis.consumed = consumed
-        analysis.produced = produced
-        return analysis.classification
-
-    # rules 5/6 shape: one unit overall, all else binary, the shared
-    # part a chain, and exactly three nodes outside it
-    union = list(dict.fromkeys(analysis.s_lit + analysis.s_neg))
-    units = [v for v in union if nodes[v].size == 1]
-    if len(units) != 1 or any(nodes[v].size > 2 for v in union):
-        return NO_RULE
-    unit = units[0]
-    if unit not in inter:
-        return NO_RULE
-    diff = [v for v in union if v not in inter]
-    if len(diff) != 3 or lit not in diff or nlit not in diff:
-        return NO_RULE
-    third = next(v for v in diff if v != lit and v != nlit)
-    # shared prefix must be a chain starting at the unit clause
-    succ: dict[int, int] = {}
-    for v in inter:
-        if v == unit:
-            continue
-        p = graph.predecessors(v)[0]
-        if p in succ:
-            return NO_RULE
-        succ[p] = v
-    chain = [unit]
-    while chain[-1] in succ:
-        chain.append(succ[chain[-1]])
-    if len(chain) != len(inter) or any(v not in inter for v in chain):
-        return NO_RULE
-    lk = chain[-1]
-    # fork: lk implies the third literal and one conflict literal directly,
-    # the third implies the other conflict literal
-    if graph.predecessors(third) != (lk,):
-        return NO_RULE
-    pl, pn = graph.predecessors(lit), graph.predecessors(nlit)
-    if pl == (lk,) and pn == (third,):
-        z = lit
-    elif pn == (lk,) and pl == (third,):
-        z = nlit
+        cls = R3 if len(consumed) <= 3 else R4
+    elif len(s_lit) + len(s_neg) - 2 * k == 3:
+        alone, forked = (s_lit, s_neg) if len(s_lit) == k + 1 else (s_neg, s_lit)
+        z, third = alone[0], forked[1]
+        chain = alone[:0:-1]            # the shared suffix, unit first
+        lk = chain[-1]
+        chain_clauses = [nodes[v] for v in chain[1:]]
+        consumed = [nodes[chain[0]]] + chain_clauses + \
+            [nodes[third], nodes[z], nodes[-z]]
+        produced = [[-x for x in c.active()] for c in chain_clauses]
+        produced.append([lk, -third, -z])
+        produced.append([-lk, third, z])
+        cls = R5 if k == 1 else R6
+        analysis.intersection_chain = chain
     else:
         return NO_RULE
-    chain_clauses = [nodes[v] for v in chain[1:]]
-    consumed = [nodes[unit]] + chain_clauses + \
-        [nodes[third], nodes[z], nodes[-z]]
-    produced = [[-x for x in c.active()] for c in chain_clauses]
-    produced.append([lk, -third, -z])
-    produced.append([-lk, third, z])
-    analysis.classification = R5 if len(chain) == 1 else R6
-    analysis.intersection_chain = chain
+    analysis.classification = cls
     analysis.consumed = consumed
     analysis.produced = produced
-    return analysis.classification
+    return cls
 
 
 def apply_conflict_rule(formula: Formula, clauses, stats=None,

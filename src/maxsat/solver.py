@@ -204,15 +204,12 @@ class Solver:
                             assignment.setdefault(v, False)
                         self.incumbent = assignment
                     return
-                if self.carry:
-                    found: list = []
-                    u = underestimation(f, self.ub, self.config, stats=stats,
-                                        trace=self.trace, prior=subsets,
-                                        found=found)
-                    self.subsets = found
-                else:
-                    u = underestimation(f, self.ub, self.config,
-                                        stats=stats, trace=self.trace)
+                found: list = []
+                u = underestimation(f, self.ub, self.config, stats=stats,
+                                    trace=self.trace,
+                                    prior=subsets if self.carry else (),
+                                    found=found)
+                self.subsets = found
             except MandatoryConflictError:
                 if depth == 0:
                     raise

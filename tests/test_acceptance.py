@@ -20,7 +20,7 @@ from maxsat import (Formula, SolverConfig, brute_force_maxcut,
 from maxsat.cli import main as cli_main
 from maxsat.solver import SearchStats
 
-from conftest import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, ORDER_HIDES_PAIR, build, random_clauses
+from formulas import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, ORDER_HIDES_PAIR, build, random_clauses
 from schema_helpers import instantiate
 
 VARIANTS = ("0", "12", "1234", "z")

@@ -5,7 +5,7 @@ import pytest
 
 from maxsat.cli import main, parse_manifest
 
-from conftest import THREE_DISJOINT
+from formulas import THREE_DISJOINT
 
 
 def write_three_disjoint(tmp_path):

@@ -9,7 +9,7 @@ from maxsat import (DimacsError, GraphInstance, ParsedInstance, parse_cnf,
 from maxsat.dimacs import parse_dimacs
 from maxsat.gen import gen_random_maxksat
 
-from conftest import THREE_DISJOINT, build
+from formulas import THREE_DISJOINT, build
 
 
 def test_parse_cnf_basic():

@@ -5,7 +5,7 @@ import pytest
 from maxsat import Clause, Formula, clause_cost, formula_cost, neg
 from maxsat.formula import normalize_lits
 
-from conftest import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
+from formulas import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
                       run_optimized)
 
 

@@ -4,7 +4,7 @@ from maxsat import (Formula, GraphInstance, OracleCapExceeded,
                     brute_force_maxcut, brute_force_optimum, check_equivalence,
                     formula_cost)
 
-from conftest import THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses
+from formulas import THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses
 
 
 def test_optimum_complementary_pair():

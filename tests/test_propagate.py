@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import deque
 from contextlib import contextmanager, nullcontext
@@ -11,9 +12,10 @@ from maxsat import (ComplementaryUnitsError, Formula, MandatoryConflictError,
                     build_implication_graph, check_equivalence,
                     classify_conflict, extract_inconsistent_subset,
                     underestimation)
-from maxsat.solver import SearchStats
+from maxsat.solver import SearchStats, solve
 
-from conftest import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, WIDE_GRAPH, TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, ORDER_HIDES_PAIR, build, random_clauses
+from formulas import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, WIDE_GRAPH, TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, ORDER_HIDES_PAIR, build, random_clauses
+from test_solver import _rule1_gate_instances
 
 ALL_RULES = SolverConfig.variant("z")
 NO_RULES = None
@@ -132,6 +134,18 @@ def test_classify_rule5_pattern():
     analysis = extract_inconsistent_subset(g)
     assert classify_conflict(analysis, g) == R5
     assert analysis.intersection_chain == [1]
+
+
+def test_classify_all_binary_fork_no_rule():
+    # both sides meet at the unit with two nodes outside each: every reason
+    # is unit or binary, yet four nodes lie outside the shared part
+    g = build_implication_graph(build(4, [[1], [-1, 2], [-1, 3], [-2, 4], [-3, -4]]))
+    analysis = extract_inconsistent_subset(g)
+    assert set(analysis.s_lit) & set(analysis.s_neg) == {1}
+    assert len(analysis.s_lit) + len(analysis.s_neg) == 6
+    assert classify_conflict(analysis, g) == NO_RULE
+    assert analysis.consumed == [] and analysis.produced == []
+    assert analysis.intersection_chain == []
 
 
 def test_classify_ternary_subset_no_rule():
@@ -462,3 +476,188 @@ def test_underestimation_matches_unregistering_reference(state, config, ub):
         sides.append((u, [c.cid for c in f.units], f.empty_weight,
                       f.as_multiset(), trace))
     assert sides[0] == sides[1]
+
+
+# ---------- exactness against the chain-walking classifier ----------
+
+def _chain_from(graph, endpoint: int, side: set[int]):
+    """Walk predecessors from the endpoint; the chain in unit-to-endpoint
+    order, or None if the side is not a single implication chain."""
+    chain = [endpoint]
+    v = endpoint
+    while True:
+        ps = graph.predecessors(v)
+        if not ps:
+            break
+        if len(ps) != 1:
+            return None
+        v = ps[0]
+        chain.append(v)
+    if len(chain) != len(side) or any(x not in side for x in chain):
+        return None
+    chain.reverse()
+    return chain
+
+
+def reference_classify_conflict(analysis, graph) -> str:
+    """Match the conflict against the rule-detection shapes.
+
+    Linear shape (both sides disjoint chains, one unit clause each) fires
+    rule 3 or 4; single-unit shape with a shared chain prefix and a
+    three-node fork fires rule 5 or 6. Anything else: no rule. On a match
+    the analysis is filled with the consumed clauses and the replacement
+    clause literals.
+    """
+    nodes = graph.nodes
+    lit, nlit = analysis.lit, analysis.neg_lit
+    set_l = set(analysis.s_lit)
+    set_n = set(analysis.s_neg)
+    inter = set_l & set_n
+
+    analysis.classification = NO_RULE
+    analysis.intersection_chain = []
+    analysis.consumed = []
+    analysis.produced = []
+
+    if not inter:
+        # rules 3/4 shape: each side one unit and a chain of binaries
+        for side_set, endpoint in ((set_l, lit), (set_n, nlit)):
+            units = [v for v in side_set if nodes[v].size == 1]
+            if len(units) != 1:
+                return NO_RULE
+            if any(nodes[v].size > 2 for v in side_set):
+                return NO_RULE
+            if _chain_from(graph, endpoint, side_set) is None:
+                return NO_RULE
+        consumed = [nodes[v] for v in analysis.s_lit] + \
+                   [nodes[v] for v in analysis.s_neg]
+        produced = [[-x for x in c.active()] for c in consumed if c.size == 2]
+        total = len(set_l) + len(set_n)
+        analysis.classification = R3 if total <= 3 else R4
+        analysis.consumed = consumed
+        analysis.produced = produced
+        return analysis.classification
+
+    # rules 5/6 shape: one unit overall, all else binary, the shared
+    # part a chain, and exactly three nodes outside it
+    union = list(dict.fromkeys(analysis.s_lit + analysis.s_neg))
+    units = [v for v in union if nodes[v].size == 1]
+    if len(units) != 1 or any(nodes[v].size > 2 for v in union):
+        return NO_RULE
+    unit = units[0]
+    if unit not in inter:
+        return NO_RULE
+    diff = [v for v in union if v not in inter]
+    if len(diff) != 3 or lit not in diff or nlit not in diff:
+        return NO_RULE
+    third = next(v for v in diff if v != lit and v != nlit)
+    # shared prefix must be a chain starting at the unit clause
+    succ: dict[int, int] = {}
+    for v in inter:
+        if v == unit:
+            continue
+        p = graph.predecessors(v)[0]
+        if p in succ:
+            return NO_RULE
+        succ[p] = v
+    chain = [unit]
+    while chain[-1] in succ:
+        chain.append(succ[chain[-1]])
+    if len(chain) != len(inter) or any(v not in inter for v in chain):
+        return NO_RULE
+    lk = chain[-1]
+    # fork: lk implies the third literal and one conflict literal directly,
+    # the third implies the other conflict literal
+    if graph.predecessors(third) != (lk,):
+        return NO_RULE
+    pl, pn = graph.predecessors(lit), graph.predecessors(nlit)
+    if pl == (lk,) and pn == (third,):
+        z = lit
+    elif pn == (lk,) and pl == (third,):
+        z = nlit
+    else:
+        return NO_RULE
+    chain_clauses = [nodes[v] for v in chain[1:]]
+    consumed = [nodes[unit]] + chain_clauses + \
+        [nodes[third], nodes[z], nodes[-z]]
+    produced = [[-x for x in c.active()] for c in chain_clauses]
+    produced.append([lk, -third, -z])
+    produced.append([-lk, third, z])
+    analysis.classification = R5 if len(chain) == 1 else R6
+    analysis.intersection_chain = chain
+    analysis.consumed = consumed
+    analysis.produced = produced
+    return analysis.classification
+
+
+def diagnosis(rule, analysis):
+    return (rule, analysis.classification, [c.cid for c in analysis.consumed],
+            analysis.produced, analysis.intersection_chain)
+
+
+@contextmanager
+def classify_against_reference():
+    """Every `classify_conflict` call the underestimation makes is checked
+    against the chain-walking classifier; yields the per-rule call counts."""
+    inner = propagate.classify_conflict
+    calls = {}
+
+    def checked(analysis, graph):
+        ref = dataclasses.replace(analysis)
+        expected = diagnosis(reference_classify_conflict(ref, graph), ref)
+        rule = inner(analysis, graph)
+        assert diagnosis(rule, analysis) == expected, (analysis.s_lit, analysis.s_neg)
+        calls[rule] = calls.get(rule, 0) + 1
+        return rule
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "classify_conflict", checked)
+        yield calls
+
+
+@st.composite
+def unit_rich_formulas(draw):
+    """n 2-8: 1-5 units, 2-16 binaries and up to 4 clauses of length 3-4,
+    in a drawn order; soft weights 1-6, or weights with TOP clauses."""
+    n = draw(st.integers(2, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    units = draw(st.lists(lit.map(lambda x: [x]), min_size=1, max_size=5))
+    binaries = draw(st.lists(st.lists(lit, min_size=2, max_size=2, unique_by=abs),
+                             min_size=2, max_size=16))
+    longer = draw(st.lists(
+        st.lists(lit, min_size=3, max_size=4, unique_by=abs), max_size=4)
+        if n >= 3 else st.just([]))
+    clauses = draw(st.permutations(units + binaries + longer))
+    top = draw(st.sampled_from([None, 50]))
+    weights = draw(st.lists(st.integers(1, 6) if top is None
+                            else st.sampled_from([1, 2, 3, 50]),
+                            min_size=len(clauses), max_size=len(clauses)))
+    return n, clauses, weights, top
+
+
+CLASSIFYING = [SolverConfig.variant("z"), R34_ONLY,
+               SolverConfig(enable_r12=True, enable_r34=False, enable_r56=True)]
+
+
+@EXACTNESS
+@given(unit_rich_formulas())
+def test_classify_matches_chain_walking_reference(formula):
+    # every root conflict, before and after the rules each config fires
+    n, clauses, weights, top = formula
+    for config in CLASSIFYING:
+        f = build(n, clauses, weights=weights, top=top)
+        with classify_against_reference():
+            try:
+                underestimation(f, math.inf, config)
+            except MandatoryConflictError:
+                pass
+        f.audit()
+
+
+def test_classify_matches_reference_inside_solve():
+    # every classification met while solving the rule-1 gate corpus
+    with classify_against_reference() as calls:
+        for f in _rule1_gate_instances():
+            for variant in ("1234", "z"):
+                solve(f.copy(), SolverConfig.variant(variant))
+    assert all(calls.get(rule, 0) > 0 for rule in (NO_RULE, R3, R4, R5, R6)), calls

@@ -4,7 +4,7 @@ from maxsat import (Formula, MandatoryConflictError, PatternError, R1, R2, R3,
                     R4, R5, R6, RULE_IDS, SolverConfig, apply_conflict_rule,
                     apply_rule1, apply_rule2, check_equivalence)
 
-from conftest import TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, build
+from formulas import TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, build
 from schema_helpers import instantiate
 
 

@@ -12,7 +12,7 @@ from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
 import maxsat.solver as solver_mod
 from maxsat.solver import Solver
 
-from conftest import THREE_DISJOINT, build, random_clauses, run_optimized
+from formulas import THREE_DISJOINT, build, random_clauses, run_optimized
 
 VARIANTS = ("0", "12", "1234", "z")
 

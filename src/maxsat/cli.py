@@ -23,6 +23,10 @@ CSV_COLUMNS = ["instance", "variant", "optimum", "branches", "time_ms",
 
 ORACLE_CHECK_LIMIT = 18
 
+# manifest generator key -> GeneratorSpec field
+MANIFEST_KEYS = {"seed": "seed", "n": "n", "m": "m", "k": "k",
+                 "v": "vertices", "e": "edges", "density": "density"}
+
 
 def _load_formula(path: str, strict: bool = False) -> Formula:
     with open(path, "r", encoding="utf-8") as fh:
@@ -34,24 +38,41 @@ def _assignment_line(assignment, num_vars) -> str:
     return "v " + " ".join(lits)
 
 
-def _write_trace(path: str, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for app in trace:
-            consumed = ",".join(str(i) for i in app.consumed)
-            produced = ",".join(str(i) for i in app.produced)
-            fh.write(f"R{app.rule_id[1:]} consumed={consumed} produced={produced}\n")
+def _timeout_seconds(text: str) -> float:
+    """A ``--timeout`` value: seconds, at least 0; ``inf`` means no limit.
+    NaN is refused because the deadline check would never fire on it."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected seconds >= 0, got {text!r}")
+    return value
+
+
+def _write_trace(fh, trace) -> None:
+    for app in trace:
+        consumed = ",".join(str(i) for i in app.consumed)
+        produced = ",".join(str(i) for i in app.produced)
+        fh.write(f"R{app.rule_id[1:]} consumed={consumed} produced={produced}\n")
 
 
 def cmd_solve(args) -> int:
     try:
         formula = _load_formula(args.path, strict=args.strict)
+        # opened before the search, so a bad path costs no solve
+        trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     except (OSError, UnicodeDecodeError, DimacsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return _solve_and_report(args, formula, trace_fh)
+    finally:
+        if trace_fh is not None:
+            trace_fh.close()
+
+
+def _solve_and_report(args, formula: Formula, trace_fh) -> int:
     config = SolverConfig.variant(args.variant)
-    trace = [] if args.trace else None
-    result = solve(formula, config, initial_ub=args.ub,
-                   timeout=args.timeout, trace=trace)
+    trace = [] if trace_fh is not None else None
+    result = solve(formula, config, timeout=args.timeout, trace=trace)
     print(f"o {result.optimum}")
     if result.best_assignment is not None:
         print(_assignment_line(result.best_assignment, formula.num_vars))
@@ -64,8 +85,8 @@ def cmd_solve(args) -> int:
     if args.stats:
         for key, value in result.stats.as_dict().items():
             print(f"{key}={value}")
-    if args.trace:
-        _write_trace(args.trace, trace)
+    if trace_fh is not None:
+        _write_trace(trace_fh, trace)
     if args.seedcheck:
         if formula.num_vars > ORACLE_CHECK_LIMIT:
             print(f"c seedcheck skipped: {formula.num_vars} variables "
@@ -100,8 +121,12 @@ def cmd_gen(args) -> int:
         return 2
     text = write_wcnf(formula) if args.wcnf else write_cnf(formula)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -123,8 +148,9 @@ def cmd_oracle(args) -> int:
 
 def parse_manifest(text: str):
     """Instance sources, one per line: a DIMACS path, or an inline
-    generator spec like 'gen ksat n=15 m=60 k=2 seed=7'. A field value
-    that is not a number raises ValueError naming the line."""
+    generator spec like 'gen ksat n=15 m=60 k=2 seed=7'. A key outside
+    MANIFEST_KEYS, or a field value that is not a number, raises ValueError
+    naming the line."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -132,26 +158,19 @@ def parse_manifest(text: str):
             continue
         if line.startswith("gen "):
             fields = line.split()
-            family = fields[1]
-            kv = {}
+            kv = {"seed": 0}
             for item in fields[2:]:
                 key, _, value = item.partition("=")
+                if key not in MANIFEST_KEYS:
+                    raise ValueError(f"manifest line {lineno}: unknown key "
+                                     f"in {item!r}")
                 try:
-                    kv[key] = float(value) if key == "density" else int(value)
+                    kv[MANIFEST_KEYS[key]] = (float(value) if key == "density"
+                                              else int(value))
                 except ValueError:
                     raise ValueError(f"manifest line {lineno}: bad value "
                                      f"in {item!r}") from None
-            spec = GeneratorSpec(
-                family=family,
-                seed=kv.get("seed", 0),
-                n=kv.get("n", 0),
-                m=kv.get("m", 0),
-                k=kv.get("k", 0),
-                vertices=kv.get("v", 0),
-                edges=kv.get("e", 0),
-                density=kv.get("density", 0.0),
-            )
-            entries.append((line, spec))
+            entries.append((line, GeneratorSpec(fields[1], **kv)))
         else:
             entries.append((line, None))
     return entries
@@ -211,9 +230,15 @@ def cmd_bench(args) -> int:
         if v not in VARIANT_NAMES:
             print(f"error: unknown variant {v!r}", file=sys.stderr)
             return 2
-    rows = run_bench(entries, variants, timeout=args.timeout, jobs=args.jobs)
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    # opened before the tasks run, so a bad path costs no solve
     try:
+        out = (open(args.out, "w", newline="", encoding="utf-8")
+               if args.out else sys.stdout)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        rows = run_bench(entries, variants, timeout=args.timeout, jobs=args.jobs)
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -233,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("path")
     p_solve.add_argument("--variant", choices=VARIANT_NAMES, default="z",
                          help="which inference rules to enable (default z)")
-    p_solve.add_argument("--ub", type=int, default=None,
-                         help="initial upper bound")
-    p_solve.add_argument("--timeout", type=float, default=None,
+    p_solve.add_argument("--timeout", type=_timeout_seconds, default=None,
                          help="wall-clock limit in seconds")
     p_solve.add_argument("--stats", action="store_true",
                          help="emit search statistics as key=value lines")
@@ -274,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--variants", default="z",
                          help="comma-separated variant list, e.g. 12,1234,z")
     p_bench.add_argument("--out", metavar="CSV", default=None)
-    p_bench.add_argument("--timeout", type=float, default=None,
+    p_bench.add_argument("--timeout", type=_timeout_seconds, default=None,
                          help="per-instance wall-clock limit")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="worker processes")

@@ -102,12 +102,6 @@ class Formula:
     def is_top(self, w: int) -> bool:
         return self.top is not None and w >= self.top
 
-    def weight_minus(self, w: int, d: int) -> int:
-        """TOP - d = TOP; plain subtraction otherwise."""
-        if self.is_top(w):
-            return w
-        return w - d
-
     # ---------- count bookkeeping ----------
 
     def _bump_counts(self, c: Clause, sign: int) -> None:
@@ -168,21 +162,20 @@ class Formula:
             self.trail.append(("add", c, displaced))
         return c
 
-    def remove_clause(self, c: Clause, *, on_trail: bool = False) -> None:
+    def remove_clause(self, c: Clause) -> None:
         if not c.live:
             raise ValueError(f"clause {c.cid} is not live")
         c.live = False
         self._unregister(c)
-        if on_trail:
-            self.trail.append(("rm", c))
+        self.trail.append(("rm", c))
 
-    def hide_literal(self, c: Clause, lit: int, *, on_trail: bool = False) -> None:
+    def hide_literal(self, c: Clause, lit: int) -> None:
         """Remove one literal occurrence; a unit reduced to length 0 becomes
         empty-clause weight."""
         if c.size == 1:
             # hiding the last literal falsifies the clause
-            self.remove_clause(c, on_trail=on_trail)
-            self.add_empty(c.weight, on_trail=on_trail)
+            self.remove_clause(c)
+            self.add_empty(c.weight, on_trail=True)
             return
         i = c.lits.index(lit)
         if i >= c.size:
@@ -192,30 +185,28 @@ class Formula:
         c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
         c.size = last
         self._register(c)
-        if on_trail:
-            self.trail.append(("hide", c, i))
+        self.trail.append(("hide", c, i))
 
     def add_empty(self, weight: int, *, on_trail: bool = False) -> None:
         self.empty_weight += weight
         if on_trail:
             self.trail.append(("empty", weight))
 
-    def reduce_weight(self, c: Clause, d: int, *, on_trail: bool = False) -> None:
+    def reduce_weight(self, c: Clause, d: int) -> None:
         """Subtract d from a clause weight (TOP - d = TOP); weight 0 removes."""
         old = c.weight
-        new = self.weight_minus(old, d)
+        new = old if self.is_top(old) else old - d
         if new == old:
             return
         if new < 0:
             raise ValueError("weight reduction below zero")
         if new == 0:
-            self.remove_clause(c, on_trail=on_trail)
+            self.remove_clause(c)
             return
         self._bump_counts(c, -1)
         c.weight = new
         self._bump_counts(c, 1)
-        if on_trail:
-            self.trail.append(("wt", c, old))
+        self.trail.append(("wt", c, old))
 
     def assign_literal(self, lit: int) -> None:
         """One-literal rule: delete clauses containing lit, remove all
@@ -224,11 +215,11 @@ class Formula:
         n = self.num_vars
         for c in self.occ[lit + n]:
             if c.live:
-                self.remove_clause(c, on_trail=True)
+                self.remove_clause(c)
         nl = -lit
         for c in self.occ[nl + n]:
             if c.live:
-                self.hide_literal(c, nl, on_trail=True)
+                self.hide_literal(c, nl)
         self.assignment[abs(lit)] = lit > 0
         self.trail.append(("assign", abs(lit)))
 

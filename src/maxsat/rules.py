@@ -96,7 +96,7 @@ def _fire(formula: Formula, rule_id: str, pattern: list[Clause],
     consumed_ids = []
     for c in pattern:
         consumed_ids.append(c.cid)
-        formula.reduce_weight(c, w, on_trail=True)
+        formula.reduce_weight(c, w)
         if not c.live:
             free_slots.append(c.cid)
     produced_ids = []
@@ -146,11 +146,11 @@ def apply_rule1(formula: Formula, c1: Clause, c2: Clause,
     _audit_sizes(c1.size + c2.size, len(rest))
     if formula.is_top(w):
         # two mandatory clauses collapse into their mandatory resolvent
-        formula.remove_clause(c1, on_trail=True)
-        formula.remove_clause(c2, on_trail=True)
+        formula.remove_clause(c1)
+        formula.remove_clause(c2)
     else:
-        formula.reduce_weight(c1, w, on_trail=True)
-        formula.reduce_weight(c2, w, on_trail=True)
+        formula.reduce_weight(c1, w)
+        formula.reduce_weight(c2, w)
     slot = c2.cid if not c2.live else (c1.cid if not c1.live else None)
     nc = formula.add_clause(rest, w, slot=slot, on_trail=True)
     app = RuleApplication(R1, [c1.cid, c2.cid], [nc.cid], w)

@@ -90,7 +90,8 @@ def select_value(formula: Formula, var: int) -> bool:
 
 
 def initial_upper_bound(formula: Formula):
-    """Greedy incumbent: assign in heuristic order, simplifying as it goes.
+    """Greedy incumbent: assign the heuristic's literal until no literal
+    is left; unassigned variables default to False.
 
     Returns (cost, complete assignment); never exceeds the total weight.
     """
@@ -111,16 +112,14 @@ def initial_upper_bound(formula: Formula):
 
 class Solver:
     def __init__(self, formula: Formula, config: SolverConfig | None = None,
-                 initial_ub: int | None = None, timeout: float | None = None,
-                 trace=None):
+                 *, timeout: float | None = None, trace=None):
         self.f = formula
         self.config = config if config is not None else SolverConfig.variant("z")
         self.stats = SearchStats()
         self.trace = trace
-        self.initial_ub = initial_ub
         self.deadline = None if timeout is None else time.monotonic() + timeout
+        # the incumbent's cost: the search's upper bound
         self.ub = 0
-        self.incumbent_cost = 0
         self.incumbent: dict[int, bool] = {}
         # trail length at the last point with no almost-common binary pair,
         # None until the first rule-1 pass
@@ -139,10 +138,7 @@ class Solver:
         if sys.getrecursionlimit() < needed:
             sys.setrecursionlimit(min(needed, 1_000_000))
         start = time.perf_counter()
-        self.incumbent_cost, self.incumbent = initial_upper_bound(f)
-        self.ub = self.incumbent_cost
-        if self.initial_ub is not None:
-            self.ub = min(self.ub, self.initial_ub)
+        self.ub, self.incumbent = initial_upper_bound(f)
         timed_out = False
         mark = f.mark()
         try:
@@ -150,31 +146,22 @@ class Solver:
                 self._search(0)
         except SearchTimeout:
             timed_out = True
-        except MandatoryConflictError:
-            # an inconsistent all-mandatory subset at the root: the final
-            # upper bound stays at or above TOP and the status reflects it
-            pass
         finally:
             f.undo_to(mark)
         self.stats.elapsed = time.perf_counter() - start
         # below TOP the trail arithmetic is exact; at or above it raw sums
         # may drift from the input formula's (all such costs mean infeasible)
         true_cost = f.cost(self.incumbent)
-        if true_cost != self.incumbent_cost and not (
-                f.top is not None
-                and true_cost >= f.top and self.incumbent_cost >= f.top):
+        if true_cost != self.ub and not (
+                f.top is not None and true_cost >= f.top and self.ub >= f.top):
             raise RuntimeError(
-                f"incumbent reported at cost {self.incumbent_cost} but its "
+                f"incumbent reported at cost {self.ub} but its "
                 f"assignment costs {true_cost}")
         if timed_out:
             return SolveResult(true_cost, self.incumbent, self.stats, TIMED_OUT)
-        optimum = self.ub
-        if f.top is not None and optimum >= f.top:
-            return SolveResult(optimum, None, self.stats, MANDATORY_CONFLICT)
-        # the incumbent certifies the optimum unless a caller-supplied upper
-        # bound cut below every reachable solution
-        best = self.incumbent if true_cost == optimum else None
-        return SolveResult(optimum, best, self.stats, OPTIMAL)
+        if f.top is not None and self.ub >= f.top:
+            return SolveResult(self.ub, None, self.stats, MANDATORY_CONFLICT)
+        return SolveResult(self.ub, self.incumbent, self.stats, OPTIMAL)
 
     # ---------- search ----------
 
@@ -198,7 +185,6 @@ class Solver:
                     cost = f.empty_weight
                     if cost < self.ub:
                         self.ub = cost
-                        self.incumbent_cost = cost
                         assignment = dict(f.assignment)
                         for v in range(1, f.num_vars + 1):
                             assignment.setdefault(v, False)
@@ -211,8 +197,6 @@ class Solver:
                                     found=found)
                 self.subsets = found
             except MandatoryConflictError:
-                if depth == 0:
-                    raise
                 stats.pruned += 1
                 return
             lb = f.empty_weight + u  # read after the rules have fired
@@ -415,13 +399,13 @@ class Solver:
         return True, fired
 
 
-def solve(formula: Formula, config: SolverConfig | None = None,
-          initial_ub: int | None = None, timeout: float | None = None,
-          trace=None) -> SolveResult:
+def solve(formula: Formula, config: SolverConfig | None = None, *,
+          timeout: float | None = None, trace=None) -> SolveResult:
     """Prove the minimum unsatisfied weight of a formula.
 
     The formula is mutated during the search but restored before returning.
-    With an explicit ``initial_ub`` below the true optimum the search is cut
-    off early: the returned value is then that bound and no witness exists.
+    An ``OPTIMAL`` result carries a witness whose cost is the optimum; a
+    ``TIMED_OUT`` one carries the best assignment found and its cost; a
+    ``MANDATORY_CONFLICT`` one carries none.
     """
-    return Solver(formula, config, initial_ub, timeout, trace).solve()
+    return Solver(formula, config, timeout=timeout, trace=trace).solve()

@@ -165,11 +165,44 @@ def test_bench_malformed_manifest_exit(tmp_path, capsys):
     latin1.write_bytes(b"gen ksat n=5 m=10 k=2\n# caf\xe9\n")
     bad_value = tmp_path / "bad_value.txt"
     bad_value.write_text("gen ksat n=5 m=10 k=2\ngen ksat n=x m=10\n")
-    for manifest in (latin1, bad_value):
+    unknown_key = tmp_path / "unknown_key.txt"
+    unknown_key.write_text("gen ksat n=5 m=10 k=2\ngen ksat n=5 m=10 k=2 sed=3\n")
+    for manifest in (latin1, bad_value, unknown_key):
         assert main(["bench", str(manifest)]) == 2
         assert "error" in capsys.readouterr().err
     with pytest.raises(ValueError, match="line 2"):
         parse_manifest(bad_value.read_text())
+    with pytest.raises(ValueError, match="line 2: unknown key"):
+        parse_manifest(unknown_key.read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "ksat", "-n", "5", "-m", "5", "--out", "{missing}/x.cnf"],
+    ["solve", "{cnf}", "--trace", "{missing}/x.log"],
+    ["bench", "{manifest}", "--out", "{missing}/o.csv"],
+    ["solve", "{cnf}", "--timeout", "nan"],
+    ["solve", "{cnf}", "--timeout", "-1"],
+    ["bench", "{manifest}", "--timeout", "nan"],
+    ["bench", "{manifest}", "--timeout", "-1"],
+], ids=["gen-out", "solve-trace", "bench-out", "solve-timeout-nan",
+        "solve-timeout-negative", "bench-timeout-nan",
+        "bench-timeout-negative"])
+def test_bad_output_path_or_timeout_exit(tmp_path, capsys, monkeypatch, argv):
+    # an unwritable output path or a timeout the deadline check cannot
+    # compare exits 2 with an error, before any solve starts
+    solves = []
+    monkeypatch.setattr("maxsat.cli.solve", lambda *a, **kw: solves.append(a))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("gen ksat n=5 m=10 k=2 seed=1\n")
+    paths = {"cnf": write_three_disjoint(tmp_path), "manifest": str(manifest),
+             "missing": str(tmp_path / "missing")}
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse rejects a bad --timeout
+        code = exc.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert solves == []
 
 
 def test_bench_csv(tmp_path):

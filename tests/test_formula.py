@@ -170,7 +170,7 @@ def test_trail_undo_restores_everything(rng):
 def test_slot_reuse_on_add():
     f = build(2, [[1], [2]])
     c = next(f.clauses())
-    f.remove_clause(c, on_trail=True)
+    f.remove_clause(c)
     nc = f.add_clause([1, 2], slot=c.cid, on_trail=True)
     assert nc.cid == c.cid
     assert f.slots[c.cid] is nc
@@ -262,7 +262,7 @@ def test_interleaved_operations_fuzz(rng):
                 v = rng.choice(free)
                 f.assign_literal(v if rng.random() < 0.5 else -v)
             elif op < 0.5 and live:
-                f.remove_clause(rng.choice(live), on_trail=True)
+                f.remove_clause(rng.choice(live))
             elif op < 0.6:
                 f.add_clause(random_clauses(rng, n, 1)[0], rng.randint(1, 3),
                              on_trail=True)

@@ -206,18 +206,6 @@ def test_solve_deterministic_branch_counts():
     assert runs[0].optimum == runs[1].optimum
 
 
-def test_solve_with_injected_upper_bound():
-    f = build(5, THREE_DISJOINT)
-    opt = 3
-    res = solve(f, initial_ub=opt)
-    assert res.optimum == opt
-    if res.best_assignment is not None:
-        assert formula_cost(f, res.best_assignment) == opt
-    # a bound below the optimum truncates the search and leaves no witness
-    res = solve(f, initial_ub=2)
-    assert res.optimum == 2 and res.best_assignment is None
-
-
 def test_solve_timeout_anytime_soundness():
     f = gen_random_maxksat(14, 80, 2, 11)
     res = solve(f, SolverConfig.variant("0"), timeout=0.0)
@@ -273,6 +261,12 @@ def test_solve_mandatory_conflict():
     res = solve(f)
     assert res.status == MANDATORY_CONFLICT
     assert res.optimum >= 10
+    # a conflict among mandatory clauses at the root is one pruned node
+    f = build(2, [[1], [-1], [1, 2], [-2]], weights=[20, 20, 3, 1], top=20)
+    for variant in VARIANTS:
+        res = solve(f, SolverConfig.variant(variant))
+        assert res.status == MANDATORY_CONFLICT
+        assert (res.stats.nodes, res.stats.branches, res.stats.pruned) == (1, 0, 1)
 
 
 def test_solve_mandatory_clauses_satisfiable():

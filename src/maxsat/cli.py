@@ -148,9 +148,9 @@ def cmd_oracle(args) -> int:
 
 def parse_manifest(text: str):
     """Instance sources, one per line: a DIMACS path, or an inline
-    generator spec like 'gen ksat n=15 m=60 k=2 seed=7'. A key outside
-    MANIFEST_KEYS, or a field value that is not a number, raises ValueError
-    naming the line."""
+    generator spec like 'gen ksat n=15 m=60 k=2 seed=7'. An unknown
+    family, a key outside MANIFEST_KEYS or given twice, or a field value
+    that is not a number raises ValueError naming the line."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -158,11 +158,15 @@ def parse_manifest(text: str):
             continue
         if line.startswith("gen "):
             fields = line.split()
-            kv = {"seed": 0}
+            if fields[1] not in generators.FAMILIES:
+                raise ValueError(f"manifest line {lineno}: unknown generator "
+                                 f"family {fields[1]!r}")
+            kv = {}
             for item in fields[2:]:
                 key, _, value = item.partition("=")
-                if key not in MANIFEST_KEYS:
-                    raise ValueError(f"manifest line {lineno}: unknown key "
+                if key not in MANIFEST_KEYS or MANIFEST_KEYS[key] in kv:
+                    problem = "repeated" if key in MANIFEST_KEYS else "unknown"
+                    raise ValueError(f"manifest line {lineno}: {problem} key "
                                      f"in {item!r}")
                 try:
                     kv[MANIFEST_KEYS[key]] = (float(value) if key == "density"

@@ -15,12 +15,13 @@ from .dimacs import GraphInstance
 from .formula import Formula
 
 CONNECT_RETRY_LIMIT = 10 ** 6
+FAMILIES = ("ksat", "maxcut", "color3")
 
 
 @dataclass
 class GeneratorSpec:
-    family: str  # "ksat" | "maxcut" | "color3"
-    seed: int
+    family: str  # one of FAMILIES
+    seed: int = 0
     n: int = 0
     m: int = 0
     k: int = 0

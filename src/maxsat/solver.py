@@ -101,13 +101,16 @@ def initial_upper_bound(formula: Formula):
             v = select_variable(formula)
             lit = v if select_value(formula, v) else -v
             formula.assign_literal(lit)
-        cost = formula.empty_weight
-        assignment = dict(formula.assignment)
+        return formula.empty_weight, _complete_assignment(formula)
     finally:
         formula.undo_to(mark)
-    for v in range(1, formula.num_vars + 1):
-        assignment.setdefault(v, False)
-    return cost, assignment
+
+
+def _complete_assignment(formula: Formula) -> dict[int, bool]:
+    """The formula's assignment with every unassigned variable False."""
+    assignment = dict.fromkeys(range(1, formula.num_vars + 1), False)
+    assignment.update(formula.assignment)
+    return assignment
 
 
 class Solver:
@@ -124,12 +127,11 @@ class Solver:
         # trail length at the last point with no almost-common binary pair,
         # None until the first rule-1 pass
         self.r1_mark: int | None = None
-        # the inconsistent subsets the parent's bound set aside; a node's
-        # bound counts the surviving ones before it propagates. Only without
-        # rules 3-6: carried subsets take the clauses those rules fire on,
-        # and with them on the search branched more in measurements
+        # whether a node's bound first counts the surviving subsets its
+        # parent's bound set aside. Only without rules 3-6: carried subsets
+        # take the clauses those rules fire on, and with them on the search
+        # branched more in measurements
         self.carry = not (self.config.enable_r34 or self.config.enable_r56)
-        self.subsets: list = []
 
     def solve(self) -> SolveResult:
         f = self.f
@@ -143,7 +145,7 @@ class Solver:
         mark = f.mark()
         try:
             if self.ub > f.empty_weight:
-                self._search(0)
+                self._search(0, [])
         except SearchTimeout:
             timed_out = True
         finally:
@@ -165,7 +167,8 @@ class Solver:
 
     # ---------- search ----------
 
-    def _search(self, depth: int) -> None:
+    def _search(self, depth: int, prior: list) -> None:
+        """One node; ``prior``: the subsets the parent's bound set aside."""
         stats = self.stats
         stats.nodes += 1
         if depth > stats.peak_depth:
@@ -175,7 +178,6 @@ class Solver:
         f = self.f
         mark = f.mark()
         r1_mark = self.r1_mark
-        subsets = self.subsets
         try:
             try:
                 if not self._simplify():
@@ -185,17 +187,13 @@ class Solver:
                     cost = f.empty_weight
                     if cost < self.ub:
                         self.ub = cost
-                        assignment = dict(f.assignment)
-                        for v in range(1, f.num_vars + 1):
-                            assignment.setdefault(v, False)
-                        self.incumbent = assignment
+                        self.incumbent = _complete_assignment(f)
                     return
                 found: list = []
                 u = underestimation(f, self.ub, self.config, stats=stats,
                                     trace=self.trace,
-                                    prior=subsets if self.carry else (),
+                                    prior=prior if self.carry else (),
                                     found=found)
-                self.subsets = found
             except MandatoryConflictError:
                 stats.pruned += 1
                 return
@@ -209,14 +207,13 @@ class Solver:
             for lit in (first, -first):
                 child = f.mark()
                 f.assign_literal(lit)
-                self._search(depth + 1)
+                self._search(depth + 1, found)
                 f.undo_to(child)
                 if lb >= self.ub:  # the sibling cannot improve anymore
                     break
         finally:
             f.undo_to(mark)
             self.r1_mark = r1_mark
-            self.subsets = subsets
 
     # ---------- node simplification ----------
 
@@ -246,73 +243,67 @@ class Solver:
     def _rule1_pass(self) -> bool:
         """Exhaust almost-common binary pairs {l v r, -l v r} -> {r}.
 
-        When a pass ends no two live binaries are almost common, and
-        ``r1_mark`` keeps the trail length of that point. Removals, weight
-        cuts and detach/attach cannot create a pair, and undo returns to an
-        earlier state whose records are still on the trail, so a new pair
-        needs a binary made since the mark by an "add" record (a rule
-        product) or a "hide" record (a shrunk ternary). The slot scan, the
-        only code that fires rule 1, runs only when such a binary has a
-        partner.
+        Candidates are visited in slot order; while one is live it fires
+        with its first partner (see ``_partners``) in a lower slot. The
+        first pass takes every live binary. When a pass ends no two live
+        binaries are almost common, and ``r1_mark`` keeps the trail length
+        of that point. Removals, weight cuts and detach/attach create no
+        binary, and undo returns to an earlier state whose records are
+        still on the trail, so a live binary outside the "add" (rule
+        product) and "hide" (shrunk ternary) records since the mark was
+        live at the mark, and no two such are almost common. Firing two
+        binaries makes a unit, never a binary. So a later pass takes each
+        binary of those records that has a partner, plus all its partners:
+        every pair that fires contains one of them, every partner of a
+        candidate is a candidate, and the pass fires exactly as a scan of
+        every slot would.
         """
         f = self.f
-        if not self._pair_possible():
-            self.r1_mark = len(f.trail)
-            return False
+        if self.r1_mark is None:
+            candidates = [c for c in f.slots
+                          if c is not None and c.live and c.size == 2]
+        else:
+            picked = set()
+            for rec in f.trail[self.r1_mark:]:
+                c = rec[1]
+                if rec[0] in ("add", "hide") and c.live and c.size == 2:
+                    partners = self._partners(c)
+                    if partners:
+                        picked.add(c)
+                        picked.update(partners)
+            candidates = sorted(picked, key=lambda d: d.cid)
         fired = False
-        sig: dict[tuple, list] = {}
-        for i in range(len(f.slots)):
-            c = f.slots[i]
-            if c is None or not c.live or c.size != 2:
-                continue
+        for c in candidates:
             while c.live:
-                partner = self._find_partner(sig, c)
+                partner = next((d for d in self._partners(c) if d.cid < c.cid),
+                               None)
                 if partner is None:
                     break
                 apply_rule1(f, c, partner, stats=self.stats, trace=self.trace)
                 fired = True
-            if c.live:
-                sig.setdefault(tuple(sorted(c.active())), []).append(c)
         self.r1_mark = len(f.trail)
         return fired
 
-    def _pair_possible(self) -> bool:
-        """Whether a binary added or shrunk since ``r1_mark`` has an
-        almost-common partner; True before the first pass."""
-        if self.r1_mark is None:
-            return True
-        f = self.f
-        occ = f.occ
-        n = f.num_vars
-        for rec in f.trail[self.r1_mark:]:
-            op = rec[0]
-            if op != "add" and op != "hide":
-                continue
-            c = rec[1]
-            if not c.live or c.size != 2:
-                continue
-            a, b = c.lits[0], c.lits[1]
-            # a partner is {-a, b} (found in occ[-a]) or {a, -b} (in occ[-b])
-            for x, y in ((-a, b), (-b, a)):
-                for d in occ[x + n]:
-                    if d.live and d.size == 2:
-                        p, q = d.lits[0], d.lits[1]
-                        if (p == x and q == y) or (p == y and q == x):
-                            return True
-        return False
-
-    @staticmethod
-    def _find_partner(sig, c):
-        """The latest live binary {-a, b}, else {a, -b}, for c = {a, b}, a < b."""
-        a, b = sorted(c.active())
-        for key in (tuple(sorted((-a, b))), tuple(sorted((a, -b)))):
-            stack = sig.get(key)
-            while stack:
-                cand = stack[-1]
-                if cand.live and cand.size == 2:
-                    return cand
-                stack.pop()
-        return None
+    def _partners(self, c) -> list:
+        """The live binaries almost common with c = {a, b}, a < b, in the
+        order rule 1 takes them: every {-a, b} before every {a, -b}, each
+        group from the highest slot down."""
+        occ = self.f.occ
+        n = self.f.num_vars
+        a, b = sorted(c.lits[:2])
+        out = []
+        # {-a, b} is in occ[-a] and {a, -b} in occ[-b]
+        for x, y in ((-a, b), (-b, a)):
+            group = []
+            for d in occ[x + n]:
+                if d.live and d.size == 2:
+                    lits = d.lits
+                    if ((lits[0] == y or lits[1] == y)
+                            and (lits[0] == x or lits[1] == x)):
+                        group.append(d)
+            group.sort(key=lambda d: d.cid, reverse=True)
+            out += group
+        return out
 
     def _rule2_pass(self) -> bool:
         """Exhaust complementary unit pairs into empty-clause weight."""

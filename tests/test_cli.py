@@ -160,20 +160,32 @@ def test_manifest_parsing():
     assert entries[2][1].density == 0.5
 
 
-def test_bench_malformed_manifest_exit(tmp_path, capsys):
+def test_bench_malformed_manifest_exit(tmp_path, capsys, monkeypatch):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"gen ksat n=5 m=10 k=2\n# caf\xe9\n")
     bad_value = tmp_path / "bad_value.txt"
     bad_value.write_text("gen ksat n=5 m=10 k=2\ngen ksat n=x m=10\n")
     unknown_key = tmp_path / "unknown_key.txt"
     unknown_key.write_text("gen ksat n=5 m=10 k=2\ngen ksat n=5 m=10 k=2 sed=3\n")
-    for manifest in (latin1, bad_value, unknown_key):
+    unknown_family = tmp_path / "unknown_family.txt"
+    unknown_family.write_text("gen ksat n=5 m=10 k=2\ngen foo n=3 m=4\n")
+    repeated_key = tmp_path / "repeated_key.txt"
+    repeated_key.write_text("gen ksat n=5 m=10 k=2\ngen ksat n=3 m=4 n=5 k=2\n")
+    solves = []
+    monkeypatch.setattr("maxsat.cli.solve", lambda *a, **kw: solves.append(a))
+    for manifest in (latin1, bad_value, unknown_key, unknown_family,
+                     repeated_key):
         assert main(["bench", str(manifest)]) == 2
         assert "error" in capsys.readouterr().err
+    assert solves == []
     with pytest.raises(ValueError, match="line 2"):
         parse_manifest(bad_value.read_text())
     with pytest.raises(ValueError, match="line 2: unknown key"):
         parse_manifest(unknown_key.read_text())
+    with pytest.raises(ValueError, match="line 2: unknown generator family"):
+        parse_manifest(unknown_family.read_text())
+    with pytest.raises(ValueError, match="line 2: repeated key"):
+        parse_manifest(repeated_key.read_text())
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     gen_random_maxksat, initial_upper_bound, select_value,
                     select_variable, solve)
 import maxsat.solver as solver_mod
+from maxsat.rules import apply_rule1
 from maxsat.solver import Solver
 
 from formulas import THREE_DISJOINT, build, random_clauses, run_optimized
@@ -295,7 +296,14 @@ def test_incumbent_cost_check_survives_optimize_flag():
     assert out.stdout.startswith("raised:"), out.stdout
 
 
-def test_simplify_exhausts_almost_common_binary_pairs(rng):
+def _assert_no_almost_common_binaries(f):
+    binaries = {tuple(sorted(c.active())) for c in f.clauses() if c.size == 2}
+    for a, b in binaries:
+        assert tuple(sorted((-a, b))) not in binaries
+        assert tuple(sorted((a, -b))) not in binaries
+
+
+def test_simplify_exhausts_almost_common_binary_pairs(rng, monkeypatch):
     # after the node simplification no binary pair {l v r, -l v r} survives
     for _ in range(15):
         n = rng.randint(3, 8)
@@ -303,18 +311,60 @@ def test_simplify_exhausts_almost_common_binary_pairs(rng):
         s = Solver(f, SolverConfig.variant("12"))
         s.ub = math.inf
         s._simplify()
-        binaries = {tuple(sorted(c.active()))
-                    for c in f.clauses() if c.size == 2}
-        for a, b in binaries:
-            assert tuple(sorted((-a, b))) not in binaries
-            assert tuple(sorted((a, -b))) not in binaries
+        _assert_no_almost_common_binaries(f)
+    # nor after any rule-1 pass of a search: a later pass visits only the
+    # binaries made since the last one, which is sound only while this holds
+    inner = Solver._rule1_pass
+    passes = [0]
+
+    def checked(self):
+        fired = inner(self)
+        _assert_no_almost_common_binaries(self.f)
+        passes[0] += 1
+        return fired
+
+    monkeypatch.setattr(Solver, "_rule1_pass", checked)
+    for f in _rule1_gate_instances():
+        for variant in ("12", "1234", "z"):
+            solve(f, SolverConfig.variant(variant))
+    assert passes[0] > 0
 
 
 class FullScanSolver(Solver):
-    """Reference search: every rule-1 pass runs the full slot scan."""
+    """Reference search: every rule-1 pass scans every slot. The scan and
+    its partner lookup are the earlier solver's, kept verbatim."""
 
-    def _pair_possible(self) -> bool:
-        return True
+    def _rule1_pass(self) -> bool:
+        f = self.f
+        fired = False
+        sig: dict[tuple, list] = {}
+        for i in range(len(f.slots)):
+            c = f.slots[i]
+            if c is None or not c.live or c.size != 2:
+                continue
+            while c.live:
+                partner = self._find_partner(sig, c)
+                if partner is None:
+                    break
+                apply_rule1(f, c, partner, stats=self.stats, trace=self.trace)
+                fired = True
+            if c.live:
+                sig.setdefault(tuple(sorted(c.active())), []).append(c)
+        self.r1_mark = len(f.trail)
+        return fired
+
+    @staticmethod
+    def _find_partner(sig, c):
+        """The latest live binary {-a, b}, else {a, -b}, for c = {a, b}, a < b."""
+        a, b = sorted(c.active())
+        for key in (tuple(sorted((-a, b))), tuple(sorted((a, -b)))):
+            stack = sig.get(key)
+            while stack:
+                cand = stack[-1]
+                if cand.live and cand.size == 2:
+                    return cand
+                stack.pop()
+        return None
 
 
 def _rule1_gate_instances():
@@ -337,7 +387,7 @@ def _rule1_gate_instances():
 
 
 def test_rule1_gate_matches_full_scan():
-    # skipping rule-1 passes that cannot fire changes nothing the search
+    # visiting only the binaries that can fire changes nothing the search
     # does: same optimum, branches, nodes and every rule firing in order
     for f in _rule1_gate_instances():
         for variant in ("12", "1234", "z"):

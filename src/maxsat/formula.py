@@ -69,7 +69,7 @@ class Formula:
             raise ValueError("num_vars must be nonnegative")
         self.num_vars = num_vars
         self.top = top  # mandatory-clause sentinel weight, None if all soft
-        self.slots: list[Clause | None] = []
+        self.slots: list[Clause] = []
         # occurrence lists indexed by lit + num_vars; stale entries are
         # filtered by the live flag at scan time so positions never shift
         self.occ: list[list[Clause]] = [[] for _ in range(2 * num_vars + 1)]
@@ -134,8 +134,10 @@ class Formula:
     # ---------- structural edits ----------
 
     def add_clause(self, lits: list[int], weight: int = 1, *,
-                   slot: int | None = None, on_trail: bool = False) -> Clause:
-        """Insert a clause; reuses the given slot when provided."""
+                   on_trail: bool = False) -> Clause:
+        """Append a clause in a new slot at the end of ``slots``. Undoing a
+        trailed add pops the last slot, so a formula is built with untrailed
+        adds before any trailed one."""
         if not lits:
             raise ValueError("empty clauses are tracked via empty_weight")
         seen = set()
@@ -148,18 +150,14 @@ class Formula:
             seen.add(lit)
         if weight < 1:
             raise ValueError("clause weight must be >= 1")
-        if slot is None:
-            slot = len(self.slots)
-            self.slots.append(None)
-        displaced = self.slots[slot]
-        c = Clause(lits, weight, slot)
-        self.slots[slot] = c
+        c = Clause(lits, weight, len(self.slots))
+        self.slots.append(c)
         n = self.num_vars
         for lit in lits:
             self.occ[lit + n].append(c)
         self._register(c)
         if on_trail:
-            self.trail.append(("add", c, displaced))
+            self.trail.append(("add", c))
         return c
 
     def remove_clause(self, c: Clause) -> None:
@@ -266,16 +264,13 @@ class Formula:
             elif op == "empty":
                 self.empty_weight -= rec[1]
             elif op == "add":
-                _, c, displaced = rec
+                c = rec[1]
+                self.slots.pop()
                 c.live = False
                 self._unregister(c)
                 n = self.num_vars
                 for lit in c.lits:
                     self.occ[lit + n].pop()
-                if displaced is None and c.cid == len(self.slots) - 1:
-                    self.slots.pop()
-                else:
-                    self.slots[c.cid] = displaced
             elif op == "wt":
                 _, c, old = rec
                 self._bump_counts(c, -1)
@@ -291,7 +286,7 @@ class Formula:
     def clauses(self):
         """Live clauses in slot order."""
         for c in self.slots:
-            if c is not None and c.live:
+            if c.live:
                 yield c
 
     def clause_count(self) -> int:

@@ -69,9 +69,9 @@ def _propagate(formula: Formula) -> ImplicationGraph:
 
     A binary clause forces its other literal as soon as one of its
     literals is falsified. Longer clauses count their falsified literals
-    in the ``nfalse``/``stamp`` scratch fields. A literal already waiting
-    in Q2 is not queued again: its first entry is popped before Q1 is
-    touched, so a later entry could only be skipped.
+    in the ``nfalse``/``stamp`` scratch fields. Q2 may hold a literal
+    twice; Q2 is FIFO and is drained before Q1 is touched, so the first
+    entry becomes the node and a later one is skipped when popped.
     """
     occ = formula.occ
     n = formula.num_vars
@@ -81,12 +81,13 @@ def _propagate(formula: Formula) -> ImplicationGraph:
     nodes = g.nodes
     q1 = list(formula.units)
     q2: deque = deque()
-    queued: set[int] = set()
     i1 = 0
     n1 = len(q1)
     while True:
         if q2:
             lit, reason = q2.popleft()
+            if lit in nodes:
+                continue
             nodes[lit] = reason
         elif i1 < n1:
             c = q1[i1]
@@ -112,8 +113,7 @@ def _propagate(formula: Formula) -> ImplicationGraph:
                 lits = c.lits
                 r = lits[1] if lits[0] == nl else lits[0]
                 # -r already a node: this binary was met from -r before
-                if r not in queued and r not in nodes and -r not in nodes:
-                    queued.add(r)
+                if r not in nodes and -r not in nodes:
                     q2.append((r, c))
             elif k > 2:
                 if c.stamp != stamp:
@@ -127,8 +127,7 @@ def _propagate(formula: Formula) -> ImplicationGraph:
                         if -x not in nodes:
                             r = x
                             break
-                    if r and r not in queued and r not in nodes:
-                        queued.add(r)
+                    if r and r not in nodes:
                         q2.append((r, c))
 
 
@@ -254,8 +253,7 @@ def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> st
     return cls
 
 
-def apply_conflict_rule(formula: Formula, clauses, stats=None,
-                        trace=None) -> RuleApplication:
+def apply_conflict_rule(formula: Formula, clauses) -> RuleApplication:
     """Fire rule 3, 4, 5 or 6 on a pattern through the solver's own path.
 
     The pattern is propagated in a scratch formula and its conflict
@@ -276,8 +274,7 @@ def apply_conflict_rule(formula: Formula, clauses, stats=None,
     if len(analysis.consumed) != len(clauses):
         raise PatternError("the rule consumes only part of the pattern")
     return _fire(formula, analysis.classification,
-                 [origin[c] for c in analysis.consumed], analysis.produced,
-                 stats=stats, trace=trace)
+                 [origin[c] for c in analysis.consumed], analysis.produced)
 
 
 def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
@@ -291,6 +288,8 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     only when rule group 3/4 or 5/6 is enabled. Stops early once
     count + empty_weight reaches ub. Clauses set aside are reattached on
     exit, so apart from rule transformations the formula is unchanged.
+    Each firing is counted in ``stats.rule_apps`` and its
+    `RuleApplication` appended to ``trace``, when these are given.
 
     ``prior`` holds subsets set aside at an ancestor node. Before any
     propagation, each one whose clauses are all ``live`` is set aside
@@ -331,8 +330,12 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
             if r34 or r56:
                 cls = classify_conflict(analysis, graph)
                 if (r34 and cls in (R3, R4)) or (r56 and cls in (R5, R6)):
-                    _fire(formula, cls, analysis.consumed, analysis.produced,
-                          stats=stats, trace=trace)
+                    app = _fire(formula, cls, analysis.consumed,
+                                analysis.produced)
+                    if stats is not None:
+                        stats.rule_apps[cls] += 1
+                    if trace is not None:
+                        trace.append(app)
                     applied = True
             if not applied:
                 count += min(c.weight for c in analysis.subset)

@@ -12,6 +12,11 @@ rules 2-6. The shapes of rules 3-6 are recognised in one place only,
 replacement literals to `_fire`; `propagate.apply_conflict_rule` applies
 a given pattern through that same path.
 
+A rule is a plain rewrite of the clause multiset: every replacement
+clause takes a fresh slot at the end of the formula's ``slots`` (undo
+pops it), and each rule function returns its `RuleApplication` for the
+caller to count and trace.
+
 In weighted mode a rule fires with w = min over the pattern weights: the
 replacement clauses carry weight w, each consumed clause loses w, and
 clauses reaching weight 0 are removed (TOP - w = TOP). A contradiction
@@ -79,12 +84,12 @@ VARIANT_NAMES = tuple(_VARIANTS)
 class RuleApplication:
     rule_id: str
     consumed: list[int]  # slot ids of pattern clauses
-    produced: list[int]  # slot ids of replacement clauses
+    produced: list[int]  # fresh slot ids of replacement clauses
     weight: int = 1
 
 
 def _fire(formula: Formula, rule_id: str, pattern: list[Clause],
-          produced_lits: list[list[int]], stats=None, trace=None) -> RuleApplication:
+          produced_lits: list[list[int]]) -> RuleApplication:
     """Shared weighted transformation core for every rule."""
     w = min(c.weight for c in pattern)
     if formula.is_top(w):
@@ -92,25 +97,12 @@ def _fire(formula: Formula, rule_id: str, pattern: list[Clause],
             f"rule {rule_id} pattern consists of mandatory clauses only")
     _audit_sizes(sum(c.size for c in pattern),
                  sum(len(lits) for lits in produced_lits))
-    free_slots = []
-    consumed_ids = []
     for c in pattern:
-        consumed_ids.append(c.cid)
         formula.reduce_weight(c, w)
-        if not c.live:
-            free_slots.append(c.cid)
-    produced_ids = []
-    for lits in produced_lits:
-        slot = free_slots.pop(0) if free_slots else None
-        nc = formula.add_clause(lits, w, slot=slot, on_trail=True)
-        produced_ids.append(nc.cid)
+    produced = [formula.add_clause(lits, w, on_trail=True).cid
+                for lits in produced_lits]
     formula.add_empty(w, on_trail=True)
-    app = RuleApplication(rule_id, consumed_ids, produced_ids, w)
-    if stats is not None:
-        stats.rule_apps[rule_id] += 1
-    if trace is not None:
-        trace.append(app)
-    return app
+    return RuleApplication(rule_id, [c.cid for c in pattern], produced, w)
 
 
 def _check_live(clauses) -> None:
@@ -133,14 +125,13 @@ def _clash_literal(c1: Clause, c2: Clause) -> int:
     return clash[0]
 
 
-def apply_rule1(formula: Formula, c1: Clause, c2: Clause,
-                stats=None, trace=None) -> RuleApplication:
+def apply_rule1(formula: Formula, c1: Clause, c2: Clause) -> RuleApplication:
     """{l v rest, -l v rest} -> {rest}; two complementary units fall through
     to rule 2 (the resolvent is the empty clause)."""
     _check_live([c1, c2])
     clash = _clash_literal(c1, c2)
     if c1.size == 1:
-        return apply_rule2(formula, c1, c2, stats=stats, trace=trace)
+        return apply_rule2(formula, c1, c2)
     rest = [lit for lit in c1.active() if lit != clash]
     w = min(c1.weight, c2.weight)
     _audit_sizes(c1.size + c2.size, len(rest))
@@ -151,22 +142,15 @@ def apply_rule1(formula: Formula, c1: Clause, c2: Clause,
     else:
         formula.reduce_weight(c1, w)
         formula.reduce_weight(c2, w)
-    slot = c2.cid if not c2.live else (c1.cid if not c1.live else None)
-    nc = formula.add_clause(rest, w, slot=slot, on_trail=True)
-    app = RuleApplication(R1, [c1.cid, c2.cid], [nc.cid], w)
-    if stats is not None:
-        stats.rule_apps[R1] += 1
-    if trace is not None:
-        trace.append(app)
-    return app
+    nc = formula.add_clause(rest, w, on_trail=True)
+    return RuleApplication(R1, [c1.cid, c2.cid], [nc.cid], w)
 
 
 # ---------- rule 2: complementary unit clauses ----------
 
-def apply_rule2(formula: Formula, u1: Clause, u2: Clause,
-                stats=None, trace=None) -> RuleApplication:
+def apply_rule2(formula: Formula, u1: Clause, u2: Clause) -> RuleApplication:
     """{l, -l} -> {empty}."""
     _check_live([u1, u2])
     if u1.size != 1 or u2.size != 1 or u1.lits[0] != -u2.lits[0]:
         raise PatternError("rule 2 needs a complementary unit pair")
-    return _fire(formula, R2, [u1, u2], [], stats=stats, trace=trace)
+    return _fire(formula, R2, [u1, u2], [])

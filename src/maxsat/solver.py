@@ -89,19 +89,23 @@ def select_value(formula: Formula, var: int) -> bool:
     return neg_score < pos_score
 
 
-def initial_upper_bound(formula: Formula):
+def initial_upper_bound(formula: Formula, deadline: float | None = None):
     """Greedy incumbent: assign the heuristic's literal until no literal
-    is left; unassigned variables default to False.
+    is left or ``time.monotonic()`` passes ``deadline``; unassigned
+    variables default to False.
 
     Returns (cost, complete assignment); never exceeds the total weight.
     """
     mark = formula.mark()
     try:
         while formula.lit_count:
+            if deadline is not None and time.monotonic() > deadline:
+                break
             v = select_variable(formula)
             lit = v if select_value(formula, v) else -v
             formula.assign_literal(lit)
-        return formula.empty_weight, _complete_assignment(formula)
+        assignment = _complete_assignment(formula)
+        return formula.cost(assignment), assignment
     finally:
         formula.undo_to(mark)
 
@@ -136,20 +140,22 @@ class Solver:
     def solve(self) -> SolveResult:
         f = self.f
         # search depth is bounded by the variable count
+        limit = sys.getrecursionlimit()
         needed = 2 * f.num_vars + 512
-        if sys.getrecursionlimit() < needed:
+        if limit < needed:
             sys.setrecursionlimit(min(needed, 1_000_000))
         start = time.perf_counter()
-        self.ub, self.incumbent = initial_upper_bound(f)
         timed_out = False
         mark = f.mark()
         try:
+            self.ub, self.incumbent = initial_upper_bound(f, self.deadline)
             if self.ub > f.empty_weight:
                 self._search(0, [])
         except SearchTimeout:
             timed_out = True
         finally:
             f.undo_to(mark)
+            sys.setrecursionlimit(limit)
         self.stats.elapsed = time.perf_counter() - start
         # below TOP the trail arithmetic is exact; at or above it raw sums
         # may drift from the input formula's (all such costs mean infeasible)
@@ -260,8 +266,7 @@ class Solver:
         """
         f = self.f
         if self.r1_mark is None:
-            candidates = [c for c in f.slots
-                          if c is not None and c.live and c.size == 2]
+            candidates = [c for c in f.slots if c.live and c.size == 2]
         else:
             picked = set()
             for rec in f.trail[self.r1_mark:]:
@@ -279,10 +284,16 @@ class Solver:
                                None)
                 if partner is None:
                     break
-                apply_rule1(f, c, partner, stats=self.stats, trace=self.trace)
+                self._record(apply_rule1(f, c, partner))
                 fired = True
         self.r1_mark = len(f.trail)
         return fired
+
+    def _record(self, app) -> None:
+        """Count a rule firing and append it to the trace."""
+        self.stats.rule_apps[app.rule_id] += 1
+        if self.trace is not None:
+            self.trace.append(app)
 
     def _partners(self, c) -> list:
         """The live binaries almost common with c = {a, b}, a < b, in the
@@ -320,7 +331,7 @@ class Solver:
                     stack.pop()
                 if not stack:
                     break
-                apply_rule2(f, c, stack[-1], stats=self.stats, trace=self.trace)
+                self._record(apply_rule2(f, c, stack[-1]))
                 fired = True
             if c.live:
                 by_lit.setdefault(lit, []).append(c)

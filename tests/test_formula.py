@@ -167,15 +167,17 @@ def test_trail_undo_restores_everything(rng):
         f.audit()
 
 
-def test_slot_reuse_on_add():
+def test_add_appends_and_undo_pops():
     f = build(2, [[1], [2]])
     c = next(f.clauses())
     f.remove_clause(c)
-    nc = f.add_clause([1, 2], slot=c.cid, on_trail=True)
-    assert nc.cid == c.cid
-    assert f.slots[c.cid] is nc
+    slots = list(f.slots)
+    nc = f.add_clause([1, 2], on_trail=True)
+    assert nc.cid == len(slots)
+    assert f.slots == slots + [nc]
+    f.audit()
     f.undo_to(0)
-    assert f.slots[c.cid] is c
+    assert f.slots == slots
     assert f.as_multiset() == build(2, [[1], [2]]).as_multiset()
     f.audit()
 

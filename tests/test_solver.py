@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -228,6 +229,35 @@ def test_solve_timeout_overshoot_is_bounded():
     assert formula_cost(f, res.best_assignment) == res.optimum
 
 
+def test_solve_timeout_holds_during_greedy_bound():
+    # the greedy bound alone takes about a second on this instance; it
+    # stops at the deadline, and the solve ends with its witness. The
+    # slack covers one greedy step plus building and costing the witness
+    # over 40,000 clauses
+    f = gen_random_maxksat(2000, 40000, 2, 1)
+    limit = 0.2
+    for variant in ("0", "z"):
+        start = time.perf_counter()
+        res = solve(f, SolverConfig.variant(variant), timeout=limit)
+        elapsed = time.perf_counter() - start
+        assert res.status == TIMED_OUT
+        assert formula_cost(f, res.best_assignment) == res.optimum
+        assert elapsed <= limit + 0.3, f"{variant} stopped after {elapsed:.2f} s"
+
+
+def test_solve_restores_recursion_limit():
+    # solve raises the limit to 2n + 512 for its search and puts the
+    # caller's limit back
+    f = gen_random_maxksat(400, 400, 2, 1)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert solve(f).status == OPTIMAL
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+
+
 def test_solve_weighted_matches_oracle(rng):
     for _ in range(8):
         n = rng.randint(3, 7)
@@ -286,7 +316,7 @@ def test_incumbent_cost_check_survives_optimize_flag():
         if __debug__:
             raise SystemExit("not running under -O")
         # claims cost 0 for an assignment that falsifies one clause
-        s.initial_upper_bound = lambda f: (0, {1: True})
+        s.initial_upper_bound = lambda f, *_: (0, {1: True})
         try:
             s.solve(Formula.from_clauses(1, [[1], [-1]]))
         except RuntimeError as e:
@@ -346,7 +376,7 @@ class FullScanSolver(Solver):
                 partner = self._find_partner(sig, c)
                 if partner is None:
                     break
-                apply_rule1(f, c, partner, stats=self.stats, trace=self.trace)
+                self._record(apply_rule1(f, c, partner))
                 fired = True
             if c.live:
                 sig.setdefault(tuple(sorted(c.active())), []).append(c)
@@ -402,8 +432,9 @@ def test_rule1_gate_matches_full_scan():
 
 
 def test_solve_twice_restores_slots_and_repeats_trace():
-    # undo pops the slots that rule firings appended, so a second solve of
-    # the same formula sees the same slots and fires with the same ids
+    # every rule product takes a fresh slot and undo pops it, so a second
+    # solve of the same formula sees the same slots and fires with the
+    # same ids
     for f in list(_rule1_gate_instances())[::3]:
         slots = len(f.slots)
         runs = []
@@ -411,6 +442,7 @@ def test_solve_twice_restores_slots_and_repeats_trace():
             trace = []
             res = solve(f, SolverConfig.variant("z"), trace=trace)
             assert len(f.slots) == slots
+            assert all(cid >= slots for app in trace for cid in app.produced)
             runs.append((res.optimum, res.stats.branches, trace))
         assert runs[0] == runs[1]
 

@@ -87,6 +87,9 @@ class Formula:
         self.neg1 = [0] * z
         self.neg2 = [0] * z
         self.neg3 = [0] * z
+        # the (pos, neg) counts of each size bucket, by min(size, 3)
+        self._buckets = (None, (self.pos1, self.neg1), (self.pos2, self.neg2),
+                         (self.pos3, self.neg3))
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses, weights=None,
@@ -104,32 +107,33 @@ class Formula:
 
     # ---------- count bookkeeping ----------
 
-    def _bump_counts(self, c: Clause, sign: int) -> None:
-        w = c.weight * sign
+    def _bump_counts(self, c: Clause, d: int) -> None:
+        """Add d to the counts of c's active literals in its size bucket:
+        a weight edit stays in its bucket."""
         k = c.size
-        if k >= 3:
-            pos, negs = self.pos3, self.neg3
-        elif k == 2:
-            pos, negs = self.pos2, self.neg2
-        else:
-            pos, negs = self.pos1, self.neg1
-        for lit in c.lits[:k]:
-            if lit > 0:
-                pos[lit] += w
-            else:
-                negs[-lit] += w
+        _shift(self._buckets[k if k < 3 else 3], c.lits[:k], d)
 
-    def _register(self, c: Clause) -> None:
-        self._bump_counts(c, 1)
-        self.lit_count += c.size
-        if c.size == 1:
-            self.units[c] = None
+    def _resize(self, c: Clause, old: int, new: int) -> None:
+        """Account for c's active length going from old to new literals,
+        0 standing for not counted (removed, or not added yet).
 
-    def _unregister(self, c: Clause) -> None:
-        self._bump_counts(c, -1)
-        self.lit_count -= c.size
-        if c.size == 1:
+        ``lits[:old]`` leave the old size bucket and ``lits[:new]`` enter
+        the new one, so a 2->1 hide touches three counters. Only a clause
+        that stops or starts being a unit leaves or enters the unit
+        registry, so no other unit changes its position there.
+        """
+        w = c.weight
+        lits = c.lits
+        buckets = self._buckets
+        if old:
+            _shift(buckets[old if old < 3 else 3], lits[:old], -w)
+        if new:
+            _shift(buckets[new if new < 3 else 3], lits[:new], w)
+        self.lit_count += new - old
+        if old == 1:
             self.units.pop(c, None)
+        elif new == 1:
+            self.units[c] = None
 
     # ---------- structural edits ----------
 
@@ -155,7 +159,7 @@ class Formula:
         n = self.num_vars
         for lit in lits:
             self.occ[lit + n].append(c)
-        self._register(c)
+        self._resize(c, 0, c.size)
         if on_trail:
             self.trail.append(("add", c))
         return c
@@ -164,7 +168,7 @@ class Formula:
         if not c.live:
             raise ValueError(f"clause {c.cid} is not live")
         c.live = False
-        self._unregister(c)
+        self._resize(c, c.size, 0)
         self.trail.append(("rm", c))
 
     def hide_literal(self, c: Clause, lit: int) -> None:
@@ -178,11 +182,10 @@ class Formula:
         i = c.lits.index(lit)
         if i >= c.size:
             raise ValueError(f"literal {lit} not active in clause {c.cid}")
-        self._unregister(c)
         last = c.size - 1
         c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
         c.size = last
-        self._register(c)
+        self._resize(c, last + 1, last)
         self.trail.append(("hide", c, i))
 
     def add_empty(self, weight: int, *, on_trail: bool = False) -> None:
@@ -201,9 +204,8 @@ class Formula:
         if new == 0:
             self.remove_clause(c)
             return
-        self._bump_counts(c, -1)
+        self._bump_counts(c, new - old)
         c.weight = new
-        self._bump_counts(c, 1)
         self.trail.append(("wt", c, old))
 
     def assign_literal(self, lit: int) -> None:
@@ -222,23 +224,31 @@ class Formula:
         self.trail.append(("assign", abs(lit)))
 
     # temporary removal used by the lower-bound computation; not trailed.
-    # Only the live flag flips: a detached clause stays in the weight sums,
+    # Only the live flags flip: a detached clause stays in the weight sums,
     # lit_count and the unit registry, which propagation does not read, so
     # audit() holds only while nothing is detached. Trail operations may
     # run in between; the caller reattaches before anything reads counts.
-    def detach_clause(self, c: Clause) -> None:
-        if not c.live:
-            raise ValueError(f"clause {c.cid} is not live")
-        c.live = False
+    def detach_clause(self, clauses) -> None:
+        """Set a sequence of live clauses aside; none is touched unless
+        all of them are live."""
+        for c in clauses:
+            if not c.live:
+                raise ValueError(f"clause {c.cid} is not live")
+        for c in clauses:
+            c.live = False
 
-    def attach_clause(self, c: Clause) -> None:
-        if c.live:
-            raise ValueError(f"clause {c.cid} is already live")
-        c.live = True
-        if c.size == 1:
-            # to the end of the registry, where unregistering and
-            # registering again would put it
-            self.units[c] = self.units.pop(c)
+    def attach_clause(self, clauses) -> None:
+        """Bring back a sequence of detached clauses. Units go to the end
+        of the registry in sequence order, where unregistering and
+        registering them again would put them."""
+        for c in clauses:
+            if c.live:
+                raise ValueError(f"clause {c.cid} is already live")
+        units = self.units
+        for c in clauses:
+            c.live = True
+            if c.size == 1:
+                units[c] = units.pop(c)
 
     # ---------- trail ----------
 
@@ -253,29 +263,28 @@ class Formula:
             if op == "rm":
                 c = rec[1]
                 c.live = True
-                self._register(c)
+                self._resize(c, 0, c.size)
             elif op == "hide":
                 _, c, i = rec
-                self._unregister(c)
                 last = c.size
+                # lits[last] is still the hidden literal
+                self._resize(c, last, last + 1)
                 c.size = last + 1
                 c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
-                self._register(c)
             elif op == "empty":
                 self.empty_weight -= rec[1]
             elif op == "add":
                 c = rec[1]
                 self.slots.pop()
                 c.live = False
-                self._unregister(c)
+                self._resize(c, c.size, 0)
                 n = self.num_vars
                 for lit in c.lits:
                     self.occ[lit + n].pop()
             elif op == "wt":
                 _, c, old = rec
-                self._bump_counts(c, -1)
+                self._bump_counts(c, old - c.weight)
                 c.weight = old
-                self._bump_counts(c, 1)
             elif op == "assign":
                 del self.assignment[rec[1]]
             else:  # pragma: no cover
@@ -345,6 +354,16 @@ class Formula:
             raise AssertionError("unit registry mismatch")
         if self.empty_weight < 0:
             raise AssertionError("negative empty_weight")
+
+
+def _shift(counts, lits, d: int) -> None:
+    """Add d to the (pos, neg) counts of every literal in lits."""
+    pos, negs = counts
+    for lit in lits:
+        if lit > 0:
+            pos[lit] += d
+        else:
+            negs[-lit] += d
 
 
 def clause_cost(clause: Clause, assignment) -> int:

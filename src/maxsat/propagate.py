@@ -277,6 +277,17 @@ def apply_conflict_rule(formula: Formula, clauses) -> RuleApplication:
                  [origin[c] for c in analysis.consumed], analysis.produced)
 
 
+def _live_weight(subset) -> int:
+    """The minimum weight of a subset's clauses, or 0 if one is not live."""
+    w = subset[0].weight
+    for c in subset:
+        if not c.live:
+            return 0
+        if c.weight < w:
+            w = c.weight
+    return w
+
+
 def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                     stats=None, trace=None, *, prior=(), found=None) -> int:
     """Lower-bound underestimation via repeated propagation conflicts.
@@ -312,12 +323,12 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     detached: list[Clause] = []
     try:
         for subset in prior:
-            if not all(c.live for c in subset):
+            w = _live_weight(subset)
+            if not w:
                 continue
-            count += min(c.weight for c in subset)
-            for c in subset:
-                formula.detach_clause(c)
-                detached.append(c)
+            count += w
+            formula.detach_clause(subset)
+            detached += subset
             found.append(subset)
             if count + formula.empty_weight >= ub:
                 return count
@@ -338,14 +349,13 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                         trace.append(app)
                     applied = True
             if not applied:
-                count += min(c.weight for c in analysis.subset)
-                for c in analysis.subset:
-                    formula.detach_clause(c)
-                    detached.append(c)
-                found.append(analysis.subset)
+                subset = analysis.subset
+                count += _live_weight(subset)
+                formula.detach_clause(subset)
+                detached += subset
+                found.append(subset)
             if count + formula.empty_weight >= ub:
                 break
     finally:
-        for c in detached:
-            formula.attach_clause(c)
+        formula.attach_clause(detached)
     return count

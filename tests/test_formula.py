@@ -139,12 +139,25 @@ def test_remove_then_reinsert_cost_unchanged(rng):
     baseline = {tuple(sorted(a.items())): formula_cost(f, a)
                 for a in all_assignments(4)}
     victims = [c for i, c in enumerate(f.clauses()) if i % 2 == 0]
-    for c in victims:
-        f.detach_clause(c)
-    for c in victims:
-        f.attach_clause(c)
+    f.detach_clause(victims)
+    f.attach_clause(victims)
     for a in all_assignments(4):
         assert formula_cost(f, a) == baseline[tuple(sorted(a.items()))]
+    f.audit()
+
+
+def test_detach_and_attach_check_every_clause_first():
+    f = build(3, [[1, 2], [-1], [2, 3]])
+    live, dead, other = f.slots
+    f.remove_clause(dead)
+    with pytest.raises(ValueError):
+        f.detach_clause([live, dead])
+    assert live.live
+    f.detach_clause([other])
+    with pytest.raises(ValueError):
+        f.attach_clause([other, live])
+    assert not other.live
+    f.attach_clause([other])
     f.audit()
 
 
@@ -250,7 +263,7 @@ def test_interleaved_operations_fuzz(rng):
 
     for trial in range(60):
         n = rng.randint(2, 8)
-        clauses = random_clauses(rng, n, rng.randint(1, 18))
+        clauses = random_clauses(rng, n, rng.randint(1, 18), max_len=5)
         weighted = rng.random() < 0.3
         f = build(n, clauses,
                   weights=[rng.choice([1, 2, 50]) for _ in clauses] if weighted else None,
@@ -266,8 +279,8 @@ def test_interleaved_operations_fuzz(rng):
             elif op < 0.5 and live:
                 f.remove_clause(rng.choice(live))
             elif op < 0.6:
-                f.add_clause(random_clauses(rng, n, 1)[0], rng.randint(1, 3),
-                             on_trail=True)
+                f.add_clause(random_clauses(rng, n, 1, max_len=5)[0],
+                             rng.randint(1, 3), on_trail=True)
             elif op < 0.75 and len(live) >= 2:
                 a, b = rng.sample(live, 2)
                 try:

@@ -218,12 +218,12 @@ def test_underestimation_carries_live_prior_subsets():
                            found=carried) == 9
     assert carried == found
     f.reduce_weight(found[1][0], 1)
-    f.detach_clause(found[0][-1])
+    f.detach_clause([found[0][-1]])
     carried = []
     assert underestimation(f, math.inf, NO_RULES, prior=found,
                            found=carried) == 2 + 3
     assert carried == [found[1], found[2]]
-    f.attach_clause(found[0][-1])
+    f.attach_clause([found[0][-1]])
     # the early exit at ub also stops the carried subsets
     carried = []
     assert underestimation(f, 3, NO_RULES, prior=found, found=carried) == 3
@@ -376,15 +376,19 @@ def reference_propagate(formula):
                     q2.append((r, c))
 
 
-def reference_detach(formula, c):
-    """Detach that also unregisters the clause's counts and unit entry."""
-    c.live = False
-    formula._unregister(c)
+def reference_detach(formula, clauses):
+    """Detach that also unregisters each clause's counts and unit entry."""
+    for c in clauses:
+        c.live = False
+        formula._resize(c, c.size, 0)
 
 
-def reference_attach(formula, c):
-    c.live = True
-    formula._register(c)
+def reference_attach(formula, clauses):
+    """Reattach that registers each clause again, so a unit goes to the end
+    of the registry."""
+    for c in clauses:
+        c.live = True
+        formula._resize(c, 0, c.size)
 
 
 @contextmanager
@@ -446,10 +450,8 @@ def test_propagate_matches_counter_only_reference(state):
     for reference in (False, True):
         f = state_formula(n, clauses, weights, top, assign)
         with reference_semantics() if reference else nullcontext():
-            for i in sorted(detach):
-                c = f.slots[i]
-                if c.live:
-                    f.detach_clause(c)
+            f.detach_clause([f.slots[i] for i in sorted(detach)
+                             if f.slots[i].live])
             g = propagate._propagate(f)
         g.audit()
         sides.append(graph_signature(g))

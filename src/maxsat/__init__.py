@@ -8,7 +8,7 @@ CLI with a variant-comparison harness.
 
 from .dimacs import (DimacsError, GraphInstance, ParsedInstance, parse_cnf,
                      parse_graph, parse_wcnf, write_cnf, write_graph, write_wcnf)
-from .formula import Clause, Formula, clause_cost, formula_cost, neg
+from .formula import Clause, Formula, clause_cost, formula_cost
 from .gen import (GeneratorSpec, encode_3coloring, encode_maxcut, gen_from_spec,
                   gen_random_connected_graph, gen_random_kcolorable_graph,
                   gen_random_maxksat)

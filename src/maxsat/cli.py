@@ -148,16 +148,20 @@ def cmd_oracle(args) -> int:
 
 def parse_manifest(text: str):
     """Instance sources, one per line: a DIMACS path, or an inline
-    generator spec like 'gen ksat n=15 m=60 k=2 seed=7'. An unknown
-    family, a key outside MANIFEST_KEYS or given twice, or a field value
-    that is not a number raises ValueError naming the line."""
+    generator spec like 'gen ksat n=15 m=60 k=2 seed=7', told apart by
+    its first whitespace-separated field. A missing or unknown family, a
+    key outside MANIFEST_KEYS or given twice, or a field value that is
+    not a number raises ValueError naming the line."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("gen "):
-            fields = line.split()
+        fields = line.split()
+        if fields[0] == "gen":
+            if len(fields) < 2:
+                raise ValueError(f"manifest line {lineno}: generator spec "
+                                 f"{line!r} names no family")
             if fields[1] not in generators.FAMILIES:
                 raise ValueError(f"manifest line {lineno}: unknown generator "
                                  f"family {fields[1]!r}")

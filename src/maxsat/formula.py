@@ -11,11 +11,6 @@ from __future__ import annotations
 from collections import Counter
 
 
-def neg(lit: int) -> int:
-    """Negation of a literal; an involution."""
-    return -lit
-
-
 def normalize_lits(lits) -> list[int] | None:
     """Drop duplicate literals, return None for tautologies (x and -x)."""
     seen = set()
@@ -70,7 +65,8 @@ class Formula:
         self.num_vars = num_vars
         self.top = top  # mandatory-clause sentinel weight, None if all soft
         self.slots: list[Clause] = []
-        # occurrence lists indexed by lit + num_vars; stale entries are
+        # occurrence lists indexed by lit + num_vars, each in slot order (an
+        # add appends, its undo pops the last entry); stale entries are
         # filtered by the live flag at scan time so positions never shift
         self.occ: list[list[Clause]] = [[] for _ in range(2 * num_vars + 1)]
         self.units: dict[Clause, None] = {}
@@ -326,7 +322,8 @@ class Formula:
     # ---------- debug audit ----------
 
     def audit(self) -> None:
-        """Full-scan consistency check of counts, units and occurrence lists."""
+        """Full-scan consistency check of counts, units and occurrence lists,
+        and of the slot order of every occurrence list."""
         z = self.num_vars + 1
         exp = {name: [0] * z for name in ("pos1", "pos2", "pos3", "neg1", "neg2", "neg3")}
         lit_count = 0
@@ -352,6 +349,12 @@ class Formula:
             raise AssertionError("lit_count mismatch")
         if set(units) != set(self.units):
             raise AssertionError("unit registry mismatch")
+        for i, occ in enumerate(self.occ):
+            for a, b in zip(occ, occ[1:]):
+                if a.cid >= b.cid:
+                    raise AssertionError(
+                        f"occ[{i - self.num_vars}] not in slot order at "
+                        f"clauses {a.cid}, {b.cid}")
         if self.empty_weight < 0:
             raise AssertionError("negative empty_weight")
 

@@ -79,7 +79,7 @@ def _propagate(formula: Formula) -> ImplicationGraph:
     stamp = formula.prop_stamp
     g = ImplicationGraph()
     nodes = g.nodes
-    q1 = list(formula.units)
+    q1 = list(formula.units)    # only units; detached ones are not live
     q2: deque = deque()
     i1 = 0
     n1 = len(q1)
@@ -92,7 +92,7 @@ def _propagate(formula: Formula) -> ImplicationGraph:
         elif i1 < n1:
             c = q1[i1]
             i1 += 1
-            if not c.live or c.size != 1:
+            if not c.live:
                 continue
             lit = c.lits[0]
             if lit in nodes:
@@ -289,7 +289,7 @@ def _live_weight(subset) -> int:
 
 
 def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
-                    stats=None, trace=None, *, prior=(), found=None) -> int:
+                    *, record=None, prior=(), found=None) -> int:
     """Lower-bound underestimation via repeated propagation conflicts.
 
     Each conflict either fires an enabled inference rule (the formula is
@@ -299,8 +299,7 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     only when rule group 3/4 or 5/6 is enabled. Stops early once
     count + empty_weight reaches ub. Clauses set aside are reattached on
     exit, so apart from rule transformations the formula is unchanged.
-    Each firing is counted in ``stats.rule_apps`` and its
-    `RuleApplication` appended to ``trace``, when these are given.
+    Each firing's `RuleApplication` is passed to ``record``, when given.
 
     ``prior`` holds subsets set aside at an ancestor node. Before any
     propagation, each one whose clauses are all ``live`` is set aside
@@ -313,14 +312,15 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     its clauses and kills it. A subset whose clauses are all live thus
     has no assigned variable, its literals are unchanged, and it is still
     inconsistent. Every subset set aside, carried or new, is appended to
-    ``found``.
+    ``found``, and the clauses of the subsets appended by this call are
+    the ones reattached on exit.
     """
     r34 = config is not None and config.enable_r34
     r56 = config is not None and config.enable_r56
     if found is None:
         found = []
+    start = len(found)
     count = 0
-    detached: list[Clause] = []
     try:
         for subset in prior:
             w = _live_weight(subset)
@@ -328,7 +328,6 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                 continue
             count += w
             formula.detach_clause(subset)
-            detached += subset
             found.append(subset)
             if count + formula.empty_weight >= ub:
                 return count
@@ -343,19 +342,16 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                 if (r34 and cls in (R3, R4)) or (r56 and cls in (R5, R6)):
                     app = _fire(formula, cls, analysis.consumed,
                                 analysis.produced)
-                    if stats is not None:
-                        stats.rule_apps[cls] += 1
-                    if trace is not None:
-                        trace.append(app)
+                    if record is not None:
+                        record(app)
                     applied = True
             if not applied:
                 subset = analysis.subset
                 count += _live_weight(subset)
                 formula.detach_clause(subset)
-                detached += subset
                 found.append(subset)
             if count + formula.empty_weight >= ub:
                 break
     finally:
-        formula.attach_clause(detached)
+        formula.attach_clause([c for s in found[start:] for c in s])
     return count

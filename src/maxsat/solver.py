@@ -196,8 +196,8 @@ class Solver:
                         self.incumbent = _complete_assignment(f)
                     return
                 found: list = []
-                u = underestimation(f, self.ub, self.config, stats=stats,
-                                    trace=self.trace,
+                u = underestimation(f, self.ub, self.config,
+                                    record=self._record,
                                     prior=prior if self.carry else (),
                                     found=found)
             except MandatoryConflictError:
@@ -298,36 +298,39 @@ class Solver:
     def _partners(self, c) -> list:
         """The live binaries almost common with c = {a, b}, a < b, in the
         order rule 1 takes them: every {-a, b} before every {a, -b}, each
-        group from the highest slot down."""
+        group from the highest slot down. An occurrence list is in slot
+        order (``Formula.audit`` checks it), so each group is one backward
+        walk of a list."""
         occ = self.f.occ
         n = self.f.num_vars
         a, b = sorted(c.lits[:2])
         out = []
         # {-a, b} is in occ[-a] and {a, -b} in occ[-b]
         for x, y in ((-a, b), (-b, a)):
-            group = []
-            for d in occ[x + n]:
+            for d in reversed(occ[x + n]):
                 if d.live and d.size == 2:
                     lits = d.lits
                     if ((lits[0] == y or lits[1] == y)
                             and (lits[0] == x or lits[1] == x)):
-                        group.append(d)
-            group.sort(key=lambda d: d.cid, reverse=True)
-            out += group
+                        out.append(d)
         return out
 
     def _rule2_pass(self) -> bool:
-        """Exhaust complementary unit pairs into empty-clause weight."""
+        """Exhaust complementary unit pairs into empty-clause weight.
+
+        The registry holds only unit clauses, and rule 2 only lowers
+        weights and removes clauses, so a registered clause that is still
+        live is still a unit."""
         f = self.f
         fired = False
         by_lit: dict[int, list] = {}
         for c in list(f.units):
-            if not c.live or c.size != 1:
+            if not c.live:
                 continue
             lit = c.lits[0]
             while c.live:
                 stack = by_lit.get(-lit)
-                while stack and not (stack[-1].live and stack[-1].size == 1):
+                while stack and not stack[-1].live:
                     stack.pop()
                 if not stack:
                     break

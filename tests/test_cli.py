@@ -154,10 +154,13 @@ def test_oracle_non_utf8_file_exit(tmp_path, capsys):
 def test_manifest_parsing():
     entries = parse_manifest(
         "# comment\n\nfoo.cnf\ngen ksat n=5 m=10 k=2 seed=3\n"
-        "gen color3 v=4 density=0.5 seed=1\n")
+        "gen color3 v=4 density=0.5 seed=1\ngen\tksat n=5 m=10 k=2 seed=1\n")
     assert entries[0] == ("foo.cnf", None)
     assert entries[1][1].family == "ksat" and entries[1][1].m == 10
     assert entries[2][1].density == 0.5
+    assert entries[3][1].family == "ksat" and entries[3][1].seed == 1
+    with pytest.raises(ValueError, match="line 2: .*names no family"):
+        parse_manifest("foo.cnf\ngen\n")
 
 
 def test_bench_malformed_manifest_exit(tmp_path, capsys, monkeypatch):
@@ -171,12 +174,16 @@ def test_bench_malformed_manifest_exit(tmp_path, capsys, monkeypatch):
     unknown_family.write_text("gen ksat n=5 m=10 k=2\ngen foo n=3 m=4\n")
     repeated_key = tmp_path / "repeated_key.txt"
     repeated_key.write_text("gen ksat n=5 m=10 k=2\ngen ksat n=3 m=4 n=5 k=2\n")
+    bare_gen = tmp_path / "bare_gen.txt"
+    bare_gen.write_text("gen ksat n=5 m=10 k=2\ngen\n")
+    tab_gen = tmp_path / "tab_gen.txt"
+    tab_gen.write_text("gen ksat n=5 m=10 k=2\ngen\tksat n=5 m=10 k=2 sed=1\n")
     solves = []
     monkeypatch.setattr("maxsat.cli.solve", lambda *a, **kw: solves.append(a))
     for manifest in (latin1, bad_value, unknown_key, unknown_family,
-                     repeated_key):
+                     repeated_key, bare_gen, tab_gen):
         assert main(["bench", str(manifest)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert "error: " in capsys.readouterr().err
     assert solves == []
     with pytest.raises(ValueError, match="line 2"):
         parse_manifest(bad_value.read_text())
@@ -186,6 +193,10 @@ def test_bench_malformed_manifest_exit(tmp_path, capsys, monkeypatch):
         parse_manifest(unknown_family.read_text())
     with pytest.raises(ValueError, match="line 2: repeated key"):
         parse_manifest(repeated_key.read_text())
+    with pytest.raises(ValueError, match="line 2: .*names no family"):
+        parse_manifest(bare_gen.read_text())
+    with pytest.raises(ValueError, match="line 2: unknown key"):
+        parse_manifest(tab_gen.read_text())
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from maxsat import Clause, Formula, clause_cost, formula_cost, neg
+from maxsat import Clause, Formula, clause_cost, formula_cost
 from maxsat.formula import normalize_lits
 
 from formulas import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
@@ -12,11 +12,6 @@ from formulas import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
 def all_assignments(n):
     for bits in itertools.product([False, True], repeat=n):
         yield {v: bits[v - 1] for v in range(1, n + 1)}
-
-
-def test_negation_involution():
-    for lit in (1, -1, 7, -42):
-        assert neg(neg(lit)) == lit
 
 
 def test_normalize_drops_duplicates_and_tautologies():
@@ -222,6 +217,15 @@ def test_audit_detects_corruption():
     f = build(2, [[1, 2]])
     f.pos2[1] += 1
     with pytest.raises(AssertionError):
+        f.audit()
+
+
+def test_audit_detects_occurrence_list_out_of_slot_order():
+    f = build(2, [[1, 2], [1, -2], [-1, 2]])
+    f.audit()
+    occ = f.occ[1 + f.num_vars]
+    occ[0], occ[1] = occ[1], occ[0]
+    with pytest.raises(AssertionError, match="slot order"):
         f.audit()
 
 

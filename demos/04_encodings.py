@@ -38,7 +38,7 @@ colors = {v: [c for c in (1, 2, 3)
 print("a coloring read off the witness:", colors)
 
 # --- a triangle plus one chord is not 3-colorable as K4 ------------------
-from maxsat.dimacs import GraphInstance
+from maxsat.gen import GraphInstance
 k4 = GraphInstance(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 print(f"\nK4 needs four colors: minimum violations = "
       f"{solve(encode_3coloring(k4)).optimum}")

@@ -6,12 +6,12 @@ weighted variants, benchmark generators, a brute-force oracle, and a
 CLI with a variant-comparison harness.
 """
 
-from .dimacs import (DimacsError, GraphInstance, ParsedInstance, parse_cnf,
-                     parse_graph, parse_wcnf, write_cnf, write_graph, write_wcnf)
+from .dimacs import (DimacsError, ParsedInstance, parse_cnf, parse_wcnf,
+                     write_cnf, write_wcnf)
 from .formula import Clause, Formula, clause_cost, formula_cost
-from .gen import (GeneratorSpec, encode_3coloring, encode_maxcut, gen_from_spec,
-                  gen_random_connected_graph, gen_random_kcolorable_graph,
-                  gen_random_maxksat)
+from .gen import (GeneratorSpec, GraphInstance, encode_3coloring, encode_maxcut,
+                  gen_from_spec, gen_random_connected_graph,
+                  gen_random_kcolorable_graph, gen_random_maxksat)
 from .oracle import (OracleCapExceeded, brute_force_maxcut, brute_force_optimum,
                      check_equivalence)
 from .propagate import (ComplementaryUnitsError, ConflictAnalysis,

@@ -1,4 +1,4 @@
-"""DIMACS CNF / WCNF parsing and serialization, plus edge-list graphs.
+"""DIMACS CNF / WCNF parsing and serialization.
 
 Whitespace of any kind separates tokens and clauses may span lines.
 Empty clauses are written as a bare terminator line (a solver-internal
@@ -23,12 +23,6 @@ class ParsedInstance:
     comments: list[str] = field(default_factory=list)
     declared_variables: int = 0
     declared_clauses: int = 0
-
-
-@dataclass
-class GraphInstance:
-    vertex_count: int
-    edges: list[tuple[int, int]] = field(default_factory=list)
 
 
 def _split_stream(text: str):
@@ -169,47 +163,3 @@ def write_wcnf(formula: Formula) -> str:
     if formula.top is not None:
         head += f" {formula.top}"
     return "\n".join([head] + lines) + "\n"
-
-
-def parse_graph(text: str) -> GraphInstance:
-    """Parse a DIMACS-style edge list: 'p edge <v> <e>' then 'e i j' lines."""
-    vertex_count = None
-    declared_edges = None
-    edges = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        fields = stripped.split()
-        if fields[0] == "p":
-            if vertex_count is not None:
-                raise DimacsError("duplicate graph header")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise DimacsError("malformed 'p edge <vertices> <edges>' header")
-            vertex_count = _int_token(fields[2])
-            declared_edges = _int_token(fields[3])
-        elif fields[0] == "e":
-            if vertex_count is None:
-                raise DimacsError("edge line before header")
-            if len(fields) != 3:
-                raise DimacsError(f"malformed edge line {stripped!r}")
-            a, b = _int_token(fields[1]), _int_token(fields[2])
-            if a == b:
-                raise DimacsError(f"self-loop on vertex {a}")
-            if not (1 <= a <= vertex_count and 1 <= b <= vertex_count):
-                raise DimacsError(f"vertex out of range in edge {a} {b}")
-            edges.append((min(a, b), max(a, b)))
-        else:
-            raise DimacsError(f"unrecognized line {stripped!r}")
-    if vertex_count is None:
-        raise DimacsError("missing graph header")
-    if declared_edges != len(edges):
-        raise DimacsError(
-            f"header declares {declared_edges} edges but {len(edges)} were read")
-    return GraphInstance(vertex_count, edges)
-
-
-def write_graph(graph: GraphInstance) -> str:
-    lines = [f"p edge {graph.vertex_count} {len(graph.edges)}"]
-    lines.extend(f"e {a} {b}" for a, b in graph.edges)
-    return "\n".join(lines) + "\n"

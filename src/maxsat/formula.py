@@ -171,6 +171,8 @@ class Formula:
         """Remove one literal occurrence; a unit reduced to length 0 becomes
         empty-clause weight."""
         if c.size == 1:
+            if c.lits[0] != lit:
+                raise ValueError(f"literal {lit} not active in clause {c.cid}")
             # hiding the last literal falsifies the clause
             self.remove_clause(c)
             self.add_empty(c.weight, on_trail=True)
@@ -207,8 +209,14 @@ class Formula:
     def assign_literal(self, lit: int) -> None:
         """One-literal rule: delete clauses containing lit, remove all
         occurrences of -lit (units falsified this way become empty weight).
-        Always on the trail."""
+        Always on the trail; a literal out of range or of an assigned
+        variable raises before any edit."""
         n = self.num_vars
+        v = abs(lit)
+        if not 0 < v <= n:
+            raise ValueError(f"literal {lit} out of range 1..{n}")
+        if v in self.assignment:
+            raise ValueError(f"variable {v} is already assigned")
         for c in self.occ[lit + n]:
             if c.live:
                 self.remove_clause(c)
@@ -216,8 +224,8 @@ class Formula:
         for c in self.occ[nl + n]:
             if c.live:
                 self.hide_literal(c, nl)
-        self.assignment[abs(lit)] = lit > 0
-        self.trail.append(("assign", abs(lit)))
+        self.assignment[v] = lit > 0
+        self.trail.append(("assign", v))
 
     # temporary removal used by the lower-bound computation; not trailed.
     # Only the live flags flip: a detached clause stays in the weight sums,

@@ -9,13 +9,19 @@ yields the same instance (and byte-identical DIMACS output).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .dimacs import GraphInstance
 from .formula import Formula
 
 CONNECT_RETRY_LIMIT = 10 ** 6
 FAMILIES = ("ksat", "maxcut", "color3")
+
+
+@dataclass
+class GraphInstance:
+    """An undirected graph on vertices 1..vertex_count."""
+    vertex_count: int
+    edges: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass

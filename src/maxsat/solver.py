@@ -60,15 +60,14 @@ class SolveResult:
 
 def select_variable(formula: Formula) -> int:
     """Branching variable: maximizes the product of its polarity scores,
-    binary occurrences weighted four times; ties break to the lowest index."""
+    binary occurrences weighted four times; ties break to the lowest index.
+    Only variables that occur are scored, and an assigned variable occurs
+    nowhere: ``assign_literal`` removes or shrinks every clause holding it."""
     best_v = 0
     best_score = -1
     p1, p2, p3 = formula.pos1, formula.pos2, formula.pos3
     n1, n2, n3 = formula.neg1, formula.neg2, formula.neg3
-    assigned = formula.assignment
     for v in range(1, formula.num_vars + 1):
-        if v in assigned:
-            continue
         ptot = p1[v] + p2[v] + p3[v]
         ntot = n1[v] + n2[v] + n3[v]
         if ptot == 0 and ntot == 0:
@@ -124,6 +123,8 @@ class Solver:
         self.config = config if config is not None else SolverConfig.variant("z")
         self.stats = SearchStats()
         self.trace = trace
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"timeout must be None or >= 0, got {timeout!r}")
         self.deadline = None if timeout is None else time.monotonic() + timeout
         # the incumbent's cost: the search's upper bound
         self.ub = 0
@@ -343,10 +344,7 @@ class Solver:
     def _pure_literal_pass(self) -> bool:
         f = self.f
         fired = False
-        assigned = f.assignment
         for v in range(1, f.num_vars + 1):
-            if v in assigned:
-                continue
             ptot = f.pos1[v] + f.pos2[v] + f.pos3[v]
             ntot = f.neg1[v] + f.neg2[v] + f.neg3[v]
             if ptot == 0 and ntot == 0:
@@ -364,10 +362,7 @@ class Solver:
         clauses is fixed against."""
         f = self.f
         fired = False
-        assigned = f.assignment
         for v in range(1, f.num_vars + 1):
-            if v in assigned:
-                continue
             ptot = f.pos1[v] + f.pos2[v] + f.pos3[v]
             ntot = f.neg1[v] + f.neg2[v] + f.neg3[v]
             if ptot == 0 and ntot == 0:
@@ -386,10 +381,7 @@ class Solver:
         f = self.f
         ub = self.ub
         fired = False
-        assigned = f.assignment
         for v in range(1, f.num_vars + 1):
-            if v in assigned:
-                continue
             empty = f.empty_weight
             to_false = empty + f.neg1[v] >= ub
             to_true = empty + f.pos1[v] >= ub

@@ -4,8 +4,8 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from maxsat import (DimacsError, GraphInstance, ParsedInstance, parse_cnf,
-                    parse_graph, parse_wcnf, write_cnf, write_graph, write_wcnf)
+from maxsat import (DimacsError, ParsedInstance, parse_cnf, parse_wcnf,
+                    write_cnf, write_wcnf)
 from maxsat.dimacs import parse_dimacs
 from maxsat.gen import gen_random_maxksat
 
@@ -62,7 +62,7 @@ def test_parse_never_crashes_on_garbage(rng):
     alphabet = "pc cnf wcnf 0123456789- \n\te"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
-        for parser in (parse_cnf, parse_wcnf, parse_graph):
+        for parser in (parse_cnf, parse_wcnf):
             try:
                 parser(text)
             except DimacsError:
@@ -202,25 +202,3 @@ def test_round_trip_after_rule_transformation():
     assert back.as_multiset() == f.as_multiset()
     assert back.empty_weight == f.empty_weight == 1
 
-
-def test_parse_graph_triangle():
-    g = parse_graph("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
-    assert g.vertex_count == 3
-    assert sorted(g.edges) == [(1, 2), (1, 3), (2, 3)]
-
-
-@pytest.mark.parametrize("text", [
-    "p edge 3 1\ne 2 2\n",      # self-loop
-    "p edge 3 1\ne 0 1\n",      # vertex index 0
-    "p edge 3 1\ne 1 4\n",      # vertex beyond count
-    "p edge 3 2\ne 1 2\n",      # edge count mismatch
-    "e 1 2\n",                  # missing header
-])
-def test_parse_graph_errors(text):
-    with pytest.raises(DimacsError):
-        parse_graph(text)
-
-
-def test_graph_round_trip():
-    g = GraphInstance(4, [(1, 2), (2, 4), (3, 4)])
-    assert parse_graph(write_graph(g)).edges == g.edges

@@ -105,6 +105,39 @@ def test_assign_literal_falsifies_opposing_unit():
     assert (tuple([-4]), 1) not in f.as_multiset()
 
 
+def test_assign_literal_rejects_bad_literal_before_any_edit():
+    # a literal out of range, literal 0 and a second assignment of a
+    # variable raise with nothing edited, so undo still restores the formula
+    f = Formula.from_clauses(3, [[1, 2], [-1, 3], [2, 3]])
+    before = f.as_multiset()
+    for lit in (-4, 4, 0):
+        with pytest.raises(ValueError, match="out of range"):
+            f.assign_literal(lit)
+        assert f.trail == [] and f.assignment == {}
+        assert f.as_multiset() == before
+    mark = f.mark()
+    f.assign_literal(1)
+    trail = list(f.trail)
+    for lit in (1, -1):
+        with pytest.raises(ValueError, match="already assigned"):
+            f.assign_literal(lit)
+        assert f.trail == trail
+    f.undo_to(mark)
+    assert f.as_multiset() == before and f.assignment == {}
+    f.audit()
+
+
+def test_hide_literal_on_unit_requires_its_literal():
+    f = Formula.from_clauses(3, [[1], [2, 3]])
+    unit = f.slots[0]
+    with pytest.raises(ValueError, match="not active"):
+        f.hide_literal(unit, 2)
+    assert unit.live and f.empty_weight == 0 and f.trail == []
+    f.hide_literal(unit, 1)
+    assert not unit.live and f.empty_weight == 1
+    f.audit()
+
+
 def test_assign_literal_preserves_cost(rng):
     # cost of any extension is unchanged by the one-literal rule
     for _ in range(30):

@@ -80,7 +80,7 @@ def test_maxcut_encoding_shape():
 
 
 def test_maxcut_triangle_correspondence():
-    from maxsat.dimacs import GraphInstance
+    from maxsat.gen import GraphInstance
     triangle = GraphInstance(3, [(1, 2), (2, 3), (1, 3)])
     f = encode_maxcut(triangle)
     assert f.clause_count() == 6
@@ -88,7 +88,7 @@ def test_maxcut_triangle_correspondence():
 
 
 def test_maxcut_single_edge_and_empty():
-    from maxsat.dimacs import GraphInstance
+    from maxsat.gen import GraphInstance
     f = encode_maxcut(GraphInstance(2, [(1, 2)]))
     assert brute_force_optimum(f)[0] == 0
     assert encode_maxcut(GraphInstance(3, [])).clause_count() == 0
@@ -109,7 +109,7 @@ def test_coloring_encoding_counts():
 
 
 def test_coloring_k3_and_k4():
-    from maxsat.dimacs import GraphInstance
+    from maxsat.gen import GraphInstance
     k3 = GraphInstance(3, [(1, 2), (2, 3), (1, 3)])
     assert brute_force_optimum(encode_3coloring(k3))[0] == 0
     k4 = GraphInstance(4, list(itertools.combinations(range(1, 5), 2)))
@@ -117,7 +117,7 @@ def test_coloring_k3_and_k4():
 
 
 def test_coloring_single_vertex():
-    from maxsat.dimacs import GraphInstance
+    from maxsat.gen import GraphInstance
     f = encode_3coloring(GraphInstance(1, []))
     assert f.clause_count() == 4
     assert brute_force_optimum(f)[0] == 0

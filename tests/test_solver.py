@@ -216,6 +216,22 @@ def test_solve_timeout_anytime_soundness():
     assert formula_cost(f, res.best_assignment) == res.optimum
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), -1])
+def test_solver_rejects_nan_and_negative_timeout(timeout):
+    # a NaN deadline never passes, so it would disable the limit
+    f = Formula.from_clauses(2, [[1], [-1]])
+    with pytest.raises(ValueError, match="timeout"):
+        solve(f, timeout=timeout)
+
+
+def test_solver_accepts_zero_and_infinite_timeout():
+    f = Formula.from_clauses(2, [[1], [-1]])
+    assert solve(f, timeout=math.inf).status == OPTIMAL
+    res = solve(f, timeout=0.0)
+    assert res.status in (OPTIMAL, TIMED_OUT)
+    assert res.optimum == 1 == formula_cost(f, res.best_assignment)
+
+
 def test_solve_timeout_overshoot_is_bounded():
     # the deadline is checked at every node: a search whose nodes cost
     # milliseconds stops close to the limit, with a valid witness
@@ -470,6 +486,42 @@ def _over_constrained_instances():
                 gen_random_maxksat(n, rng.randint(2, 5) * n, 3, 1000 + seed).clauses()]
         weights = [rng.randint(1, 9) for _ in soft] + [50] * len(hard)
         yield Formula.from_clauses(n, soft + hard, weights=weights, top=50)
+
+
+def test_assigned_variables_have_zero_counts(monkeypatch):
+    # the sweeps (select_variable, pure literal, dominating unit clause,
+    # empty-unit) tell free variables by their counts alone: a variable the
+    # search assigned occurs in no live clause, before and after every
+    # simplification and at every branching choice
+    def check(f):
+        for v in f.assignment:
+            counts = (f.pos1[v], f.pos2[v], f.pos3[v],
+                      f.neg1[v], f.neg2[v], f.neg3[v])
+            assert counts == (0,) * 6, f"assigned variable {v}: {counts}"
+
+    simplify = Solver._simplify
+    select = solver_mod.select_variable
+    calls = [0, 0]
+
+    def checked_simplify(self):
+        check(self.f)
+        alive = simplify(self)
+        check(self.f)
+        calls[0] += 1
+        return alive
+
+    def checked_select(f):
+        check(f)
+        calls[1] += 1
+        return select(f)
+
+    monkeypatch.setattr(Solver, "_simplify", checked_simplify)
+    monkeypatch.setattr(solver_mod, "select_variable", checked_select)
+    corpus = list(_rule1_gate_instances()) + list(_over_constrained_instances())
+    for variant in VARIANTS:
+        for f in corpus:
+            solve(f, SolverConfig.variant(variant))
+    assert calls[0] > 0 and calls[1] > 0
 
 
 # per variant: nodes, branches, pruned, MandatoryConflictErrors raised

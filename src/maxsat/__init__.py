@@ -14,10 +14,10 @@ from .gen import (GeneratorSpec, GraphInstance, encode_3coloring, encode_maxcut,
                   gen_random_kcolorable_graph, gen_random_maxksat)
 from .oracle import (OracleCapExceeded, brute_force_maxcut, brute_force_optimum,
                      check_equivalence)
-from .propagate import (ComplementaryUnitsError, ConflictAnalysis,
-                        ImplicationGraph, NoConflictError, apply_conflict_rule,
-                        build_implication_graph, classify_conflict,
-                        extract_inconsistent_subset, underestimation)
+from .propagate import (ConflictAnalysis, ImplicationGraph, NoConflictError,
+                        apply_conflict_rule, build_implication_graph,
+                        classify_conflict, extract_inconsistent_subset,
+                        underestimation)
 from .rules import (MandatoryConflictError, NO_RULE, PatternError, R1, R2, R3,
                     R4, R5, R6, RULE_IDS, RuleApplication, SolverConfig,
                     VARIANT_NAMES, apply_rule1, apply_rule2)

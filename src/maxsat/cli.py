@@ -116,7 +116,7 @@ def _spec_from_args(args) -> GeneratorSpec:
 def cmd_gen(args) -> int:
     try:
         formula = generators.gen_from_spec(_spec_from_args(args))
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = write_wcnf(formula) if args.wcnf else write_cnf(formula)

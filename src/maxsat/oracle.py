@@ -4,11 +4,11 @@ Exhaustive optimum computation and assignment-wise equivalence checking.
 Assignment space is enumerated with vectorized numpy sweeps; assignment i
 encodes variable v as bit v-1 of i. Results are independent of the solver
 code paths and serve as the verification oracle throughout the test suite.
+numpy is imported inside the functions that use it, so `import maxsat`
+does not load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .formula import Formula
 
@@ -25,6 +25,7 @@ def _cost_vector(formula: Formula) -> np.ndarray:
     Mandatory weights saturate: any total at or above the TOP threshold
     is clamped to it, mirroring the infinity arithmetic TOP + w = TOP.
     """
+    import numpy as np
     n = formula.num_vars
     size = 1 << n
     # truth value of variable v across all assignments
@@ -58,7 +59,7 @@ def brute_force_optimum(formula: Formula, cap: int = DEFAULT_CAP):
     if n > cap:
         raise OracleCapExceeded(f"{n} variables exceeds enumeration cap {cap}")
     cost = _cost_vector(formula)
-    best = int(np.argmin(cost))
+    best = int(cost.argmin())
     return int(cost[best]), _assignment_from_index(best, n)
 
 
@@ -71,7 +72,7 @@ def check_equivalence(f1: Formula, f2: Formula, cap: int = DEFAULT_CAP):
         raise OracleCapExceeded(f"{f1.num_vars} variables exceeds cap {cap}")
     c1 = _cost_vector(f1)
     c2 = _cost_vector(f2)
-    diff = np.nonzero(c1 != c2)[0]
+    diff = (c1 != c2).nonzero()[0]
     if diff.size == 0:
         return None
     return _assignment_from_index(int(diff[0]), f1.num_vars)
@@ -82,6 +83,7 @@ def brute_force_maxcut(graph, cap: int = 20) -> int:
     v = graph.vertex_count
     if v > cap:
         raise OracleCapExceeded(f"{v} vertices exceeds enumeration cap {cap}")
+    import numpy as np
     size = 1 << v
     idx = np.arange(size, dtype=np.uint64)
     cut = np.zeros(size, dtype=np.int64)

@@ -23,10 +23,6 @@ from .rules import (NO_RULE, R3, R4, R5, R6, PatternError, RuleApplication,
                     SolverConfig, _check_live, _fire)
 
 
-class ComplementaryUnitsError(ValueError):
-    """The formula still holds a complementary unit pair (rule 2 work)."""
-
-
 class NoConflictError(ValueError):
     pass
 
@@ -64,14 +60,16 @@ class ImplicationGraph:
                     raise AssertionError(f"edge {p}->{lit} violates acyclicity")
 
 
-def _propagate(formula: Formula) -> ImplicationGraph:
+def build_implication_graph(formula: Formula) -> ImplicationGraph:
     """One construction pass; stops at the first complementary node pair.
 
     A binary clause forces its other literal as soon as one of its
     literals is falsified. Longer clauses count their falsified literals
     in the ``nfalse``/``stamp`` scratch fields. Q2 may hold a literal
     twice; Q2 is FIFO and is drained before Q1 is touched, so the first
-    entry becomes the node and a later one is skipped when popped.
+    entry becomes the node and a later one is skipped when popped. A
+    complementary unit pair is an ordinary conflict: each side is one
+    unit clause.
     """
     occ = formula.occ
     n = formula.num_vars
@@ -131,35 +129,14 @@ def _propagate(formula: Formula) -> ImplicationGraph:
                         q2.append((r, c))
 
 
-def build_implication_graph(formula: Formula) -> ImplicationGraph:
-    """Construct the implication graph of the formula's unit propagation.
-
-    The formula must not contain a complementary unit pair (those belong
-    to rule 2); the lower-bound computation uses the tolerant internal
-    path instead and treats such pairs as ordinary conflicts.
-    """
-    seen = set()
-    for c in formula.units:
-        lit = c.lits[0]
-        if -lit in seen:
-            raise ComplementaryUnitsError(
-                f"complementary unit clauses on variable {abs(lit)}")
-        seen.add(lit)
-    return _propagate(formula)
-
-
 @dataclass
 class ConflictAnalysis:
-    """The two sides of a propagation conflict and their rule diagnosis
-    (filled in by `classify_conflict`)."""
+    """The two sides of a propagation conflict and, once `classify_conflict`
+    matches a rule, the clauses it consumes and the literals it produces."""
 
-    lit: int
-    neg_lit: int
-    s_lit: list[int]                 # nodes with a path to lit, plus lit
-    s_neg: list[int]
+    s_lit: list[int]                 # conflict[0] and the nodes reaching it
+    s_neg: list[int]                 # the same for conflict[1]
     subset: list[Clause]             # reasons of s_lit then s_neg, deduplicated
-    classification: str = NO_RULE
-    intersection_chain: list[int] = field(default_factory=list)
     consumed: list[Clause] = field(default_factory=list)
     produced: list[list[int]] = field(default_factory=list)
 
@@ -195,8 +172,7 @@ def extract_inconsistent_subset(graph: ImplicationGraph) -> ConflictAnalysis:
     nodes = graph.nodes
     # detach order decides reattach order, and so the unit order Q1 follows
     subset = list(dict.fromkeys([nodes[v] for v in s_lit + s_neg]))
-    return ConflictAnalysis(lit=lit, neg_lit=nlit, s_lit=s_lit, s_neg=s_neg,
-                            subset=subset)
+    return ConflictAnalysis(s_lit=s_lit, s_neg=s_neg, subset=subset)
 
 
 def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> str:
@@ -209,7 +185,7 @@ def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> st
     to the one unit-seeded node it starts from. Two such paths that meet
     share everything below the meeting node, so the sides are either
     disjoint or end in the same suffix. Neither conflict literal is on the
-    other's side: the last node added has no successor, and `_propagate`
+    other's side: the last node added has no successor, and propagation
     never forces r through a binary while -r is a node.
 
     Disjoint sides fire rule 3 (at most three clauses) or rule 4. Sides
@@ -221,8 +197,6 @@ def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> st
     """
     nodes = graph.nodes
     s_lit, s_neg = analysis.s_lit, analysis.s_neg
-    analysis.classification = NO_RULE
-    analysis.intersection_chain = []
     analysis.consumed = []
     analysis.produced = []
     if any(nodes[v].size > 2 for v in s_lit + s_neg):
@@ -244,10 +218,8 @@ def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> st
         produced.append([lk, -third, -z])
         produced.append([-lk, third, z])
         cls = R5 if k == 1 else R6
-        analysis.intersection_chain = chain
     else:
         return NO_RULE
-    analysis.classification = cls
     analysis.consumed = consumed
     analysis.produced = produced
     return cls
@@ -265,15 +237,16 @@ def apply_conflict_rule(formula: Formula, clauses) -> RuleApplication:
     _check_live(clauses)
     scratch = Formula(formula.num_vars, top=formula.top)
     origin = {scratch.add_clause(c.active(), c.weight): c for c in clauses}
-    graph = _propagate(scratch)
+    graph = build_implication_graph(scratch)
     if graph.conflict is None:
         raise PatternError("pattern propagates to no conflict")
     analysis = extract_inconsistent_subset(graph)
-    if classify_conflict(analysis, graph) == NO_RULE:
+    cls = classify_conflict(analysis, graph)
+    if cls == NO_RULE:
         raise PatternError("conflict matches no rule 3-6 shape")
     if len(analysis.consumed) != len(clauses):
         raise PatternError("the rule consumes only part of the pattern")
-    return _fire(formula, analysis.classification,
+    return _fire(formula, cls,
                  [origin[c] for c in analysis.consumed], analysis.produced)
 
 
@@ -332,7 +305,7 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
             if count + formula.empty_weight >= ub:
                 return count
         while True:
-            graph = _propagate(formula)
+            graph = build_implication_graph(formula)
             if graph.conflict is None:
                 break
             analysis = extract_inconsistent_subset(graph)

@@ -3,6 +3,7 @@ import multiprocessing
 
 import pytest
 
+import maxsat.gen as generators
 from maxsat.cli import main, parse_manifest
 
 from formulas import THREE_DISJOINT
@@ -133,8 +134,14 @@ def test_gen_color3_variable_count(capsys):
     assert capsys.readouterr().out.startswith("p cnf 36 ")
 
 
-def test_gen_infeasible_params(capsys):
+def test_gen_infeasible_params(capsys, monkeypatch):
     assert main(["gen", "maxcut", "-v", "4", "-e", "2", "--seed", "1"]) == 2
+    capsys.readouterr()
+    # a near-tree edge count exhausts the connected-draw retries
+    monkeypatch.setattr(generators, "CONNECT_RETRY_LIMIT", 10)
+    assert main(["gen", "maxcut", "-v", "60", "-e", "59", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: no connected graph found within the retry limit\n"
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -4,7 +4,8 @@ from maxsat import (Formula, GraphInstance, OracleCapExceeded,
                     brute_force_maxcut, brute_force_optimum, check_equivalence,
                     formula_cost)
 
-from formulas import THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses
+from formulas import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
+                      run_optimized)
 
 
 def test_optimum_complementary_pair():
@@ -103,3 +104,14 @@ def test_maxcut_examples():
     assert brute_force_maxcut(GraphInstance(4, [])) == 0
     with pytest.raises(OracleCapExceeded):
         brute_force_maxcut(GraphInstance(21, []))
+
+
+def test_import_maxsat_leaves_numpy_unloaded():
+    # numpy loads on the oracle's first call, not with the package
+    out = run_optimized("""
+        import sys
+        import maxsat
+        print("numpy" in sys.modules)
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

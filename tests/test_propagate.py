@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import maxsat.propagate as propagate
-from maxsat import (ComplementaryUnitsError, Formula, MandatoryConflictError,
-                    NoConflictError, NO_RULE, R3, R4, R5, R6, SolverConfig, brute_force_optimum,
+from maxsat import (Formula, MandatoryConflictError, NoConflictError, NO_RULE,
+                    R3, R4, R5, R6, SolverConfig, brute_force_optimum,
                     build_implication_graph, check_equivalence,
                     classify_conflict, extract_inconsistent_subset,
                     underestimation)
@@ -55,10 +55,13 @@ def test_graph_duplicate_units_single_node():
     assert len(g) == 1 and 1 in g.nodes and g.conflict is None
 
 
-def test_graph_rejects_complementary_unit_pair():
+def test_graph_complementary_unit_pair_is_a_conflict():
+    # the second unit seeds the conflict's last node; each side is one unit
     f = build(1, [[1], [-1]])
-    with pytest.raises(ComplementaryUnitsError):
-        build_implication_graph(f)
+    g = build_implication_graph(f)
+    assert g.conflict == (-1, 1)
+    analysis = extract_inconsistent_subset(g)
+    assert clause_sets(analysis.subset) == [(-1,), (1,)]
 
 
 def test_graph_reasons_force_their_nodes():
@@ -111,7 +114,6 @@ def test_classify_two_unit_chains_rule4():
     g = build_implication_graph(build(6, TWO_UNIT_CHAINS))
     analysis = extract_inconsistent_subset(g)
     assert classify_conflict(analysis, g) == R4
-    assert analysis.classification == R4
     # the consumed clauses are exactly the seven of the example
     assert clause_sets(analysis.consumed) == clause_sets(build(6, TWO_UNIT_CHAINS).clauses())
 
@@ -120,7 +122,6 @@ def test_classify_shared_prefix_fork_rule6():
     g = build_implication_graph(build(4, SHARED_PREFIX_FORK))
     analysis = extract_inconsistent_subset(g)
     assert classify_conflict(analysis, g) == R6
-    assert analysis.intersection_chain == [1, 2]
 
 
 def test_classify_rule3_pattern():
@@ -133,7 +134,6 @@ def test_classify_rule5_pattern():
     g = build_implication_graph(build(3, [[1], [-1, 2], [-1, 3], [-2, -3]]))
     analysis = extract_inconsistent_subset(g)
     assert classify_conflict(analysis, g) == R5
-    assert analysis.intersection_chain == [1]
 
 
 def test_classify_all_binary_fork_no_rule():
@@ -145,7 +145,6 @@ def test_classify_all_binary_fork_no_rule():
     assert len(analysis.s_lit) + len(analysis.s_neg) == 6
     assert classify_conflict(analysis, g) == NO_RULE
     assert analysis.consumed == [] and analysis.produced == []
-    assert analysis.intersection_chain == []
 
 
 def test_classify_ternary_subset_no_rule():
@@ -270,7 +269,7 @@ def test_queue_discipline_never_pops_q1_while_q2_pending(monkeypatch):
     # a unit clause seeds a node, no clause of length >= 2 may be a derived
     # unit of the earlier nodes (all but one literal falsified) whose last
     # literal is still missing from the graph
-    inner = propagate._propagate
+    inner = propagate.build_implication_graph
     seeded_after_derived = 0
 
     def checked(formula):
@@ -289,7 +288,7 @@ def test_queue_discipline_never_pops_q1_while_q2_pending(monkeypatch):
             seeded_after_derived += any(g.predecessors(x) for x in prefix)
         return g
 
-    monkeypatch.setattr(propagate, "_propagate", checked)
+    monkeypatch.setattr(propagate, "build_implication_graph", checked)
     for clauses, n in ((THREE_DISJOINT, 5), (CHAIN_THEN_SECOND, 4), (FORK_THEN_SECOND, 4), (WIDE_GRAPH, 8), (ORDER_HIDES_PAIR, 4)):
         underestimation(build(n, clauses), math.inf, ALL_RULES)
     assert seeded_after_derived > 0
@@ -394,7 +393,7 @@ def reference_attach(formula, clauses):
 @contextmanager
 def reference_semantics():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagate, "_propagate", reference_propagate)
+        mp.setattr(propagate, "build_implication_graph", reference_propagate)
         mp.setattr(Formula, "detach_clause", reference_detach)
         mp.setattr(Formula, "attach_clause", reference_attach)
         yield
@@ -452,7 +451,7 @@ def test_propagate_matches_counter_only_reference(state):
         with reference_semantics() if reference else nullcontext():
             f.detach_clause([f.slots[i] for i in sorted(detach)
                              if f.slots[i].live])
-            g = propagate._propagate(f)
+            g = propagate.build_implication_graph(f)
         g.audit()
         sides.append(graph_signature(g))
     assert sides[0] == sides[1]
@@ -511,13 +510,11 @@ def reference_classify_conflict(analysis, graph) -> str:
     clause literals.
     """
     nodes = graph.nodes
-    lit, nlit = analysis.lit, analysis.neg_lit
+    lit, nlit = graph.conflict
     set_l = set(analysis.s_lit)
     set_n = set(analysis.s_neg)
     inter = set_l & set_n
 
-    analysis.classification = NO_RULE
-    analysis.intersection_chain = []
     analysis.consumed = []
     analysis.produced = []
 
@@ -535,10 +532,9 @@ def reference_classify_conflict(analysis, graph) -> str:
                    [nodes[v] for v in analysis.s_neg]
         produced = [[-x for x in c.active()] for c in consumed if c.size == 2]
         total = len(set_l) + len(set_n)
-        analysis.classification = R3 if total <= 3 else R4
         analysis.consumed = consumed
         analysis.produced = produced
-        return analysis.classification
+        return R3 if total <= 3 else R4
 
     # rules 5/6 shape: one unit overall, all else binary, the shared
     # part a chain, and exactly three nodes outside it
@@ -585,16 +581,15 @@ def reference_classify_conflict(analysis, graph) -> str:
     produced = [[-x for x in c.active()] for c in chain_clauses]
     produced.append([lk, -third, -z])
     produced.append([-lk, third, z])
-    analysis.classification = R5 if len(chain) == 1 else R6
-    analysis.intersection_chain = chain
     analysis.consumed = consumed
     analysis.produced = produced
-    return analysis.classification
+    return R5 if len(chain) == 1 else R6
 
 
 def diagnosis(rule, analysis):
-    return (rule, analysis.classification, [c.cid for c in analysis.consumed],
-            analysis.produced, analysis.intersection_chain)
+    """The rule, the consumed slot ids and the products; a rule 5/6
+    consumed list holds the shared chain's clauses in order."""
+    return (rule, [c.cid for c in analysis.consumed], analysis.produced)
 
 
 @contextmanager

@@ -5,8 +5,8 @@ solver variant, and confirms the result against the brute-force oracle
 and by evaluating the witness assignment directly.
 """
 
-from maxsat import (Formula, SolverConfig, brute_force_optimum, formula_cost,
-                    parse_cnf, solve, write_cnf)
+from maxsat import (Formula, SolverConfig, brute_force_optimum, parse_cnf,
+                    solve, write_cnf)
 
 # A formula in which some clause must always break: x1 forces a cascade
 # that contradicts the units on x4 and the pair on x2.
@@ -27,7 +27,7 @@ for variant in ("0", "12", "1234", "z"):
 
 # The returned assignment really does unsatisfy exactly `opt` clauses.
 result = solve(formula.copy())
-cost = formula_cost(formula, result.best_assignment)
+cost = formula.cost(result.best_assignment)
 print(f"\nWitness re-evaluated on the original formula: {cost} unsatisfied")
 assert cost == result.optimum
 

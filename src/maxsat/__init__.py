@@ -8,7 +8,7 @@ CLI with a variant-comparison harness.
 
 from .dimacs import (DimacsError, ParsedInstance, parse_cnf, parse_wcnf,
                      write_cnf, write_wcnf)
-from .formula import Clause, Formula, clause_cost, formula_cost
+from .formula import Clause, Formula
 from .gen import (GeneratorSpec, GraphInstance, encode_3coloring, encode_maxcut,
                   gen_from_spec, gen_random_connected_graph,
                   gen_random_kcolorable_graph, gen_random_maxksat)

@@ -73,8 +73,9 @@ def _solve_and_report(args, formula: Formula, trace_fh) -> int:
     config = SolverConfig.variant(args.variant)
     trace = [] if trace_fh is not None else None
     result = solve(formula, config, timeout=args.timeout, trace=trace)
-    print(f"o {result.optimum}")
-    if result.best_assignment is not None:
+    # o and v lines report only assignments that keep every hard clause
+    if formula.top is None or result.optimum < formula.top:
+        print(f"o {result.optimum}")
         print(_assignment_line(result.best_assignment, formula.num_vars))
     if result.status == OPTIMAL:
         print("s OPTIMUM FOUND")

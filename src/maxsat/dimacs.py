@@ -146,9 +146,12 @@ def _clause_lits(formula: Formula):
 def write_cnf(formula: Formula) -> str:
     """Serialize as DIMACS CNF; round-trips the clause multiset exactly.
 
-    Weights are ignored (write_wcnf keeps them); empty-clause weight is
-    emitted as that many bare terminator lines.
+    Empty-clause weight is emitted as that many bare terminator lines. A
+    formula with a TOP or a live clause of weight other than 1 raises
+    ValueError: CNF has no weights (write_wcnf keeps them).
     """
+    if formula.top is not None or any(c.weight != 1 for c in formula.clauses()):
+        raise ValueError("CNF carries no weights or TOP; use write_wcnf")
     lines = [f"{lits} 0" for _, lits in _clause_lits(formula)]
     lines.extend(["0"] * formula.empty_weight)
     head = f"p cnf {formula.num_vars} {len(lines)}"

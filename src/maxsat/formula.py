@@ -192,9 +192,13 @@ class Formula:
             self.trail.append(("empty", weight))
 
     def reduce_weight(self, c: Clause, d: int) -> None:
-        """Subtract d from a clause weight (TOP - d = TOP); weight 0 removes."""
+        """Subtract d from a clause weight; weight 0 removes. A TOP weight
+        stays TOP under a soft d, and TOP - TOP = 0."""
         old = c.weight
-        new = old if self.is_top(old) else old - d
+        if self.is_top(old):
+            new = 0 if self.is_top(d) else old
+        else:
+            new = old - d
         if new == old:
             return
         if new < 0:
@@ -309,9 +313,6 @@ class Formula:
         """Live clauses as (sorted literal tuple, weight) multiset."""
         return Counter((tuple(sorted(c.active())), c.weight) for c in self.clauses())
 
-    def total_weight(self) -> int:
-        return self.empty_weight + sum(c.weight for c in self.clauses())
-
     def copy(self) -> "Formula":
         """Fresh formula with the same live clause multiset (slot order kept)."""
         f = Formula(self.num_vars, top=self.top)
@@ -321,10 +322,19 @@ class Formula:
         return f
 
     def cost(self, assignment) -> int:
-        """Total weight of clauses unsatisfied by a complete assignment."""
+        """Total weight of clauses unsatisfied by an assignment: the empty
+        weight plus each live clause with no true literal. Raises
+        ValueError unless every variable 1..num_vars has a non-None value."""
+        for v in range(1, self.num_vars + 1):
+            if assignment.get(v) is None:
+                raise ValueError(f"assignment incomplete: variable {v}")
         total = self.empty_weight
         for c in self.clauses():
-            total += c.weight * clause_cost(c, assignment)
+            for lit in c.active():
+                if (lit > 0) == bool(assignment[abs(lit)]):
+                    break
+            else:
+                total += c.weight
         return total
 
     # ---------- debug audit ----------
@@ -376,28 +386,3 @@ def _shift(counts, lits, d: int) -> None:
         else:
             negs[-lit] += d
 
-
-def clause_cost(clause: Clause, assignment) -> int:
-    """Falsification indicator of a clause: 1 iff every literal is false.
-
-    The empty clause has cost 1 under every assignment.
-    """
-    for lit in clause.lits[: clause.size]:
-        v = abs(lit)
-        try:
-            val = assignment[v]
-        except KeyError:
-            raise ValueError(f"variable {v} unassigned") from None
-        if val is None:
-            raise ValueError(f"variable {v} unassigned")
-        if (lit > 0) == bool(val):
-            return 0
-    return 1
-
-
-def formula_cost(formula: Formula, assignment) -> int:
-    """Total weight of unsatisfied clauses under a complete assignment."""
-    for v in range(1, formula.num_vars + 1):
-        if v not in assignment or assignment[v] is None:
-            raise ValueError(f"assignment incomplete: variable {v}")
-    return formula.cost(assignment)

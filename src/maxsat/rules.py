@@ -19,10 +19,12 @@ caller to count and trace.
 
 In weighted mode a rule fires with w = min over the pattern weights: the
 replacement clauses carry weight w, each consumed clause loses w, and
-clauses reaching weight 0 are removed (TOP - w = TOP). A contradiction
-pattern made of mandatory clauses only admits no solution below TOP, so
-the empty-clause-producing rules raise MandatoryConflictError for the
-caller to backtrack on.
+clauses reaching weight 0 are removed (`Formula.reduce_weight`: TOP - w
+= TOP for a soft w, and TOP - TOP = 0, so rule 1 replaces two mandatory
+clauses by their mandatory resolvent). A contradiction pattern made of
+mandatory clauses only admits no solution below TOP, so the
+empty-clause-producing rules raise MandatoryConflictError for the caller
+to backtrack on.
 """
 
 from __future__ import annotations
@@ -135,13 +137,8 @@ def apply_rule1(formula: Formula, c1: Clause, c2: Clause) -> RuleApplication:
     rest = [lit for lit in c1.active() if lit != clash]
     w = min(c1.weight, c2.weight)
     _audit_sizes(c1.size + c2.size, len(rest))
-    if formula.is_top(w):
-        # two mandatory clauses collapse into their mandatory resolvent
-        formula.remove_clause(c1)
-        formula.remove_clause(c2)
-    else:
-        formula.reduce_weight(c1, w)
-        formula.reduce_weight(c2, w)
+    formula.reduce_weight(c1, w)
+    formula.reduce_weight(c2, w)
     nc = formula.add_clause(rest, w, on_trail=True)
     return RuleApplication(R1, [c1.cid, c2.cid], [nc.cid], w)
 

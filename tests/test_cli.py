@@ -83,7 +83,19 @@ def test_solve_wcnf_mandatory_conflict(tmp_path, capsys):
     path = tmp_path / "hard.wcnf"
     path.write_text("p wcnf 1 2 10\n10 1 0\n10 -1 0\n")
     assert main(["solve", str(path)]) == 1
-    assert "s UNSATISFIABLE" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "s UNSATISFIABLE" in out
+    assert not [line for line in out if line.startswith(("o ", "v "))]
+
+
+def test_solve_wcnf_timeout_on_infeasible_incumbent(tmp_path, capsys):
+    # every assignment breaks a hard clause, so the incumbent the search
+    # stops with (normally the greedy one) gets no o or v line
+    path = tmp_path / "hard.wcnf"
+    path.write_text("p wcnf 2 3 10\n10 1 0\n10 -1 0\n3 2 0\n")
+    assert main(["solve", "--timeout", "0", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out in (["s TIMEOUT"], ["s UNSATISFIABLE"])
 
 
 def test_solve_wcnf_negative_header_exit(tmp_path, capsys):

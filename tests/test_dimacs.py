@@ -164,6 +164,17 @@ def test_write_cnf_emits_empty_clauses_as_bare_terminator():
     assert back.formula.as_multiset() == {((1, 2), 1): 1}
 
 
+def test_write_cnf_refuses_weights_and_top():
+    from maxsat import Formula
+    with pytest.raises(ValueError, match="write_wcnf"):
+        write_cnf(Formula.from_clauses(1, [[1]], weights=[5]))
+    with pytest.raises(ValueError, match="write_wcnf"):
+        write_cnf(Formula(1, top=10))
+    f = Formula.from_clauses(2, [[1], [1, 2]], weights=[1, 3])
+    f.reduce_weight(f.slots[1], 2)
+    assert write_cnf(f) == "p cnf 2 2\n1 0\n1 2 0\n"
+
+
 def test_cnf_round_trip_multiunit():
     f = build(5, THREE_DISJOINT)
     assert parse_cnf(write_cnf(f)).formula.as_multiset() == f.as_multiset()

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maxsat import Clause, Formula, clause_cost, formula_cost
+from maxsat import Formula
 from maxsat.formula import normalize_lits
+from maxsat.oracle import _cost_vector
 
 from formulas import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
                       run_optimized)
@@ -20,53 +22,52 @@ def test_normalize_drops_duplicates_and_tautologies():
     assert normalize_lits([]) == []
 
 
-def test_clause_cost_examples():
-    # satisfied literal
-    c = Clause([1, -2], 1, 0)
-    assert clause_cost(c, {1: True, 2: True}) == 0
-    # the empty clause costs 1 under any assignment
-    empty = Clause([], 1, 0)
-    assert clause_cost(empty, {1: True}) == 1
-    assert clause_cost(empty, {1: False}) == 1
-    # all literals falsified
-    c = Clause([-1, -2], 1, 0)
-    assert clause_cost(c, {1: True, 2: True}) == 1
-
-
-def test_clause_cost_requires_assigned_variables():
-    c = Clause([1, -2], 1, 0)
-    with pytest.raises(ValueError):
-        clause_cost(c, {1: False})
-
-
 def test_formula_cost_up_motivator():
     # unit propagation motivator: any assignment with x1=0 unsatisfies one clause
     f = build(3, UP_NOT_EQUIVALENT)
     for a in all_assignments(3):
         if not a[1]:
-            assert formula_cost(f, a) == 1
+            assert f.cost(a) == 1
 
 
 def test_formula_cost_empty_formula_and_empty_clauses():
     f = Formula(2)
     for a in all_assignments(2):
-        assert formula_cost(f, a) == 0
+        assert f.cost(a) == 0
     f.add_empty(2)
     for a in all_assignments(2):
-        assert formula_cost(f, a) == 2
+        assert f.cost(a) == 2
 
 
-def test_formula_cost_sums_clause_costs(rng):
-    f = build(4, random_clauses(rng, 4, 12))
-    for a in all_assignments(4):
-        assert formula_cost(f, a) == sum(clause_cost(c, a) * c.weight
-                                         for c in f.clauses())
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_cost_matches_oracle_cost_vector(data):
+    # every assignment's cost, saturated at TOP, is the oracle's entry for
+    # it (bit v-1 of the index is variable v)
+    n = data.draw(st.integers(1, 6))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = data.draw(st.lists(
+        st.lists(lit, min_size=1, max_size=3, unique_by=abs), max_size=12))
+    top = data.draw(st.sampled_from([None, 20]))
+    weights = data.draw(st.lists(st.sampled_from([1, 2, 7, 20]),
+                                 min_size=len(clauses), max_size=len(clauses)))
+    f = build(n, clauses, weights=weights, top=top)
+    f.add_empty(data.draw(st.integers(0, 25)))
+    vector = _cost_vector(f)
+    for i in range(1 << n):
+        a = {v: bool(i >> (v - 1) & 1) for v in range(1, n + 1)}
+        cost = f.cost(a)
+        assert (cost if top is None else min(cost, top)) == vector[i]
 
 
 def test_formula_cost_requires_complete_assignment():
+    # variable 3 occurs in no clause, yet a complete assignment sets it
     f = build(3, [[1, 2]])
     with pytest.raises(ValueError):
-        formula_cost(f, {1: True, 2: False})
+        f.cost({1: True, 2: False})
+    with pytest.raises(ValueError):
+        f.cost({1: True, 2: False, 3: None})
+    assert f.cost({1: False, 2: False, 3: True}) == 1
 
 
 def test_add_clause_validation():
@@ -148,7 +149,7 @@ def test_assign_literal_preserves_cost(rng):
         g.assign_literal(lit)
         for a in all_assignments(n):
             if a[abs(lit)] == (lit > 0):
-                assert formula_cost(f, a) == g.cost(a)
+                assert f.cost(a) == g.cost(a)
 
 
 def test_remove_insert_multiset_semantics():
@@ -164,13 +165,13 @@ def test_remove_insert_multiset_semantics():
 
 def test_remove_then_reinsert_cost_unchanged(rng):
     f = build(4, random_clauses(rng, 4, 10))
-    baseline = {tuple(sorted(a.items())): formula_cost(f, a)
+    baseline = {tuple(sorted(a.items())): f.cost(a)
                 for a in all_assignments(4)}
     victims = [c for i, c in enumerate(f.clauses()) if i % 2 == 0]
     f.detach_clause(victims)
     f.attach_clause(victims)
     for a in all_assignments(4):
-        assert formula_cost(f, a) == baseline[tuple(sorted(a.items()))]
+        assert f.cost(a) == baseline[tuple(sorted(a.items()))]
     f.audit()
 
 
@@ -230,8 +231,15 @@ def test_weight_arithmetic_with_top():
     f.reduce_weight(c, 5)
     assert c.weight == 50  # TOP - w = TOP
     soft = f.add_clause([2], weight=5)
+    with pytest.raises(ValueError):
+        f.reduce_weight(soft, 50)  # soft - TOP is below zero
     f.reduce_weight(soft, 5)
     assert not soft.live  # weight-0 clauses are removed
+    f.reduce_weight(c, 50)
+    assert not c.live  # TOP - TOP = 0
+    f.undo_to(0)
+    assert c.live and c.weight == 50 and soft.live and soft.weight == 5
+    f.audit()
 
 
 def test_hide_literal_bucket_transitions():

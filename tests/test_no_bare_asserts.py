@@ -1,5 +1,7 @@
-"""No safety check in the package may be an ``assert`` statement: python -O
-strips them, so the check would silently stop running."""
+"""Source checks on the package. No safety check may be an ``assert``
+statement: python -O strips them, so the check would silently stop
+running. Every module must parse as Python 3.10, the oldest version
+pyproject.toml admits."""
 
 import ast
 from pathlib import Path
@@ -28,3 +30,11 @@ def test_package_has_no_assert_statements():
 def test_bare_asserts_finds_an_assert():
     source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n"
     assert bare_asserts(source, "m.py") == ["m.py:3"]
+
+
+def test_package_parses_as_python_3_10():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))

@@ -1,8 +1,7 @@
 import pytest
 
 from maxsat import (Formula, GraphInstance, OracleCapExceeded,
-                    brute_force_maxcut, brute_force_optimum, check_equivalence,
-                    formula_cost)
+                    brute_force_maxcut, brute_force_optimum, check_equivalence)
 
 from formulas import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
                       run_optimized)
@@ -17,7 +16,7 @@ def test_optimum_complementary_pair():
 def test_optimum_three_disjoint():
     cost, witness = brute_force_optimum(build(5, THREE_DISJOINT))
     assert cost == 3
-    assert formula_cost(build(5, THREE_DISJOINT), witness) == 3
+    assert build(5, THREE_DISJOINT).cost(witness) == 3
 
 
 def test_optimum_empty_formula():
@@ -71,7 +70,7 @@ def test_equivalence_counterexample():
     cx = check_equivalence(build(1, [[1]]), build(1, [[-1]]))
     assert cx == {1: True} or cx == {1: False}
     # the counterexample really distinguishes the formulas
-    assert formula_cost(build(1, [[1]]), cx) != formula_cost(build(1, [[-1]]), cx)
+    assert build(1, [[1]]).cost(cx) != build(1, [[-1]]).cost(cx)
 
 
 def test_equivalence_up_output_not_equivalent():

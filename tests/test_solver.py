@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
-                    SolverConfig, brute_force_optimum, formula_cost,
-                    gen_random_maxksat, initial_upper_bound, select_value,
-                    select_variable, solve)
+                    SolverConfig, brute_force_optimum, gen_random_maxksat,
+                    initial_upper_bound, select_value, select_variable, solve)
 import maxsat.solver as solver_mod
 from maxsat.rules import apply_rule1
 from maxsat.solver import Solver
@@ -134,7 +133,7 @@ def test_greedy_ub_satisfiable_formula():
     f = build(3, [[1, 2], [-1, 3], [2, 3]])
     cost, assignment = initial_upper_bound(f)
     assert cost == 0
-    assert formula_cost(f, assignment) == 0
+    assert f.cost(assignment) == 0
     res = solve(f)
     assert res.optimum == 0 and res.stats.nodes == 0
 
@@ -148,8 +147,8 @@ def test_greedy_ub_reaches_optimum_bound():
     f = build(5, THREE_DISJOINT)
     cost, assignment = initial_upper_bound(f)
     assert cost >= 3
-    assert formula_cost(f, assignment) == cost
-    assert cost <= f.total_weight()
+    assert f.cost(assignment) == cost
+    assert cost <= sum(c.weight for c in f.clauses())
     assert solve(f).optimum == 3
 
 
@@ -164,7 +163,7 @@ def test_solve_three_disjoint():
     for variant in VARIANTS:
         res = solve(build(5, THREE_DISJOINT), SolverConfig.variant(variant))
         assert res.optimum == 3
-        assert formula_cost(build(5, THREE_DISJOINT), res.best_assignment) == 3
+        assert build(5, THREE_DISJOINT).cost(res.best_assignment) == 3
 
 
 def test_solve_golden_random_max2sat():
@@ -198,7 +197,7 @@ def test_solve_variant_agreement_and_oracle(rng):
         for variant in VARIANTS:
             res = solve(f.copy(), SolverConfig.variant(variant))
             assert res.optimum == expected
-            assert formula_cost(f, res.best_assignment) == expected
+            assert f.cost(res.best_assignment) == expected
 
 
 def test_solve_deterministic_branch_counts():
@@ -213,7 +212,7 @@ def test_solve_timeout_anytime_soundness():
     res = solve(f, SolverConfig.variant("0"), timeout=0.0)
     assert res.status == TIMED_OUT
     assert res.best_assignment is not None
-    assert formula_cost(f, res.best_assignment) == res.optimum
+    assert f.cost(res.best_assignment) == res.optimum
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), -1])
@@ -229,7 +228,7 @@ def test_solver_accepts_zero_and_infinite_timeout():
     assert solve(f, timeout=math.inf).status == OPTIMAL
     res = solve(f, timeout=0.0)
     assert res.status in (OPTIMAL, TIMED_OUT)
-    assert res.optimum == 1 == formula_cost(f, res.best_assignment)
+    assert res.optimum == 1 == f.cost(res.best_assignment)
 
 
 def test_solve_timeout_overshoot_is_bounded():
@@ -242,7 +241,7 @@ def test_solve_timeout_overshoot_is_bounded():
     elapsed = time.perf_counter() - start
     assert res.status == TIMED_OUT
     assert elapsed <= 2 * limit + 0.2, f"stopped after {elapsed:.2f} s"
-    assert formula_cost(f, res.best_assignment) == res.optimum
+    assert f.cost(res.best_assignment) == res.optimum
 
 
 def test_solve_timeout_holds_during_greedy_bound():
@@ -257,7 +256,7 @@ def test_solve_timeout_holds_during_greedy_bound():
         res = solve(f, SolverConfig.variant(variant), timeout=limit)
         elapsed = time.perf_counter() - start
         assert res.status == TIMED_OUT
-        assert formula_cost(f, res.best_assignment) == res.optimum
+        assert f.cost(res.best_assignment) == res.optimum
         assert elapsed <= limit + 0.3, f"{variant} stopped after {elapsed:.2f} s"
 
 
@@ -300,7 +299,7 @@ def test_solve_weighted_with_mandatory_clauses(rng):
             assert min(res.optimum, top) == expected
             assert (res.status == MANDATORY_CONFLICT) == (expected >= top)
             if res.status == OPTIMAL:
-                assert formula_cost(f0, res.best_assignment) == res.optimum
+                assert f0.cost(res.best_assignment) == res.optimum
 
 
 def test_solve_mandatory_conflict():
@@ -676,4 +675,4 @@ def test_solve_weighted_and_top_properties(spec):
             assert res.status == MANDATORY_CONFLICT and res.optimum >= top
         else:
             assert res.status == OPTIMAL and res.optimum == expected
-            assert formula_cost(f, res.best_assignment) == expected
+            assert f.cost(res.best_assignment) == expected

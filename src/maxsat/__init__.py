@@ -22,7 +22,7 @@ from .rules import (MandatoryConflictError, NO_RULE, PatternError, R1, R2, R3,
                     R4, R5, R6, RULE_IDS, RuleApplication, SolverConfig,
                     VARIANT_NAMES, apply_rule1, apply_rule2)
 from .solver import (MANDATORY_CONFLICT, OPTIMAL, TIMED_OUT, SearchStats,
-                     SolveResult, Solver, initial_upper_bound, select_value,
-                     select_variable, solve)
+                     SolveResult, Solver, initial_upper_bound,
+                     repair_incumbent, select_value, select_variable, solve)
 
 __version__ = "0.1.0"

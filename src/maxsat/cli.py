@@ -140,6 +140,10 @@ def cmd_oracle(args) -> int:
     except (OSError, DimacsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # as in solve: an optimum at TOP breaks a hard clause, so no o or v line
+    if formula.top is not None and optimum >= formula.top:
+        print("s UNSATISFIABLE")
+        return 1
     print(f"o {optimum}")
     print(_assignment_line(witness, formula.num_vars))
     return 0

@@ -9,6 +9,7 @@ trail, so the input formula is left untouched after a solve.
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -22,6 +23,9 @@ OPTIMAL = "optimal"
 TIMED_OUT = "timed_out"
 MANDATORY_CONFLICT = "mandatory_conflict"
 
+# flips the incumbent repair may take (see repair_incumbent)
+REPAIR_FLIPS = 50
+
 
 class SearchTimeout(Exception):
     pass
@@ -34,6 +38,9 @@ class SearchStats:
     pruned: int = 0
     peak_depth: int = 0
     elapsed: float = 0.0
+    # cost of the greedy incumbent, and of the one the search starts from
+    greedy_ub: int = 0
+    start_ub: int = 0
     rule_apps: dict[str, int] = field(
         default_factory=lambda: {r: 0 for r in RULE_IDS})
 
@@ -44,6 +51,8 @@ class SearchStats:
             "pruned": self.pruned,
             "peak_depth": self.peak_depth,
             "elapsed_ms": round(self.elapsed * 1000, 3),
+            "greedy_ub": self.greedy_ub,
+            "start_ub": self.start_ub,
         }
         for r in RULE_IDS:
             out[r] = self.rule_apps[r]
@@ -109,6 +118,102 @@ def initial_upper_bound(formula: Formula, deadline: float | None = None):
         formula.undo_to(mark)
 
 
+def repair_incumbent(formula: Formula, assignment: dict[int, bool],
+                     cost: int, deadline: float | None = None):
+    """Weighted WalkSAT from an incumbent that breaks a hard clause.
+
+    Returns ``(cost, assignment)`` as given unless the formula has a TOP
+    and ``cost`` reaches it. Otherwise it makes at most ``REPAIR_FLIPS``
+    flips, checking ``deadline`` before each. A flip takes the variable
+    whose flip lowers the cost most, the lowest index on ties; when no
+    flip lowers it, a random literal of a random falsified clause, drawn
+    from ``random.Random(0)``. The make/break score of every variable is
+    kept incrementally over arrays copied from the live clauses, so the
+    formula and its trail are not touched.
+
+    Returns (cost, complete assignment) of the best assignment seen,
+    priced by ``Formula.cost``.
+    """
+    if formula.top is None or cost < formula.top:
+        return cost, assignment
+    n = formula.num_vars
+    value = [False] + [assignment[v] for v in range(1, n + 1)]
+    lits: list[list[int]] = []
+    weights: list[int] = []
+    occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # clause ids by lit
+    for c in formula.clauses():
+        active = c.lits[:c.size]
+        for lit in active:
+            occ[lit + n].append(len(lits))
+        lits.append(active)
+        weights.append(c.weight)
+    # per clause: its true literals' count and the sum of their variables,
+    # which is the one true variable when the count is 1
+    ntrue = [0] * len(lits)
+    truesum = [0] * len(lits)
+    # per variable: weight its flip makes true minus weight it falsifies
+    score = [0] * (n + 1)
+    falsified: dict[int, None] = {}  # clause ids, in the order they fell
+    for i, cl in enumerate(lits):
+        for lit in cl:
+            if value[abs(lit)] == (lit > 0):
+                ntrue[i] += 1
+                truesum[i] += abs(lit)
+        if ntrue[i] == 0:
+            falsified[i] = None
+            for lit in cl:
+                score[abs(lit)] += weights[i]
+        elif ntrue[i] == 1:
+            score[truesum[i]] -= weights[i]
+
+    rng = random.Random(0)
+    current = best_cost = cost
+    best = None
+    for _ in range(REPAIR_FLIPS):
+        if not falsified:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        v = max(range(1, n + 1), key=score.__getitem__)
+        if score[v] <= 0:
+            cl = lits[list(falsified)[rng.randrange(len(falsified))]]
+            v = abs(cl[rng.randrange(len(cl))])
+        current -= score[v]
+        value[v] = not value[v]
+        made = v if value[v] else -v
+        for i in occ[made + n]:
+            w = weights[i]
+            if ntrue[i] == 0:
+                # satisfied by v alone: no literal makes it, v breaks it
+                del falsified[i]
+                for lit in lits[i]:
+                    score[abs(lit)] -= w
+                score[v] -= w
+            elif ntrue[i] == 1:
+                score[truesum[i]] += w
+            ntrue[i] += 1
+            truesum[i] += v
+        for i in occ[n - made]:
+            w = weights[i]
+            ntrue[i] -= 1
+            truesum[i] -= v
+            if ntrue[i] == 0:
+                # v was its one true literal: now every literal makes it
+                falsified[i] = None
+                score[v] += w
+                for lit in lits[i]:
+                    score[abs(lit)] += w
+            elif ntrue[i] == 1:
+                score[truesum[i]] -= w
+        if current < best_cost:
+            best_cost = current
+            best = value[:]
+    if best is None:
+        return cost, assignment
+    repaired = {v: best[v] for v in range(1, n + 1)}
+    return formula.cost(repaired), repaired
+
+
 def _complete_assignment(formula: Formula) -> dict[int, bool]:
     """The formula's assignment with every unassigned variable False."""
     assignment = dict.fromkeys(range(1, formula.num_vars + 1), False)
@@ -149,7 +254,11 @@ class Solver:
         timed_out = False
         mark = f.mark()
         try:
-            self.ub, self.incumbent = initial_upper_bound(f, self.deadline)
+            greedy_ub, greedy = initial_upper_bound(f, self.deadline)
+            self.stats.greedy_ub = greedy_ub
+            self.ub, self.incumbent = repair_incumbent(f, greedy, greedy_ub,
+                                                       self.deadline)
+            self.stats.start_ub = self.ub
             if self.ub > f.empty_weight:
                 self._search(0, [])
         except SearchTimeout:
@@ -399,6 +508,13 @@ class Solver:
 def solve(formula: Formula, config: SolverConfig | None = None, *,
           timeout: float | None = None, trace=None) -> SolveResult:
     """Prove the minimum unsatisfied weight of a formula.
+
+    The search starts from the greedy incumbent of ``initial_upper_bound``.
+    If the formula has a TOP and that incumbent breaks a hard clause,
+    ``repair_incumbent`` first runs a seeded weighted WalkSAT from it (at
+    most ``REPAIR_FLIPS`` = 50 flips, random choices from
+    ``random.Random(0)``, the deadline checked before every flip) and the
+    search starts from the best assignment seen.
 
     The formula is mutated during the search but restored before returning.
     An ``OPTIMAL`` result carries a witness whose cost is the optimum; a

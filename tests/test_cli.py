@@ -44,6 +44,15 @@ def test_solve_stats_lines(tmp_path, capsys):
     assert main(["solve", write_three_disjoint(tmp_path), "--stats"]) == 0
     out = capsys.readouterr().out
     assert "branches=" in out and "r3=" in out
+    # no TOP, so the search starts from the greedy incumbent
+    assert "greedy_ub=3\n" in out and "start_ub=3\n" in out
+    # the greedy incumbent breaks the hard unit; the repair starts the
+    # search from a cost-0 assignment
+    path = tmp_path / "repair.wcnf"
+    path.write_text("p wcnf 2 2 10\n10 2 -1 0\n10 1 0\n")
+    assert main(["solve", str(path), "--stats"]) == 0
+    out = capsys.readouterr().out
+    assert "greedy_ub=10\n" in out and "start_ub=0\n" in out
 
 
 def test_solve_seedcheck(tmp_path, capsys):
@@ -161,6 +170,14 @@ def test_oracle_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "o 3"
     assert out[1].startswith("v ")
+
+
+def test_oracle_wcnf_mandatory_conflict(tmp_path, capsys):
+    # no assignment keeps both hard units: reported as solve reports it
+    path = tmp_path / "hard.wcnf"
+    path.write_text("p wcnf 1 2 10\n10 1 0\n10 -1 0\n")
+    assert main(["oracle", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["s UNSATISFIABLE"]
 
 
 def test_oracle_non_utf8_file_exit(tmp_path, capsys):

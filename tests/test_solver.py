@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     SolverConfig, brute_force_optimum, gen_random_maxksat,
-                    initial_upper_bound, select_value, select_variable, solve)
+                    initial_upper_bound, repair_incumbent, select_value,
+                    select_variable, solve)
 import maxsat.solver as solver_mod
 from maxsat.rules import apply_rule1
 from maxsat.solver import Solver
@@ -152,6 +153,64 @@ def test_greedy_ub_reaches_optimum_bound():
     assert solve(f).optimum == 3
 
 
+# ---------- incumbent repair ----------
+
+def test_repair_makes_an_infeasible_greedy_incumbent_feasible():
+    # greedy sets x1 False (its negative binary occurrence outscores the
+    # unit) and breaks the hard unit; no single flip helps, so the repair
+    # walks x1 and then flips x2
+    f = build(2, [[2, -1], [1]], weights=[10, 10], top=10)
+    greedy = initial_upper_bound(f)
+    assert greedy[0] == 10
+    cost, assignment = repair_incumbent(f, greedy[1], greedy[0])
+    assert cost == 0 == f.cost(assignment)
+    res = solve(f)
+    assert (res.stats.greedy_ub, res.stats.start_ub) == (10, 0)
+    assert res.status == OPTIMAL and res.optimum == 0
+
+
+def test_repair_with_a_past_deadline_returns_its_input():
+    f = build(2, [[2, -1], [1]], weights=[10, 10], top=10)
+    assignment = {1: False, 2: False}
+    out = repair_incumbent(f, assignment, 10, time.monotonic() - 1)
+    assert out[0] == 10 and out[1] is assignment
+
+
+@st.composite
+def repair_inputs(draw):
+    """Up to 8 variables, 1-5n clauses of length 1-3, weights from
+    {1, 2, 5, TOP} with TOP = 20 or soft 1-9 with no TOP, and any
+    complete assignment."""
+    n = draw(st.integers(1, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3, unique_by=abs),
+                            min_size=1, max_size=5 * n))
+    top = draw(st.sampled_from([None, 20]))
+    weights = draw(st.lists(st.integers(1, 9) if top is None
+                            else st.sampled_from([1, 2, 5, 20]),
+                            min_size=len(clauses), max_size=len(clauses)))
+    values = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, clauses, weights, top, dict(enumerate(values, 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(repair_inputs())
+def test_repair_incumbent_properties(spec):
+    # the repair prices what it returns, never returns worse, repeats
+    # itself, leaves the formula as it was, and runs only at or above TOP
+    n, clauses, weights, top, assignment = spec
+    f = build(n, clauses, weights=weights, top=top)
+    before = (f.as_multiset(), len(f.slots), len(f.trail))
+    cost = f.cost(assignment)
+    out = repair_incumbent(f, assignment, cost)
+    assert out[0] == f.cost(out[1]) and out[0] <= cost
+    assert repair_incumbent(f, assignment, cost) == out
+    assert (f.as_multiset(), len(f.slots), len(f.trail)) == before
+    f.audit()
+    if top is None or cost < top:
+        assert out[0] == cost and out[1] is assignment
+
+
 # ---------- solve ----------
 
 def test_solve_complementary_pair():
@@ -258,6 +317,42 @@ def test_solve_timeout_holds_during_greedy_bound():
         assert res.status == TIMED_OUT
         assert f.cost(res.best_assignment) == res.optimum
         assert elapsed <= limit + 0.3, f"{variant} stopped after {elapsed:.2f} s"
+
+
+def test_solve_timeout_holds_during_repair(monkeypatch):
+    # a hard unit pair leaves no feasible assignment, so the repair would
+    # take all its flips, each scanning 100,000 scores. The greedy bound is
+    # replaced by the all-False assignment, so the deadline falls inside
+    # the repair. The slack covers one flip plus costing the witness
+    n = 100_000
+    f = Formula(n, top=1000)
+    for c in gen_random_maxksat(n, 5000, 2, 1).clauses():
+        f.add_clause(c.active())
+    f.add_clause([1], 1000)
+    f.add_clause([-1], 1000)
+    all_false = dict.fromkeys(range(1, n + 1), False)
+    monkeypatch.setattr(solver_mod, "initial_upper_bound",
+                        lambda f, deadline: (f.cost(all_false), all_false))
+    repair = solver_mod.repair_incumbent
+    calls = []
+
+    def timed(*args):
+        entered = time.monotonic()
+        out = repair(*args)
+        calls.append((entered, time.monotonic()))
+        return out
+
+    monkeypatch.setattr(solver_mod, "repair_incumbent", timed)
+    limit = 0.2
+    solver = Solver(f, timeout=limit)
+    start = time.perf_counter()
+    res = solver.solve()
+    elapsed = time.perf_counter() - start
+    [(entered, left)] = calls
+    assert entered < solver.deadline < left
+    assert res.status == TIMED_OUT
+    assert res.optimum == f.cost(res.best_assignment) >= f.top
+    assert elapsed <= limit + 0.3, f"stopped after {elapsed:.2f} s"
 
 
 def test_solve_restores_recursion_limit():
@@ -525,10 +620,10 @@ def test_assigned_variables_have_zero_counts(monkeypatch):
 
 # per variant: nodes, branches, pruned, MandatoryConflictErrors raised
 PINNED_SEARCH_COUNTS = {
-    "0": (1643, 814, 633, 0),
-    "12": (876, 429, 270, 52),
-    "1234": (822, 409, 239, 46),
-    "z": (793, 399, 219, 45),
+    "0": (1502, 742, 618, 0),
+    "12": (765, 370, 262, 40),
+    "1234": (718, 351, 235, 34),
+    "z": (689, 341, 215, 31),
 }
 
 

@@ -18,7 +18,11 @@ from .gen import GeneratorSpec
 from .rules import RULE_IDS, SolverConfig, VARIANT_NAMES
 from .solver import MANDATORY_CONFLICT, OPTIMAL, TIMED_OUT, solve
 
-CSV_COLUMNS = ["instance", "variant", "optimum", "branches", "time_ms",
+# the search counters and bounds of SearchStats, so a regression can be
+# read from a run's CSV without running it again
+STATS_COLUMNS = ["branches", "nodes", "pruned", "peak_depth", "greedy_ub",
+                 "start_ub"]
+CSV_COLUMNS = ["instance", "variant", "optimum", *STATS_COLUMNS, "time_ms",
                *RULE_IDS, "status"]
 
 ORACLE_CHECK_LIMIT = 18
@@ -205,7 +209,8 @@ def _bench_task(task):
         row["optimum"] = str(exc).replace(",", ";")[:80]
         return row
     row["optimum"] = result.optimum
-    row["branches"] = result.stats.branches
+    for col in STATS_COLUMNS:
+        row[col] = getattr(result.stats, col)
     row["time_ms"] = round(result.stats.elapsed * 1000, 3)
     for rule in RULE_IDS:
         row[rule] = result.stats.rule_apps[rule]

@@ -117,6 +117,8 @@ class Formula:
         the new one, so a 2->1 hide touches three counters. Only a clause
         that stops or starts being a unit leaves or enters the unit
         registry, so no other unit changes its position there.
+        ``assign_literal`` and ``undo_to`` do the same arithmetic in line
+        for the clauses they remove, hide and restore.
         """
         w = c.weight
         lits = c.lits
@@ -214,22 +216,106 @@ class Formula:
         """One-literal rule: delete clauses containing lit, remove all
         occurrences of -lit (units falsified this way become empty weight).
         Always on the trail; a literal out of range or of an assigned
-        variable raises before any edit."""
+        variable raises before any edit.
+
+        The edits, their trail records and the unit registry order are
+        those of ``remove_clause`` on each satisfied clause and then
+        ``hide_literal(c, -lit)`` on each shrunk one, in occurrence-list
+        order, but the counts are updated in these loops: a helper call
+        per clause cost more than the count arithmetic itself."""
         n = self.num_vars
         v = abs(lit)
         if not 0 < v <= n:
             raise ValueError(f"literal {lit} out of range 1..{n}")
         if v in self.assignment:
             raise ValueError(f"variable {v} is already assigned")
-        for c in self.occ[lit + n]:
-            if c.live:
-                self.remove_clause(c)
-        nl = -lit
-        for c in self.occ[nl + n]:
-            if c.live:
-                self.hide_literal(c, nl)
+        append = self.trail.append
+        units = self.units
+        pos1, pos2, pos3 = self.pos1, self.pos2, self.pos3
+        neg1, neg2, neg3 = self.neg1, self.neg2, self.neg3
+        dropped = 0    # active literals removed, for lit_count
+        falsified = 0  # weight of the units emptied, for empty_weight
+        try:
+            for c in self.occ[lit + n]:
+                if not c.live:
+                    continue
+                c.live = False
+                k = c.size
+                w = c.weight
+                if k == 1:
+                    x = c.lits[0]
+                    if x > 0:
+                        pos1[x] -= w
+                    else:
+                        neg1[-x] -= w
+                    units.pop(c, None)
+                else:
+                    pos, neg = (pos2, neg2) if k == 2 else (pos3, neg3)
+                    for x in c.lits[:k]:
+                        if x > 0:
+                            pos[x] -= w
+                        else:
+                            neg[-x] -= w
+                dropped += k
+                append(("rm", c))
+            nl = -lit
+            # the counts of nl itself, by size bucket
+            h1, h2, h3 = (pos1, pos2, pos3) if nl > 0 else (neg1, neg2, neg3)
+            for c in self.occ[nl + n]:
+                if not c.live:
+                    continue
+                k = c.size
+                w = c.weight
+                lits = c.lits
+                if k == 1:
+                    if lits[0] != nl:
+                        raise ValueError(
+                            f"literal {nl} not active in clause {c.cid}")
+                    # hiding the last literal falsifies the clause
+                    c.live = False
+                    h1[v] -= w
+                    dropped += 1
+                    units.pop(c, None)
+                    append(("rm", c))
+                    falsified += w
+                    append(("empty", w))
+                    continue
+                i = lits.index(nl)
+                if i >= k:
+                    raise ValueError(
+                        f"literal {nl} not active in clause {c.cid}")
+                last = k - 1
+                lits[i], lits[last] = lits[last], lits[i]
+                c.size = last
+                if k == 2:
+                    # the kept literal moves from bucket 2 to bucket 1
+                    h2[v] -= w
+                    x = lits[0]
+                    if x > 0:
+                        pos2[x] -= w
+                        pos1[x] += w
+                    else:
+                        neg2[-x] -= w
+                        neg1[-x] += w
+                    units[c] = None
+                else:
+                    h3[v] -= w
+                    if k == 3:
+                        # the two kept literals move from bucket 3 to 2
+                        for x in lits[:2]:
+                            if x > 0:
+                                pos3[x] -= w
+                                pos2[x] += w
+                            else:
+                                neg3[-x] -= w
+                                neg2[-x] += w
+                dropped += 1
+                append(("hide", c, i))
+        finally:
+            self.lit_count -= dropped
+            self.empty_weight += falsified
         self.assignment[v] = lit > 0
-        self.trail.append(("assign", v))
+        append(("assign", v))
 
     # temporary removal used by the lower-bound computation; not trailed.
     # Only the live flags flip: a detached clause stays in the weight sums,
@@ -264,39 +350,98 @@ class Formula:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
+        """Pop trail records down to ``mark``, newest first. An ``"rm"`` or
+        ``"hide"`` record updates the counts in line, as ``_resize`` would:
+        they are most of the trail, and a call per record cost more than
+        its arithmetic."""
         trail = self.trail
-        while len(trail) > mark:
-            rec = trail.pop()
-            op = rec[0]
-            if op == "rm":
-                c = rec[1]
-                c.live = True
-                self._resize(c, 0, c.size)
-            elif op == "hide":
-                _, c, i = rec
-                last = c.size
-                # lits[last] is still the hidden literal
-                self._resize(c, last, last + 1)
-                c.size = last + 1
-                c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
-            elif op == "empty":
-                self.empty_weight -= rec[1]
-            elif op == "add":
-                c = rec[1]
-                self.slots.pop()
-                c.live = False
-                self._resize(c, c.size, 0)
-                n = self.num_vars
-                for lit in c.lits:
-                    self.occ[lit + n].pop()
-            elif op == "wt":
-                _, c, old = rec
-                self._bump_counts(c, old - c.weight)
-                c.weight = old
-            elif op == "assign":
-                del self.assignment[rec[1]]
-            else:  # pragma: no cover
-                raise AssertionError(f"unknown trail op {op}")
+        pop = trail.pop
+        units = self.units
+        pos1, pos2, pos3 = self.pos1, self.pos2, self.pos3
+        neg1, neg2, neg3 = self.neg1, self.neg2, self.neg3
+        restored = 0  # active literals back, for lit_count
+        try:
+            while len(trail) > mark:
+                rec = pop()
+                op = rec[0]
+                if op == "rm":
+                    c = rec[1]
+                    c.live = True
+                    k = c.size
+                    w = c.weight
+                    if k == 1:
+                        x = c.lits[0]
+                        if x > 0:
+                            pos1[x] += w
+                        else:
+                            neg1[-x] += w
+                        units[c] = None
+                    else:
+                        pos, neg = (pos2, neg2) if k == 2 else (pos3, neg3)
+                        for x in c.lits[:k]:
+                            if x > 0:
+                                pos[x] += w
+                            else:
+                                neg[-x] += w
+                    restored += k
+                elif op == "hide":
+                    _, c, i = rec
+                    last = c.size
+                    lits = c.lits
+                    w = c.weight
+                    # lits[last] is still the hidden literal
+                    h = lits[last]
+                    if last == 1:
+                        # the kept literal moves from bucket 1 to bucket 2
+                        x = lits[0]
+                        if x > 0:
+                            pos1[x] -= w
+                            pos2[x] += w
+                        else:
+                            neg1[-x] -= w
+                            neg2[-x] += w
+                        if h > 0:
+                            pos2[h] += w
+                        else:
+                            neg2[-h] += w
+                        units.pop(c, None)
+                    else:
+                        if last == 2:
+                            # the two kept literals move from bucket 2 to 3
+                            for x in lits[:2]:
+                                if x > 0:
+                                    pos2[x] -= w
+                                    pos3[x] += w
+                                else:
+                                    neg2[-x] -= w
+                                    neg3[-x] += w
+                        if h > 0:
+                            pos3[h] += w
+                        else:
+                            neg3[-h] += w
+                    restored += 1
+                    c.size = last + 1
+                    lits[i], lits[last] = lits[last], lits[i]
+                elif op == "empty":
+                    self.empty_weight -= rec[1]
+                elif op == "add":
+                    c = rec[1]
+                    self.slots.pop()
+                    c.live = False
+                    self._resize(c, c.size, 0)
+                    n = self.num_vars
+                    for lit in c.lits:
+                        self.occ[lit + n].pop()
+                elif op == "wt":
+                    _, c, old = rec
+                    self._bump_counts(c, old - c.weight)
+                    c.weight = old
+                elif op == "assign":
+                    del self.assignment[rec[1]]
+                else:  # pragma: no cover
+                    raise AssertionError(f"unknown trail op {op}")
+        finally:
+            self.lit_count += restored
 
     # ---------- queries ----------
 

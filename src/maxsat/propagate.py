@@ -15,6 +15,7 @@ subsets toward containing few original unit clauses.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -25,6 +26,11 @@ from .rules import (NO_RULE, R3, R4, R5, R6, PatternError, RuleApplication,
 
 class NoConflictError(ValueError):
     pass
+
+
+class SearchTimeout(Exception):
+    """The solver's deadline passed; raised by the search and by
+    `underestimation`, and caught by ``Solver.solve``."""
 
 
 class ImplicationGraph:
@@ -262,7 +268,8 @@ def _live_weight(subset) -> int:
 
 
 def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
-                    *, record=None, prior=(), found=None) -> int:
+                    *, record=None, prior=(), found=None,
+                    deadline: float | None = None) -> int:
     """Lower-bound underestimation via repeated propagation conflicts.
 
     Each conflict either fires an enabled inference rule (the formula is
@@ -287,6 +294,10 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     inconsistent. Every subset set aside, carried or new, is appended to
     ``found``, and the clauses of the subsets appended by this call are
     the ones reattached on exit.
+
+    Between propagation passes, ``SearchTimeout`` is raised once
+    ``time.monotonic()`` has passed ``deadline``, when given; the clauses
+    set aside are reattached as on any other exit.
     """
     r34 = config is not None and config.enable_r34
     r56 = config is not None and config.enable_r56
@@ -325,6 +336,8 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                 found.append(subset)
             if count + formula.empty_weight >= ub:
                 break
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout
     finally:
         formula.attach_clause([c for s in found[start:] for c in s])
     return count

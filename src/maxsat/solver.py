@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .formula import Formula
-from .propagate import underestimation
+from .propagate import SearchTimeout, underestimation
 from .rules import (RULE_IDS, MandatoryConflictError, SolverConfig,
                     apply_rule1, apply_rule2)
 
@@ -25,10 +25,6 @@ MANDATORY_CONFLICT = "mandatory_conflict"
 
 # flips the incumbent repair may take (see repair_incumbent)
 REPAIR_FLIPS = 50
-
-
-class SearchTimeout(Exception):
-    pass
 
 
 @dataclass
@@ -289,8 +285,7 @@ class Solver:
         stats.nodes += 1
         if depth > stats.peak_depth:
             stats.peak_depth = depth
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout
+        self._check_deadline()
         f = self.f
         mark = f.mark()
         r1_mark = self.r1_mark
@@ -309,7 +304,7 @@ class Solver:
                 u = underestimation(f, self.ub, self.config,
                                     record=self._record,
                                     prior=prior if self.carry else (),
-                                    found=found)
+                                    found=found, deadline=self.deadline)
             except MandatoryConflictError:
                 stats.pruned += 1
                 return
@@ -331,22 +326,34 @@ class Solver:
             f.undo_to(mark)
             self.r1_mark = r1_mark
 
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeout
+
     # ---------- node simplification ----------
 
     def _simplify(self) -> bool:
         """Fixpoint of the always-on techniques plus rules 1 and 2 when
-        enabled; False when the node is proven hopeless (LB >= UB)."""
+        enabled; False when the node is proven hopeless (LB >= UB). The
+        deadline is checked before every pass and by rule 1 before every
+        candidate: at the root of a large instance one pass can take a
+        noticeable share of the time limit."""
         f = self.f
         r12 = self.config.enable_r12
+        check = self._check_deadline
         while True:
             changed = False
             if r12:
                 changed |= self._rule1_pass()
+                check()
                 changed |= self._rule2_pass()
             if f.empty_weight >= self.ub:
                 return False
+            check()
             changed |= self._pure_literal_pass()
+            check()
             changed |= self._duc_pass()
+            check()
             alive, ch = self._empty_unit_pass()
             if not alive:
                 return False
@@ -388,7 +395,9 @@ class Solver:
                         picked.update(partners)
             candidates = sorted(picked, key=lambda d: d.cid)
         fired = False
+        check = self._check_deadline
         for c in candidates:
+            check()
             while c.live:
                 partner = next((d for d in self._partners(c) if d.cid < c.cid),
                                None)

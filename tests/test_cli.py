@@ -275,8 +275,9 @@ def test_bench_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4  # 2 instances x 2 variants
     assert set(rows[0]) == {"instance", "variant", "optimum", "branches",
-                            "time_ms", "r1", "r2", "r3", "r4", "r5", "r6",
-                            "status"}
+                            "nodes", "pruned", "peak_depth", "greedy_ub",
+                            "start_ub", "time_ms", "r1", "r2", "r3", "r4",
+                            "r5", "r6", "status"}
     by_instance = {}
     for row in rows:
         assert row["status"] == "optimal"
@@ -304,8 +305,8 @@ def test_bench_stable_columns(tmp_path):
         assert main(["bench", str(manifest), "--variants", "12,z",
                      "--out", str(out_csv)]) == 0
         rows = list(csv.DictReader(open(out_csv)))
-        csvs.append([(r["instance"], r["variant"], r["optimum"], r["branches"])
-                     for r in rows])
+        csvs.append([(r["instance"], r["variant"], r["optimum"], r["branches"],
+                      r["nodes"]) for r in rows])
     assert csvs[0] == csvs[1]
 
 

@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxsat import Formula
+import maxsat
+from maxsat import Formula, SolverConfig, underestimation
 from maxsat.formula import normalize_lits
+from maxsat.rules import MandatoryConflictError
 from maxsat.oracle import _cost_vector
 
 from formulas import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
@@ -349,3 +351,157 @@ def test_interleaved_operations_fuzz(rng):
             assert f.as_multiset() == multiset
             assert f.empty_weight == empty
             f.audit()
+
+
+class ReferenceKernelFormula(Formula):
+    """Reference kernels: the earlier ``assign_literal`` and ``undo_to``,
+    kept verbatim, which make one ``remove_clause``/``hide_literal`` call
+    per clause and one ``_resize`` call per undone record."""
+
+    def assign_literal(self, lit: int) -> None:
+        n = self.num_vars
+        v = abs(lit)
+        if not 0 < v <= n:
+            raise ValueError(f"literal {lit} out of range 1..{n}")
+        if v in self.assignment:
+            raise ValueError(f"variable {v} is already assigned")
+        for c in self.occ[lit + n]:
+            if c.live:
+                self.remove_clause(c)
+        nl = -lit
+        for c in self.occ[nl + n]:
+            if c.live:
+                self.hide_literal(c, nl)
+        self.assignment[v] = lit > 0
+        self.trail.append(("assign", v))
+
+    def undo_to(self, mark: int) -> None:
+        trail = self.trail
+        while len(trail) > mark:
+            rec = trail.pop()
+            op = rec[0]
+            if op == "rm":
+                c = rec[1]
+                c.live = True
+                self._resize(c, 0, c.size)
+            elif op == "hide":
+                _, c, i = rec
+                last = c.size
+                # lits[last] is still the hidden literal
+                self._resize(c, last, last + 1)
+                c.size = last + 1
+                c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
+            elif op == "empty":
+                self.empty_weight -= rec[1]
+            elif op == "add":
+                c = rec[1]
+                self.slots.pop()
+                c.live = False
+                self._resize(c, c.size, 0)
+                n = self.num_vars
+                for lit in c.lits:
+                    self.occ[lit + n].pop()
+            elif op == "wt":
+                _, c, old = rec
+                self._bump_counts(c, old - c.weight)
+                c.weight = old
+            elif op == "assign":
+                del self.assignment[rec[1]]
+            else:  # pragma: no cover
+                raise AssertionError(f"unknown trail op {op}")
+
+
+def _kernel_state(f):
+    """Everything the kernels write, with clauses named by slot id: the
+    six counts, lit_count, empty_weight, the trail and the unit registry
+    in order (the order Q1 reads), and every slot's literals."""
+    def name(item):
+        return item.cid if isinstance(item, maxsat.Clause) else item
+    return ([f.pos1, f.pos2, f.pos3, f.neg1, f.neg2, f.neg3],
+            f.lit_count, f.empty_weight,
+            [tuple(name(x) for x in rec) for rec in f.trail],
+            [c.cid for c in f.units],
+            [(c.lits, c.size, c.live, c.weight) for c in f.slots],
+            f.assignment)
+
+
+def _outcome(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return ("ok", call())
+    except (ValueError, MandatoryConflictError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_kernels_match_reference_kernels(data):
+    # the same edit sequence through the in-line kernels and the reference
+    # ones leaves the same state after every step, the registry order
+    # included, which audit() compares only as a set; a direct hide makes
+    # an assignment meet a clause whose literal is gone, so the kernels'
+    # ValueErrors are compared too
+    n = data.draw(st.integers(2, 7), label="n")
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(lit, min_size=1, max_size=5, unique_by=abs)
+    clauses = data.draw(st.lists(clause, min_size=1, max_size=14),
+                        label="clauses")
+    top = data.draw(st.sampled_from([None, 40]), label="top")
+    weights = data.draw(st.lists(st.sampled_from([1, 2, 3, 40]),
+                                 min_size=len(clauses), max_size=len(clauses)),
+                        label="weights")
+    if top is None:
+        weights = [min(w, 3) for w in weights]
+    pair = [cls.from_clauses(n, clauses, weights=weights, top=top)
+            for cls in (Formula, ReferenceKernelFormula)]
+    marks = []
+    ops = ["assign", "assign", "assign", "remove", "reduce", "add", "hide",
+           "bound", "mark", "undo"]
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        op = data.draw(st.sampled_from(ops), label="op")
+        f = pair[0]
+        live = [c.cid for c in f.clauses()]
+        if op == "assign":
+            a = data.draw(lit, label="literal")
+            outs = [_outcome(lambda g=g: g.assign_literal(a)) for g in pair]
+        elif op == "remove" and live:
+            i = data.draw(st.sampled_from(live), label="clause")
+            outs = [_outcome(lambda g=g: g.remove_clause(g.slots[i]))
+                    for g in pair]
+        elif op == "reduce" and live:
+            i = data.draw(st.sampled_from(live), label="clause")
+            d = data.draw(st.sampled_from([1, 2, 40]), label="by")
+            outs = [_outcome(lambda g=g: g.reduce_weight(g.slots[i], d))
+                    for g in pair]
+        elif op == "add":
+            lits = data.draw(clause, label="added")
+            w = data.draw(st.sampled_from([1, 2]), label="weight")
+            outs = [_outcome(lambda g=g: g.add_clause(list(lits), w,
+                                                      on_trail=True).cid)
+                    for g in pair]
+        elif op == "hide" and live:
+            i = data.draw(st.sampled_from(live), label="clause")
+            x = data.draw(st.sampled_from(f.slots[i].active()), label="hidden")
+            outs = [_outcome(lambda g=g: g.hide_literal(g.slots[i], x))
+                    for g in pair]
+        elif op == "bound":
+            ub = data.draw(st.sampled_from([3, 1000]), label="ub")
+            variant = data.draw(st.sampled_from(["0", "z"]), label="variant")
+            outs = [_outcome(lambda g=g: underestimation(
+                g, ub, SolverConfig.variant(variant))) for g in pair]
+        elif op == "mark":
+            marks.append(f.mark())
+            continue
+        elif op == "undo" and marks:
+            m = marks.pop()
+            outs = [_outcome(lambda g=g: g.undo_to(m)) for g in pair]
+        else:
+            continue
+        assert outs[0] == outs[1], op
+        assert _kernel_state(pair[0]) == _kernel_state(pair[1]), op
+        pair[0].audit()
+    for g in pair:
+        g.undo_to(0)
+    assert _kernel_state(pair[0]) == _kernel_state(pair[1])
+    assert pair[0].as_multiset() == Formula.from_clauses(
+        n, clauses, weights=weights, top=top).as_multiset()

@@ -319,6 +319,24 @@ def test_solve_timeout_holds_during_greedy_bound():
         assert elapsed <= limit + 0.3, f"{variant} stopped after {elapsed:.2f} s"
 
 
+def test_solve_timeout_holds_at_the_root_node():
+    # under z the root node's first rule-1 pass and its underestimation
+    # each take a large share of the greedy bound's time on this instance,
+    # so a limit just above the greedy time falls inside the root node.
+    # Both check the deadline as they go; the slack is the greedy test's
+    f = gen_random_maxksat(1000, 20000, 2, 1)
+    start = time.monotonic()
+    initial_upper_bound(f)
+    limit = 1.05 * (time.monotonic() - start)
+    start = time.perf_counter()
+    res = solve(f, SolverConfig.variant("z"), timeout=limit)
+    elapsed = time.perf_counter() - start
+    assert res.status == TIMED_OUT
+    assert f.cost(res.best_assignment) == res.optimum
+    assert elapsed <= limit + 0.3, \
+        f"stopped after {elapsed:.2f} s with a {limit:.2f} s limit"
+
+
 def test_solve_timeout_holds_during_repair(monkeypatch):
     # a hard unit pair leaves no feasible assignment, so the repair would
     # take all its flips, each scanning 100,000 scores. The greedy bound is

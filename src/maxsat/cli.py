@@ -21,7 +21,7 @@ from .solver import MANDATORY_CONFLICT, OPTIMAL, TIMED_OUT, solve
 # the search counters and bounds of SearchStats, so a regression can be
 # read from a run's CSV without running it again
 STATS_COLUMNS = ["branches", "nodes", "pruned", "peak_depth", "greedy_ub",
-                 "start_ub"]
+                 "start_ub", "root_lb"]
 CSV_COLUMNS = ["instance", "variant", "optimum", *STATS_COLUMNS, "time_ms",
                *RULE_IDS, "status"]
 

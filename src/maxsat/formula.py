@@ -318,8 +318,8 @@ class Formula:
         append(("assign", v))
 
     # temporary removal used by the lower-bound computation; not trailed.
-    # Only the live flags flip: a detached clause stays in the weight sums,
-    # lit_count and the unit registry, which propagation does not read, so
+    # A detached clause leaves the unit registry, which propagation reads,
+    # but stays in the weight sums and lit_count, which it does not, so
     # audit() holds only while nothing is detached. Trail operations may
     # run in between; the caller reattaches before anything reads counts.
     def detach_clause(self, clauses) -> None:
@@ -328,12 +328,15 @@ class Formula:
         for c in clauses:
             if not c.live:
                 raise ValueError(f"clause {c.cid} is not live")
+        units = self.units
         for c in clauses:
             c.live = False
+            if c.size == 1:
+                del units[c]
 
     def attach_clause(self, clauses) -> None:
-        """Bring back a sequence of detached clauses. Units go to the end
-        of the registry in sequence order, where unregistering and
+        """Bring back a sequence of detached clauses. Units go back to the
+        end of the registry in sequence order, where unregistering and
         registering them again would put them."""
         for c in clauses:
             if c.live:
@@ -342,7 +345,7 @@ class Formula:
         for c in clauses:
             c.live = True
             if c.size == 1:
-                units[c] = units.pop(c)
+                units[c] = None
 
     # ---------- trail ----------
 

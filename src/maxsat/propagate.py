@@ -16,7 +16,6 @@ subsets toward containing few original unit clauses.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from .formula import Clause, Formula
@@ -40,7 +39,9 @@ class ImplicationGraph:
     a node's incoming edges come from the negations of the reason's other
     literals, so they are derived, not stored. A graph is therefore valid
     only until one of its reason clauses changes: a rule fires on it or an
-    assignment hides one of its literals.
+    assignment hides one of its literals. A conflict-free graph is the
+    complete propagation; a conflict graph holds the nodes taken before
+    the conflict was determined, then the conflicting pair.
     """
 
     def __init__(self):
@@ -67,15 +68,34 @@ class ImplicationGraph:
 
 
 def build_implication_graph(formula: Formula) -> ImplicationGraph:
-    """One construction pass; stops at the first complementary node pair.
+    """One construction pass; stops as soon as its conflict is determined.
 
-    A binary clause forces its other literal as soon as one of its
-    literals is falsified. Longer clauses count their falsified literals
-    in the ``nfalse``/``stamp`` scratch fields. Q2 may hold a literal
-    twice; Q2 is FIFO and is drained before Q1 is touched, so the first
-    entry becomes the node and a later one is skipped when popped. A
-    complementary unit pair is an ordinary conflict: each side is one
-    unit clause.
+    Units seed the graph from Q1 in registry order; Q2 holds the literals
+    forced since, and Q1 is read only while Q2 is empty. A binary clause
+    forces its other literal as soon as one of its literals is falsified;
+    longer clauses count their falsified literals in the ``nfalse`` /
+    ``stamp`` scratch fields. ``queued`` maps every literal ever seeded or
+    queued to its reason, so each literal is queued at most once, with its
+    first reason. A forced literal that is already queued, or whose
+    negation is already a node, is skipped. A seeded unit whose negation
+    is a node is a conflict (so a complementary unit pair is an ordinary
+    conflict, each side one unit clause). A forced literal ``r`` whose
+    negation is queued but not yet a node ends the pass: ``-r`` becomes a
+    node with its queued reason, then ``r`` with the forcing clause, and
+    the conflict is ``(r, -r)``.
+
+    This is the graph of the pass that checks for conflicts only when it
+    takes a literal off a queue, cut short. Q2 is FIFO and Q1 waits while
+    Q2 holds anything, so literals leave Q2 in the order they entered it,
+    each with its first reason; a literal queued while its negation waits
+    would be found in conflict when it is taken, and no earlier take can
+    conflict, since a conflict at a take means the negation was already
+    waiting at the literal's push. So the same pair is found, with the
+    same two reasons, and the nodes are that pass's nodes up to the push
+    followed by ``-r, r``. `_closure`, `extract_inconsistent_subset` and
+    `classify_conflict` read only reasons reachable from the pair, so the
+    subset and the rule are the same; a conflict-free pass builds exactly
+    the same graph.
     """
     occ = formula.occ
     n = formula.num_vars
@@ -83,56 +103,56 @@ def build_implication_graph(formula: Formula) -> ImplicationGraph:
     stamp = formula.prop_stamp
     g = ImplicationGraph()
     nodes = g.nodes
-    q1 = list(formula.units)    # only units; detached ones are not live
-    q2: deque = deque()
-    i1 = 0
-    n1 = len(q1)
-    while True:
-        if q2:
-            lit, reason = q2.popleft()
-            if lit in nodes:
-                continue
-            nodes[lit] = reason
-        elif i1 < n1:
-            c = q1[i1]
-            i1 += 1
-            if not c.live:
-                continue
-            lit = c.lits[0]
-            if lit in nodes:
-                continue
-            nodes[lit] = c
-        else:
-            return g
-        if -lit in nodes:
+    queued: dict[int, Clause] = {}
+    # the registry holds only live units; propagation does not edit it
+    for unit in formula.units:
+        lit = unit.lits[0]
+        if lit in queued:
+            continue
+        if -lit in queued:      # Q2 is empty: every queued literal is a node
+            nodes[lit] = unit
             g.conflict = (lit, -lit)
             return g
-        # every clause holding -lit loses one candidate literal
-        nl = -lit
-        for c in occ[n + nl]:
-            if not c.live:
-                continue
-            k = c.size
-            if k == 2:
-                lits = c.lits
-                r = lits[1] if lits[0] == nl else lits[0]
-                # -r already a node: this binary was met from -r before
-                if r not in nodes and -r not in nodes:
-                    q2.append((r, c))
-            elif k > 2:
-                if c.stamp != stamp:
-                    c.stamp = stamp
-                    c.nfalse = 1
+        queued[lit] = unit
+        q2 = [lit]
+        # Q2: the loop takes the literals appended while it runs, in order
+        for lit in q2:
+            nodes[lit] = queued[lit]
+            # every clause holding -lit loses one candidate literal
+            nl = -lit
+            for c in occ[n + nl]:
+                if not c.live:
                     continue
-                c.nfalse += 1
-                if c.nfalse == k - 1:
-                    r = 0
-                    for x in c.lits[:k]:
-                        if -x not in nodes:
-                            r = x
+                k = c.size
+                if k == 2:
+                    lits = c.lits
+                    r = lits[1] if lits[0] == nl else lits[0]
+                elif k > 2:
+                    if c.stamp != stamp:
+                        c.stamp = stamp
+                        c.nfalse = 1
+                        continue
+                    c.nfalse += 1
+                    if c.nfalse != k - 1:
+                        continue
+                    # the one literal whose negation is not a node
+                    for r in c.lits[:k]:
+                        if -r not in nodes:
                             break
-                    if r and r not in nodes:
-                        q2.append((r, c))
+                else:           # the unit -lit: Q1 meets it
+                    continue
+                if r in queued:
+                    continue
+                if -r in queued:
+                    if -r in nodes:
+                        continue
+                    nodes[-r] = queued[-r]
+                    nodes[r] = c
+                    g.conflict = (r, -r)
+                    return g
+                queued[r] = c
+                q2.append(r)
+    return g
 
 
 @dataclass

@@ -37,6 +37,8 @@ class SearchStats:
     # cost of the greedy incumbent, and of the one the search starts from
     greedy_ub: int = 0
     start_ub: int = 0
+    # the root node's lower bound, at most start_ub (see Solver._search)
+    root_lb: int = 0
     rule_apps: dict[str, int] = field(
         default_factory=lambda: {r: 0 for r in RULE_IDS})
 
@@ -49,6 +51,7 @@ class SearchStats:
             "elapsed_ms": round(self.elapsed * 1000, 3),
             "greedy_ub": self.greedy_ub,
             "start_ub": self.start_ub,
+            "root_lb": self.root_lb,
         }
         for r in RULE_IDS:
             out[r] = self.rule_apps[r]
@@ -255,6 +258,7 @@ class Solver:
             self.ub, self.incumbent = repair_incumbent(f, greedy, greedy_ub,
                                                        self.deadline)
             self.stats.start_ub = self.ub
+            self.stats.root_lb = min(f.empty_weight, self.ub)
             if self.ub > f.empty_weight:
                 self._search(0, [])
         except SearchTimeout:
@@ -280,7 +284,16 @@ class Solver:
     # ---------- search ----------
 
     def _search(self, depth: int, prior: list) -> None:
-        """One node; ``prior``: the subsets the parent's bound set aside."""
+        """One node; ``prior``: the subsets the parent's bound set aside.
+
+        The root records ``stats.root_lb``: its empty weight after
+        simplifying, raised to empty weight plus underestimation once the
+        bound is computed, and capped at the upper bound. The simplify
+        rules and the bound keep every assignment cheaper than the upper
+        bound, so the capped value never exceeds the optimum, even where
+        the raw one does (the empty-unit rule may fix a variable against
+        the optimal assignment when that assignment costs exactly ub).
+        """
         stats = self.stats
         stats.nodes += 1
         if depth > stats.peak_depth:
@@ -291,7 +304,10 @@ class Solver:
         r1_mark = self.r1_mark
         try:
             try:
-                if not self._simplify():
+                alive = self._simplify()
+                if depth == 0:
+                    stats.root_lb = min(f.empty_weight, self.ub)
+                if not alive:
                     stats.pruned += 1
                     return
                 if f.lit_count == 0:
@@ -309,6 +325,8 @@ class Solver:
                 stats.pruned += 1
                 return
             lb = f.empty_weight + u  # read after the rules have fired
+            if depth == 0:
+                stats.root_lb = min(lb, self.ub)
             if lb >= self.ub:
                 stats.pruned += 1
                 return

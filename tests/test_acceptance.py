@@ -36,8 +36,9 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def corpus_results():
-    """Criterion 3/4 corpus: per instance the oracle optimum and the
-    optimum/status from all four solver variants."""
+    """Criterion 3/4 corpus: per instance the oracle optimum, the
+    optimum/status from all four solver variants and each variant's
+    ``root_lb``."""
     instances = []
     for i in range(100):
         instances.append((f"2sat-60-{i}", gen_random_maxksat(15, 60, 2, 10_000 + i)))
@@ -58,10 +59,12 @@ def corpus_results():
     for name, formula in instances:
         expected = brute_force_optimum(formula)[0]
         per_variant = {}
+        root_lbs = {}
         for variant in VARIANTS:
             res = solve(formula.copy(), CONFIGS[variant])
             per_variant[variant] = (res.optimum, res.status)
-        results.append((name, expected, per_variant))
+            root_lbs[variant] = res.stats.root_lb
+        results.append((name, expected, per_variant, root_lbs))
     return results
 
 
@@ -137,7 +140,7 @@ def test_criterion_2_worked_examples():
 
 
 def test_criterion_3_oracle_agreement(corpus_results):
-    bad = [name for name, expected, per_variant in corpus_results
+    bad = [name for name, expected, per_variant, _ in corpus_results
            if per_variant["z"] != (expected, "optimal")]
     report(3, not bad,
            f"{len(corpus_results)} instances solved at variant z against the "
@@ -145,7 +148,7 @@ def test_criterion_3_oracle_agreement(corpus_results):
 
 
 def test_criterion_4_variant_agreement(corpus_results):
-    bad = [name for name, expected, per_variant in corpus_results
+    bad = [name for name, expected, per_variant, _ in corpus_results
            if len({per_variant[v] for v in VARIANTS}) != 1]
     report(4, not bad,
            f"all four variants agree on {len(corpus_results)} instances; "
@@ -167,6 +170,14 @@ def test_criterion_5_lower_bound_admissibility():
     report(5, bad == 0,
            f"500 random formulas x 4 variants, root lower bound inadmissible "
            f"in {bad} cases")
+
+
+def test_criterion_5_root_lb_admissibility(corpus_results):
+    bad = [(name, variant) for name, expected, _, root_lbs in corpus_results
+           for variant, lb in root_lbs.items() if lb > expected]
+    report(5, not bad,
+           f"{len(corpus_results)} instances x 4 variants, root_lb above the "
+           f"oracle optimum: {bad or 'none'}")
 
 
 def test_criterion_6_maxcut_correspondence():

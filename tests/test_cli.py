@@ -46,6 +46,8 @@ def test_solve_stats_lines(tmp_path, capsys):
     assert "branches=" in out and "r3=" in out
     # no TOP, so the search starts from the greedy incumbent
     assert "greedy_ub=3\n" in out and "start_ub=3\n" in out
+    # the root's bound is the optimum, so the root is pruned
+    assert "root_lb=3\n" in out
     # the greedy incumbent breaks the hard unit; the repair starts the
     # search from a cost-0 assignment
     path = tmp_path / "repair.wcnf"
@@ -53,6 +55,8 @@ def test_solve_stats_lines(tmp_path, capsys):
     assert main(["solve", str(path), "--stats"]) == 0
     out = capsys.readouterr().out
     assert "greedy_ub=10\n" in out and "start_ub=0\n" in out
+    # no search: the root's empty weight
+    assert "root_lb=0\n" in out
 
 
 def test_solve_seedcheck(tmp_path, capsys):
@@ -276,7 +280,7 @@ def test_bench_csv(tmp_path):
     assert len(rows) == 4  # 2 instances x 2 variants
     assert set(rows[0]) == {"instance", "variant", "optimum", "branches",
                             "nodes", "pruned", "peak_depth", "greedy_ub",
-                            "start_ub", "time_ms", "r1", "r2", "r3", "r4",
+                            "start_ub", "root_lb", "time_ms", "r1", "r2", "r3", "r4",
                             "r5", "r6", "status"}
     by_instance = {}
     for row in rows:

@@ -77,7 +77,9 @@ def test_graph_reasons_force_their_nodes():
         assert lit in active
         assert all(-x in earlier for x in active if x != lit), lit
         earlier.add(lit)
-    assert len(g.nodes) == 9
+    # the pass stops when -7 is forced while 7 waits in Q2, before the
+    # bystander 8 is taken
+    assert list(g.nodes) == [1, 2, 3, 4, 5, 6, 7, -7]
 
 
 def test_graph_audit_rejects_missing_predecessor():
@@ -438,23 +440,77 @@ def graph_signature(g):
     return (order, preds, {lit: c.cid for lit, c in g.nodes.items()}, g.conflict)
 
 
+def assert_same_pass(g, ref) -> bool:
+    """The solver's pass against the reference pass on the same state.
+
+    A conflict-free graph is the reference graph exactly. A conflict graph
+    has the same conflict and the same two sides, subset and side reasons;
+    its nodes are the reference's up to the push that determined the
+    conflict, followed by ``conflict[1], conflict[0]``, or all of the
+    reference's when a unit taken from Q1 met its negation. Returns
+    whether the pass stopped before the reference did."""
+    g.audit()
+    if ref.conflict is None:
+        assert graph_signature(g) == graph_signature(ref)
+        return False
+    assert g.conflict == ref.conflict
+    sides = []
+    for graph in (g, ref):
+        a = extract_inconsistent_subset(graph)
+        sides.append((a.s_lit, a.s_neg, [c.cid for c in a.subset],
+                      {v: graph.nodes[v].cid for v in a.s_lit + a.s_neg}))
+    assert sides[0] == sides[1]
+    order = list(g.nodes)
+    lit, nlit = g.conflict
+    if g.predecessors(lit):
+        assert order == ref.order[:len(order) - 2] + [nlit, lit]
+    else:
+        assert order == ref.order
+    return len(order) < len(ref.order)
+
+
+def reference_pair(n, clauses, weights, top, assign, detach):
+    """The solver's graph and the reference graph of one state, each built
+    after detaching the clauses in the slots listed in ``detach``."""
+    graphs = []
+    for reference in (False, True):
+        f = state_formula(n, clauses, weights, top, assign)
+        with reference_semantics() if reference else nullcontext():
+            f.detach_clause([f.slots[i] for i in sorted(detach)
+                             if f.slots[i].live])
+            graphs.append(propagate.build_implication_graph(f))
+    return graphs
+
+
 EXACTNESS = settings(max_examples=400, deadline=None, derandomize=True)
 
 
 @EXACTNESS
 @given(weighted_states())
 def test_propagate_matches_counter_only_reference(state):
-    n, clauses, weights, top, assign, detach = state
-    sides = []
-    for reference in (False, True):
-        f = state_formula(n, clauses, weights, top, assign)
-        with reference_semantics() if reference else nullcontext():
-            f.detach_clause([f.slots[i] for i in sorted(detach)
-                             if f.slots[i].live])
-            g = propagate.build_implication_graph(f)
-        g.audit()
-        sides.append(graph_signature(g))
-    assert sides[0] == sides[1]
+    assert_same_pass(*reference_pair(*state))
+
+
+def test_propagate_stops_early_with_the_reference_conflict(rng):
+    # conflict-rich states: mostly units and binaries over few variables,
+    # some ternaries, assignments and detached clauses
+    early = conflicts = 0
+    for _ in range(1500):
+        n = rng.randint(3, 9)
+        clauses = [[v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, n + 1), k)]
+                   for k in [1] * rng.randint(1, 3) + [2] * rng.randint(n, 3 * n)
+                   + [3] * rng.randint(0, 3)]
+        rng.shuffle(clauses)
+        weights = [rng.randint(1, 4) for _ in clauses]
+        assign = [v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, n + 1), rng.randint(0, 2))]
+        detach = set(rng.sample(range(len(clauses)),
+                                rng.randint(0, len(clauses) // 5)))
+        g, ref = reference_pair(n, clauses, weights, None, assign, detach)
+        early += assert_same_pass(g, ref)
+        conflicts += g.conflict is not None
+    assert early >= 100 and conflicts > early, (early, conflicts)
 
 
 @EXACTNESS

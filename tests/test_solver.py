@@ -587,6 +587,29 @@ def test_stats_counters_monotone_and_populated():
                 "r1", "r2", "r3", "r4", "r5", "r6")) <= set(d)
 
 
+def test_root_lb_is_capped_at_the_upper_bound(monkeypatch):
+    # the greedy incumbent is optimal (cost 9), so the empty-unit rule
+    # fixes x5 False at the root against the only optimal assignment; the
+    # root's bound then reads 12 on the rest, and root_lb keeps ub
+    f = build(5, [[-5], [-4, -1], [2, -1], [5, -2], [5, 1, -2], [-2, 4, -1],
+                  [4, 1, -3], [2, 1, 5], [2], [-3], [2, -5], [5, -4], [4, 5],
+                  [2, -1], [4, -5, -3]],
+              weights=[9, 7, 8, 7, 6, 9, 6, 1, 7, 7, 1, 5, 8, 7, 7])
+    inner = solver_mod.underestimation
+    bounds = []
+
+    def spy(formula, *args, **kwargs):
+        u = inner(formula, *args, **kwargs)
+        bounds.append(formula.empty_weight + u)
+        return u
+
+    monkeypatch.setattr(solver_mod, "underestimation", spy)
+    stats = solve(f, SolverConfig.variant("0")).stats
+    assert brute_force_optimum(f)[0] == 9
+    assert bounds == [12]
+    assert (stats.start_ub, stats.root_lb) == (9, 9)
+
+
 def _over_constrained_instances():
     """40 weighted formulas whose TOP ternaries often leave no feasible
     assignment, so rules meet all-mandatory patterns below the root."""

@@ -86,6 +86,13 @@ class Formula:
         # the (pos, neg) counts of each size bucket, by min(size, 3)
         self._buckets = (None, (self.pos1, self.neg1), (self.pos2, self.neg2),
                          (self.pos3, self.neg3))
+        # the pair index, None unless a search has built it (see
+        # build_pair_index): sorted literal pair -> the clauses that were
+        # binaries with that pair, and the log of the binaries trailed
+        # edits made since the build, as (record position, clause, list)
+        self.pairs: dict[tuple[int, int], list[Clause]] | None = None
+        self.pair_log: list[tuple[int, Clause, list[Clause]]] = []
+        self.pairs_base = 0  # trail length at the build
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses, weights=None,
@@ -103,12 +110,6 @@ class Formula:
 
     # ---------- count bookkeeping ----------
 
-    def _bump_counts(self, c: Clause, d: int) -> None:
-        """Add d to the counts of c's active literals in its size bucket:
-        a weight edit stays in its bucket."""
-        k = c.size
-        _shift(self._buckets[k if k < 3 else 3], c.lits[:k], d)
-
     def _resize(self, c: Clause, old: int, new: int) -> None:
         """Account for c's active length going from old to new literals,
         0 standing for not counted (removed, or not added yet).
@@ -117,8 +118,9 @@ class Formula:
         the new one, so a 2->1 hide touches three counters. Only a clause
         that stops or starts being a unit leaves or enters the unit
         registry, so no other unit changes its position there.
-        ``assign_literal`` and ``undo_to`` do the same arithmetic in line
-        for the clauses they remove, hide and restore.
+        ``hide_literal`` calls it; every other edit and ``undo_to`` do the
+        same arithmetic in line, since a call per clause cost more than
+        the arithmetic itself.
         """
         w = c.weight
         lits = c.lits
@@ -142,23 +144,37 @@ class Formula:
         adds before any trailed one."""
         if not lits:
             raise ValueError("empty clauses are tracked via empty_weight")
-        seen = set()
-        for lit in lits:
-            v = abs(lit)
-            if lit == 0 or v > self.num_vars:
-                raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
-            if lit in seen or -lit in seen:
-                raise ValueError(f"duplicate or clashing literal {lit} in clause")
-            seen.add(lit)
+        n = self.num_vars
+        vs = {abs(lit) for lit in lits}
+        if 0 in vs or max(vs) > n or len(vs) != len(lits):
+            # an error is certain: find the first, in literal order
+            seen = set()
+            for lit in lits:
+                if lit == 0 or abs(lit) > n:
+                    raise ValueError(f"literal {lit} out of range 1..{n}")
+                if lit in seen or -lit in seen:
+                    raise ValueError(
+                        f"duplicate or clashing literal {lit} in clause")
+                seen.add(lit)
         if weight < 1:
             raise ValueError("clause weight must be >= 1")
         c = Clause(lits, weight, len(self.slots))
         self.slots.append(c)
-        n = self.num_vars
-        for lit in lits:
-            self.occ[lit + n].append(c)
-        self._resize(c, 0, c.size)
+        occ = self.occ
+        k = len(lits)
+        pos, neg = self._buckets[k if k < 3 else 3]
+        for x in lits:
+            occ[x + n].append(c)
+            if x > 0:
+                pos[x] += weight
+            else:
+                neg[-x] += weight
+        self.lit_count += k
+        if k == 1:
+            self.units[c] = None
         if on_trail:
+            if k == 2 and self.pairs is not None:
+                self._log_binary(c, len(self.trail))
             self.trail.append(("add", c))
         return c
 
@@ -166,7 +182,17 @@ class Formula:
         if not c.live:
             raise ValueError(f"clause {c.cid} is not live")
         c.live = False
-        self._resize(c, c.size, 0)
+        k = c.size
+        w = c.weight
+        pos, neg = self._buckets[k if k < 3 else 3]
+        for x in c.lits[:k]:
+            if x > 0:
+                pos[x] -= w
+            else:
+                neg[-x] -= w
+        if k == 1:
+            self.units.pop(c, None)
+        self.lit_count -= k
         self.trail.append(("rm", c))
 
     def hide_literal(self, c: Clause, lit: int) -> None:
@@ -186,6 +212,8 @@ class Formula:
         c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
         c.size = last
         self._resize(c, last + 1, last)
+        if last == 2 and self.pairs is not None:
+            self._log_binary(c, len(self.trail))
         self.trail.append(("hide", c, i))
 
     def add_empty(self, weight: int, *, on_trail: bool = False) -> None:
@@ -208,7 +236,15 @@ class Formula:
         if new == 0:
             self.remove_clause(c)
             return
-        self._bump_counts(c, new - old)
+        # the clause stays in its size bucket
+        d = new - old
+        k = c.size
+        pos, neg = self._buckets[k if k < 3 else 3]
+        for x in c.lits[:k]:
+            if x > 0:
+                pos[x] += d
+            else:
+                neg[-x] += d
         c.weight = new
         self.trail.append(("wt", c, old))
 
@@ -222,7 +258,8 @@ class Formula:
         those of ``remove_clause`` on each satisfied clause and then
         ``hide_literal(c, -lit)`` on each shrunk one, in occurrence-list
         order, but the counts are updated in these loops: a helper call
-        per clause cost more than the count arithmetic itself."""
+        per clause cost more than the count arithmetic itself. A 3->2 hide
+        enters the pair index when it exists."""
         n = self.num_vars
         v = abs(lit)
         if not 0 < v <= n:
@@ -309,6 +346,8 @@ class Formula:
                             else:
                                 neg3[-x] -= w
                                 neg2[-x] += w
+                        if self.pairs is not None:
+                            self._log_binary(c, len(self.trail))
                 dropped += 1
                 append(("hide", c, i))
         finally:
@@ -353,13 +392,20 @@ class Formula:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
-        """Pop trail records down to ``mark``, newest first. An ``"rm"`` or
-        ``"hide"`` record updates the counts in line, as ``_resize`` would:
-        they are most of the trail, and a call per record cost more than
-        its arithmetic."""
+        """Pop trail records down to ``mark``, newest first. Every record
+        updates the counts in line, as ``_resize`` would: a call per record
+        cost more than its arithmetic. An undo below the pair index's build
+        point drops the index; above it, an ``"add"`` of a binary and a
+        ``"hide"`` back to three literals pop their log entry and the
+        clause's entry in the index."""
+        if self.pairs is not None and mark < self.pairs_base:
+            self.drop_pair_index()
+        pairs = self.pairs
+        log = self.pair_log
         trail = self.trail
         pop = trail.pop
         units = self.units
+        buckets = self._buckets
         pos1, pos2, pos3 = self.pos1, self.pos2, self.pos3
         neg1, neg2, neg3 = self.neg1, self.neg2, self.neg3
         restored = 0  # active literals back, for lit_count
@@ -418,6 +464,8 @@ class Formula:
                                 else:
                                     neg2[-x] -= w
                                     neg3[-x] += w
+                            if pairs is not None:
+                                log.pop()[2].pop()
                         if h > 0:
                             pos3[h] += w
                         else:
@@ -431,13 +479,35 @@ class Formula:
                     c = rec[1]
                     self.slots.pop()
                     c.live = False
-                    self._resize(c, c.size, 0)
+                    k = c.size
+                    w = c.weight
+                    lits = c.lits
+                    pos, neg = buckets[k if k < 3 else 3]
+                    for x in lits[:k]:
+                        if x > 0:
+                            pos[x] -= w
+                        else:
+                            neg[-x] -= w
+                    if k == 1:
+                        units.pop(c, None)
+                    elif k == 2 and pairs is not None:
+                        log.pop()[2].pop()
+                    restored -= k
                     n = self.num_vars
-                    for lit in c.lits:
-                        self.occ[lit + n].pop()
+                    occ = self.occ
+                    for x in lits:
+                        occ[x + n].pop()
                 elif op == "wt":
                     _, c, old = rec
-                    self._bump_counts(c, old - c.weight)
+                    # the clause stays in its size bucket
+                    d = old - c.weight
+                    k = c.size
+                    pos, neg = buckets[k if k < 3 else 3]
+                    for x in c.lits[:k]:
+                        if x > 0:
+                            pos[x] += d
+                        else:
+                            neg[-x] += d
                     c.weight = old
                 elif op == "assign":
                     del self.assignment[rec[1]]
@@ -445,6 +515,62 @@ class Formula:
                     raise AssertionError(f"unknown trail op {op}")
         finally:
             self.lit_count += restored
+
+    # ---------- pair index ----------
+
+    def build_pair_index(self) -> list[Clause]:
+        """Index the live binaries by their sorted literal pair, start an
+        empty log at the current trail length, and return those binaries
+        in slot order.
+
+        Until the index is dropped, every trailed edit that makes a binary
+        (an ``"add"`` of a 2-literal clause, a 3->2 hide) appends the
+        clause to its pair's list and logs it, and the undo of that record
+        pops both. A clause that dies or shrinks to a unit stays listed, so
+        a reader skips entries by ``live`` and ``size``; a live binary is
+        always listed under its own pair and no other (``audit`` checks
+        it). Untrailed adds are not indexed, so a formula is built before
+        its index, and an undo below the build point drops the index."""
+        pairs: dict[tuple[int, int], list[Clause]] = {}
+        out = []
+        for c in self.slots:
+            if c.live and c.size == 2:
+                x, y = c.lits[0], c.lits[1]
+                key = (x, y) if x < y else (y, x)
+                lst = pairs.get(key)
+                if lst is None:
+                    pairs[key] = lst = []
+                lst.append(c)
+                out.append(c)
+        self.pairs = pairs
+        self.pair_log = []
+        self.pairs_base = len(self.trail)
+        return out
+
+    def drop_pair_index(self) -> None:
+        self.pairs = None
+        self.pair_log = []
+
+    def _log_binary(self, c: Clause, pos: int) -> None:
+        """Enter c, a binary made by the trail record at ``pos``, in the
+        pair index and its log."""
+        x, y = c.lits[0], c.lits[1]
+        key = (x, y) if x < y else (y, x)
+        lst = self.pairs.get(key)
+        if lst is None:
+            self.pairs[key] = lst = []
+        lst.append(c)
+        self.pair_log.append((pos, c, lst))
+
+    def binaries_since(self, mark: int) -> list[Clause]:
+        """The clauses the trail records from ``mark`` on made binaries,
+        oldest first; they may have died or shrunk since. ``mark`` must
+        not lie below the index's build point."""
+        log = self.pair_log
+        i = len(log)
+        while i and log[i - 1][0] >= mark:
+            i -= 1
+        return [c for _, c, _ in log[i:]]
 
     # ---------- queries ----------
 
@@ -489,7 +615,8 @@ class Formula:
 
     def audit(self) -> None:
         """Full-scan consistency check of counts, units and occurrence lists,
-        and of the slot order of every occurrence list."""
+        of the slot order of every occurrence list, and of the pair index
+        when one exists."""
         z = self.num_vars + 1
         exp = {name: [0] * z for name in ("pos1", "pos2", "pos3", "neg1", "neg2", "neg3")}
         lit_count = 0
@@ -523,6 +650,36 @@ class Formula:
                         f"clauses {a.cid}, {b.cid}")
         if self.empty_weight < 0:
             raise AssertionError("negative empty_weight")
+        if self.pairs is not None:
+            self._audit_pairs()
+
+    def _audit_pairs(self) -> None:
+        """Every live binary is listed under its pair, and no live binary
+        under another pair; the log's positions lie at or above the build
+        point, in increasing order, each at a trail record."""
+        listed = {}
+        for key, lst in self.pairs.items():
+            for c in lst:
+                if c.live and c.size == 2:
+                    if tuple(sorted(c.lits[:2])) != key:
+                        raise AssertionError(
+                            f"clause {c.cid} listed under pair {key}")
+                    if id(c) in listed:
+                        raise AssertionError(
+                            f"clause {c.cid} listed twice under pair {key}")
+                    listed[id(c)] = c
+        for c in self.clauses():
+            if c.size == 2 and id(c) not in listed:
+                raise AssertionError(
+                    f"binary clause {c.cid} missing from the pair index")
+        last = self.pairs_base - 1
+        for pos, c, _ in self.pair_log:
+            if not last < pos < len(self.trail):
+                raise AssertionError(f"pair log position {pos} out of order")
+            if self.trail[pos][1] is not c:
+                raise AssertionError(
+                    f"pair log entry {pos} names the wrong clause")
+            last = pos
 
 
 def _shift(counts, lits, d: int) -> None:

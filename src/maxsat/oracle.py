@@ -24,13 +24,19 @@ def _cost_vector(formula: Formula) -> np.ndarray:
 
     Mandatory weights saturate: any total at or above the TOP threshold
     is clamped to it, mirroring the infinity arithmetic TOP + w = TOP.
+    The sums are ``int64`` while the total weight (the empty weight plus
+    every clause) stays below 2^62, and exact Python integers otherwise,
+    so no weight can overflow them.
     """
     import numpy as np
     n = formula.num_vars
     size = 1 << n
+    total = formula.empty_weight + sum(c.weight for c in formula.clauses())
+    exact = total >= 1 << 62
     # truth value of variable v across all assignments
     idx = np.arange(size, dtype=np.uint64)
-    cost = np.full(size, formula.empty_weight, dtype=np.int64)
+    cost = np.full(size, formula.empty_weight,
+                   dtype=object if exact else np.int64)
     for c in formula.clauses():
         falsified = np.ones(size, dtype=bool)
         for lit in c.active():
@@ -39,9 +45,10 @@ def _cost_vector(formula: Formula) -> np.ndarray:
                 falsified &= bit == 0
             else:
                 falsified &= bit == 1
-        cost += c.weight * falsified
-    if formula.top is not None:
-        np.minimum(cost, formula.top, out=cost)
+        cost[falsified] += c.weight
+    # no entry exceeds the total, so a TOP at or above it clamps nothing
+    if formula.top is not None and formula.top < total:
+        cost[cost > formula.top] = formula.top
     return cost
 
 

@@ -93,12 +93,16 @@ class RuleApplication:
 def _fire(formula: Formula, rule_id: str, pattern: list[Clause],
           produced_lits: list[list[int]]) -> RuleApplication:
     """Shared weighted transformation core for every rule."""
-    w = min(c.weight for c in pattern)
+    w = pattern[0].weight
+    consumed_size = 0
+    for c in pattern:
+        consumed_size += c.size
+        if c.weight < w:
+            w = c.weight
     if formula.is_top(w):
         raise MandatoryConflictError(
             f"rule {rule_id} pattern consists of mandatory clauses only")
-    _audit_sizes(sum(c.size for c in pattern),
-                 sum(len(lits) for lits in produced_lits))
+    _audit_sizes(consumed_size, sum(len(lits) for lits in produced_lits))
     for c in pattern:
         formula.reduce_weight(c, w)
     produced = [formula.add_clause(lits, w, on_trail=True).cid

@@ -213,6 +213,10 @@ def repair_incumbent(formula: Formula, assignment: dict[int, bool],
     return formula.cost(repaired), repaired
 
 
+def _cid(c) -> int:
+    return c.cid
+
+
 def _complete_assignment(formula: Formula) -> dict[int, bool]:
     """The formula's assignment with every unassigned variable False."""
     assignment = dict.fromkeys(range(1, formula.num_vars + 1), False)
@@ -265,6 +269,7 @@ class Solver:
             timed_out = True
         finally:
             f.undo_to(mark)
+            f.drop_pair_index()
             sys.setrecursionlimit(limit)
         self.stats.elapsed = time.perf_counter() - start
         # below TOP the trail arithmetic is exact; at or above it raw sums
@@ -386,27 +391,31 @@ class Solver:
 
         Candidates are visited in slot order; while one is live it fires
         with its first partner (see ``_partners``) in a lower slot. The
-        first pass takes every live binary. When a pass ends no two live
-        binaries are almost common, and ``r1_mark`` keeps the trail length
-        of that point. Removals, weight cuts and detach/attach create no
-        binary, and undo returns to an earlier state whose records are
-        still on the trail, so a live binary outside the "add" (rule
-        product) and "hide" (shrunk ternary) records since the mark was
-        live at the mark, and no two such are almost common. Firing two
-        binaries makes a unit, never a binary. So a later pass takes each
-        binary of those records that has a partner, plus all its partners:
-        every pair that fires contains one of them, every partner of a
-        candidate is a candidate, and the pass fires exactly as a scan of
-        every slot would.
+        first pass of a search builds the formula's pair index
+        (``Formula.build_pair_index``) and takes every live binary. When a
+        pass ends no two live binaries are almost common, and ``r1_mark``
+        keeps the trail length of that point. Removals, weight cuts and
+        detach/attach create no binary, and undo returns to an earlier
+        state whose records are still on the trail, so a live binary outside
+        the "add" (rule product) and "hide" (shrunk ternary) records since
+        the mark was live at the mark, and no two such are almost common.
+        Firing two binaries makes a unit, never a binary. So a later pass
+        takes each binary that has a partner among the clauses the index
+        logged since the mark, plus all its partners: every pair that fires
+        contains one of them, every partner of a candidate is a candidate,
+        and the pass fires exactly as a scan of every slot would. The log
+        holds each "add" of a binary and each 3->2 hide; a clause with a
+        "hide" record since the mark that is a binary now had its 3->2 hide
+        since the mark (a size grows back only when its hide is undone), so
+        the log selects exactly the binaries those records name.
         """
         f = self.f
         if self.r1_mark is None:
-            candidates = [c for c in f.slots if c.live and c.size == 2]
+            candidates = f.build_pair_index()
         else:
             picked = set()
-            for rec in f.trail[self.r1_mark:]:
-                c = rec[1]
-                if rec[0] in ("add", "hide") and c.live and c.size == 2:
+            for c in f.binaries_since(self.r1_mark):
+                if c.live and c.size == 2:
                     partners = self._partners(c)
                     if partners:
                         picked.add(c)
@@ -435,21 +444,21 @@ class Solver:
     def _partners(self, c) -> list:
         """The live binaries almost common with c = {a, b}, a < b, in the
         order rule 1 takes them: every {-a, b} before every {a, -b}, each
-        group from the highest slot down. An occurrence list is in slot
-        order (``Formula.audit`` checks it), so each group is one backward
-        walk of a list."""
-        occ = self.f.occ
-        n = self.f.num_vars
+        group from the highest slot down. Each group is one list of the
+        formula's pair index, read backwards; a shrunk old ternary joins
+        its list after newer rule products, so a group of more than one
+        clause is sorted by slot."""
+        pairs = self.f.pairs
         a, b = sorted(c.lits[:2])
         out = []
-        # {-a, b} is in occ[-a] and {a, -b} in occ[-b]
-        for x, y in ((-a, b), (-b, a)):
-            for d in reversed(occ[x + n]):
-                if d.live and d.size == 2:
-                    lits = d.lits
-                    if ((lits[0] == y or lits[1] == y)
-                            and (lits[0] == x or lits[1] == x)):
-                        out.append(d)
+        for x, y in ((-a, b), (a, -b)):
+            lst = pairs.get((x, y) if x < y else (y, x))
+            if lst is None:
+                continue
+            group = [d for d in reversed(lst) if d.live and d.size == 2]
+            if len(group) > 1:
+                group.sort(key=_cid, reverse=True)
+            out += group
         return out
 
     def _rule2_pass(self) -> bool:

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import maxsat.gen as generators
+from maxsat import Formula, write_wcnf
 from maxsat.cli import main, parse_manifest
 
 from formulas import THREE_DISJOINT
@@ -189,6 +193,73 @@ def test_oracle_non_utf8_file_exit(tmp_path, capsys):
     path.write_bytes(b"p cnf 2 1\n1 -2 0\nc caf\xe9\n")
     assert main(["oracle", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# weights whose sums overflow int64: 2^62 + 2^62 + 5 and a TOP of 10^23
+BIG_SOFT = ("p wcnf 1 3\n4611686018427387904 1 0\n"
+            "4611686018427387904 1 0\n5 -1 0\n")
+BIG_TOP = "p wcnf 1 2 99999999999999999999999\n99999999999999999999999 1 0\n3 -1 0\n"
+
+
+def test_oracle_sums_weights_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.wcnf"
+    path.write_text(BIG_SOFT)
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["o 5", "v 1"]
+
+
+def test_seedcheck_agrees_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.wcnf"
+    path.write_text(BIG_SOFT)
+    assert main(["solve", str(path), "--seedcheck"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "o 5" and out[-1] == "c seedcheck ok (5)"
+
+
+def test_top_beyond_int64_ends_in_an_answer(tmp_path, capsys):
+    path = tmp_path / "top.wcnf"
+    path.write_text(BIG_TOP)
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["o 3", "v 1"]
+    assert main(["solve", str(path), "--seedcheck"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "c seedcheck ok (3)"
+    # both hard units cannot hold: the saturated optimum is TOP itself
+    path.write_text("p wcnf 1 2 2361183241434822606848\n"
+                    "2361183241434822606848 1 0\n2361183241434822606848 -1 0\n")
+    assert main(["oracle", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["s UNSATISFIABLE"]
+
+
+def _run_main(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    return code, out.getvalue().splitlines()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_solve_and_oracle_agree_on_huge_weights(tmp_path_factory, data):
+    # weights up to 2^70, with or without a TOP: solve and the oracle
+    # report the same optimum (or both no assignment below TOP), each
+    # with an exit code
+    n = data.draw(st.integers(1, 6))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = data.draw(st.lists(
+        st.lists(lit, min_size=1, max_size=3, unique_by=abs), max_size=10))
+    weight = st.one_of(st.integers(1, 9), st.integers(1, 1 << 70))
+    weights = data.draw(st.lists(weight, min_size=len(clauses),
+                                 max_size=len(clauses)))
+    top = data.draw(st.one_of(st.none(), st.integers(1, 1 << 71)))
+    formula = Formula.from_clauses(n, clauses, weights=weights, top=top)
+    path = tmp_path_factory.mktemp("huge") / "f.wcnf"
+    path.write_text(write_wcnf(formula))
+    code, solved = _run_main(["solve", str(path)])
+    oracle_code, oracle = _run_main(["oracle", str(path)])
+    assert code == oracle_code
+    assert [x for x in solved if x[0] in "os"] == \
+        [x for x in oracle if x[0] in "o"] + \
+        (["s UNSATISFIABLE"] if oracle_code else ["s OPTIMUM FOUND"])
 
 
 def test_manifest_parsing():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import maxsat
 from maxsat import Formula, SolverConfig, underestimation
-from maxsat.formula import normalize_lits
+from maxsat.formula import Clause, _shift, normalize_lits
 from maxsat.rules import MandatoryConflictError
 from maxsat.oracle import _cost_vector
 
@@ -354,9 +354,70 @@ def test_interleaved_operations_fuzz(rng):
 
 
 class ReferenceKernelFormula(Formula):
-    """Reference kernels: the earlier ``assign_literal`` and ``undo_to``,
-    kept verbatim, which make one ``remove_clause``/``hide_literal`` call
-    per clause and one ``_resize`` call per undone record."""
+    """Reference kernels: the earlier ``assign_literal``, ``undo_to``,
+    ``add_clause``, ``remove_clause`` and ``reduce_weight``, kept verbatim,
+    which make one ``remove_clause``/``hide_literal`` call per clause and
+    one ``_resize``/``_bump_counts`` call per edit or undone record. The
+    pair index is not theirs, so they run without one."""
+
+    def _bump_counts(self, c: Clause, d: int) -> None:
+        """Add d to the counts of c's active literals in its size bucket:
+        a weight edit stays in its bucket."""
+        k = c.size
+        _shift(self._buckets[k if k < 3 else 3], c.lits[:k], d)
+
+    def add_clause(self, lits: list[int], weight: int = 1, *,
+                   on_trail: bool = False) -> Clause:
+        """Append a clause in a new slot at the end of ``slots``. Undoing a
+        trailed add pops the last slot, so a formula is built with untrailed
+        adds before any trailed one."""
+        if not lits:
+            raise ValueError("empty clauses are tracked via empty_weight")
+        seen = set()
+        for lit in lits:
+            v = abs(lit)
+            if lit == 0 or v > self.num_vars:
+                raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
+            if lit in seen or -lit in seen:
+                raise ValueError(f"duplicate or clashing literal {lit} in clause")
+            seen.add(lit)
+        if weight < 1:
+            raise ValueError("clause weight must be >= 1")
+        c = Clause(lits, weight, len(self.slots))
+        self.slots.append(c)
+        n = self.num_vars
+        for lit in lits:
+            self.occ[lit + n].append(c)
+        self._resize(c, 0, c.size)
+        if on_trail:
+            self.trail.append(("add", c))
+        return c
+
+    def remove_clause(self, c: Clause) -> None:
+        if not c.live:
+            raise ValueError(f"clause {c.cid} is not live")
+        c.live = False
+        self._resize(c, c.size, 0)
+        self.trail.append(("rm", c))
+
+    def reduce_weight(self, c: Clause, d: int) -> None:
+        """Subtract d from a clause weight; weight 0 removes. A TOP weight
+        stays TOP under a soft d, and TOP - TOP = 0."""
+        old = c.weight
+        if self.is_top(old):
+            new = 0 if self.is_top(d) else old
+        else:
+            new = old - d
+        if new == old:
+            return
+        if new < 0:
+            raise ValueError("weight reduction below zero")
+        if new == 0:
+            self.remove_clause(c)
+            return
+        self._bump_counts(c, new - old)
+        c.weight = new
+        self.trail.append(("wt", c, old))
 
     def assign_literal(self, lit: int) -> None:
         n = self.num_vars
@@ -504,4 +565,133 @@ def test_kernels_match_reference_kernels(data):
         g.undo_to(0)
     assert _kernel_state(pair[0]) == _kernel_state(pair[1])
     assert pair[0].as_multiset() == Formula.from_clauses(
+        n, clauses, weights=weights, top=top).as_multiset()
+
+
+def _pairs_of_live_binaries(f, clauses):
+    """Per sorted literal pair, the sorted slot ids of the live binaries
+    among ``clauses``; a clause listed twice counts twice."""
+    out = {}
+    for c in clauses:
+        if c.live and c.size == 2:
+            out.setdefault(tuple(sorted(c.active())), []).append(c.cid)
+    return {key: sorted(cids) for key, cids in out.items()}
+
+
+def _binaries_made_since(f, base):
+    """(position, slot id) of every trail record from ``base`` on that made
+    a binary: an add of two literals, or a hide that left two. A hide
+    left ``size`` plus the number of later hides of its clause, since
+    every later hide is still on the trail."""
+    trail = f.trail
+    out = []
+    for p in range(base, len(trail)):
+        rec = trail[p]
+        c = rec[1] if rec[0] in ("add", "hide") else None
+        if c is None:
+            continue
+        if rec[0] == "add":
+            made = len(c.lits) == 2
+        else:
+            later = sum(1 for r in trail[p + 1:] if r[0] == "hide" and r[1] is c)
+            made = c.size + later == 2
+        if made:
+            out.append((p, c.cid))
+    return out
+
+
+def _almost_common(a, b):
+    if a.size != b.size:
+        return False
+    sa, sb = set(a.active()), set(b.active())
+    return len([x for x in sa if -x in sb]) == 1 and len(sa - sb) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_pair_index_matches_a_rebuild_after_every_edit(data):
+    # the edit mix of test_kernels_match_reference_kernels plus rule 1 and
+    # rule 2 firings, run with the pair index built: after every step the
+    # index lists exactly the live binaries under their pairs, the log
+    # holds exactly the binaries made since the build, and an undo below
+    # the build point drops the index
+    from maxsat.rules import PatternError, apply_rule1, apply_rule2
+    n = data.draw(st.integers(2, 6), label="n")
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(lit, min_size=1, max_size=4, unique_by=abs)
+    clauses = data.draw(st.lists(clause, min_size=1, max_size=14),
+                        label="clauses")
+    top = data.draw(st.sampled_from([None, 40]), label="top")
+    weights = data.draw(st.lists(st.sampled_from([1, 2, 3, 40]),
+                                 min_size=len(clauses), max_size=len(clauses)),
+                        label="weights")
+    if top is None:
+        weights = [min(w, 3) for w in weights]
+    f = Formula.from_clauses(n, clauses, weights=weights, top=top)
+    marks = []
+    built = 0
+    ops = ["assign", "assign", "remove", "reduce", "add", "hide", "bound",
+           "rule1", "rule2", "mark", "mark", "undo", "undo", "build"]
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        if f.pairs is None and (built == 0 or data.draw(st.booleans())):
+            f.build_pair_index()
+            built += 1
+        base = f.pairs_base if f.pairs is not None else None
+        op = data.draw(st.sampled_from(ops), label="op")
+        live = list(f.clauses())
+        try:
+            if op == "assign":
+                f.assign_literal(data.draw(lit, label="literal"))
+            elif op == "remove" and live:
+                f.remove_clause(data.draw(st.sampled_from(live)))
+            elif op == "reduce" and live:
+                f.reduce_weight(data.draw(st.sampled_from(live)),
+                                data.draw(st.sampled_from([1, 2, 40])))
+            elif op == "add":
+                f.add_clause(list(data.draw(clause, label="added")),
+                             data.draw(st.sampled_from([1, 2])),
+                             on_trail=True)
+            elif op == "hide" and live:
+                c = data.draw(st.sampled_from(live), label="clause")
+                f.hide_literal(c, data.draw(st.sampled_from(c.active())))
+            elif op == "bound":
+                underestimation(f, data.draw(st.sampled_from([3, 1000])),
+                                SolverConfig.variant(
+                                    data.draw(st.sampled_from(["0", "z"]))))
+            elif op == "rule1":
+                pairs = [(a, b) for a in live for b in live
+                         if a.cid < b.cid and _almost_common(a, b)]
+                if pairs:
+                    apply_rule1(f, *data.draw(st.sampled_from(pairs)))
+            elif op == "rule2":
+                pairs = [(a, b) for a in live for b in live
+                         if a.cid < b.cid and a.size == b.size == 1
+                         and a.lits[0] == -b.lits[0]]
+                if pairs:
+                    apply_rule2(f, *data.draw(st.sampled_from(pairs)))
+            elif op == "mark":
+                marks.append(f.mark())
+            elif op == "undo" and marks:
+                m = marks.pop()
+                f.undo_to(m)
+                if base is not None:
+                    assert (f.pairs is None) == (m < base), (m, base)
+            elif op == "build" and f.pairs is not None:
+                f.build_pair_index()
+        except (ValueError, MandatoryConflictError, PatternError):
+            pass
+        f.audit()
+        if f.pairs is None:
+            continue
+        assert _pairs_of_live_binaries(
+            f, [c for lst in f.pairs.values() for c in lst]) == \
+            _pairs_of_live_binaries(f, f.slots)
+        made = _binaries_made_since(f, f.pairs_base)
+        assert [(p, c.cid) for p, c, _ in f.pair_log] == made
+        for m in [f.pairs_base] + [m for m in marks if m >= f.pairs_base]:
+            assert [c.cid for c in f.binaries_since(m)] == \
+                [cid for p, cid in made if p >= m]
+    f.undo_to(0)
+    assert f.pairs is None or f.pairs_base == 0
+    assert f.as_multiset() == Formula.from_clauses(
         n, clauses, weights=weights, top=top).as_multiset()

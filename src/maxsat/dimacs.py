@@ -73,9 +73,12 @@ def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
     """The clause format both dialects share: 'p cnf <vars> <clauses>' or
     'p wcnf <vars> <clauses> [top]', then clauses ending in 0, each led
     by its weight in WCNF. A dialect of None takes it from the header
-    (anything but wcnf reads as CNF). Lenient mode warns instead of
-    failing on a wrong clause count and grows the variable count to the
-    largest literal."""
+    (anything but wcnf reads as CNF). A TOP must exceed the total weight
+    of the clauses below it, empty ones included (tautologies are dropped
+    and not counted): otherwise breaking only soft clauses could cost TOP,
+    which reads as infeasible. Lenient mode warns instead of failing on a
+    wrong clause count or a TOP that is too low, and grows the variable
+    count to the largest literal."""
     comments, header, tokens = _split_stream(text)
     if dialect is None:
         dialect = "wcnf" if header is not None and header[1:2] == ["wcnf"] else "cnf"
@@ -98,6 +101,7 @@ def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
                                for lit in lits), default=0))
     formula = Formula(num_vars, top=top)
     count = 0
+    soft = 0  # the weight below TOP
     for lits, weight in _clauses(nums, weighted):
         for lit in lits:
             if abs(lit) > n:
@@ -108,13 +112,21 @@ def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
         norm = normalize_lits(lits)
         if norm is None:
             warnings.warn(f"tautological clause {lits} dropped")
-        elif norm:
-            formula.add_clause(norm, weight)
         else:
-            formula.add_empty(weight)
+            if top is not None and weight < top:
+                soft += weight
+            if norm:
+                formula.add_clause(norm, weight)
+            else:
+                formula.add_empty(weight)
         count += 1
     if count != m:
         msg = f"header declares {m} clauses but {count} were read"
+        if strict:
+            raise DimacsError(msg)
+        warnings.warn(msg)
+    if top is not None and soft >= top:
+        msg = f"soft weight total {soft} reaches top {top}"
         if strict:
             raise DimacsError(msg)
         warnings.warn(msg)

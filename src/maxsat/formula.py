@@ -60,14 +60,18 @@ class Formula:
     """
 
     def __init__(self, num_vars: int, top: int | None = None):
+        """An empty formula over variables 1..num_vars. Every per-literal
+        array (``occ`` and the heuristic counts ``w1``, ``w2``, ``w3``)
+        has ``2 * num_vars + 1`` entries and holds literal ``lit`` at index
+        ``lit + num_vars``; index ``num_vars`` (literal 0) stays unused."""
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         self.num_vars = num_vars
         self.top = top  # mandatory-clause sentinel weight, None if all soft
         self.slots: list[Clause] = []
-        # occurrence lists indexed by lit + num_vars, each in slot order (an
-        # add appends, its undo pops the last entry); stale entries are
-        # filtered by the live flag at scan time so positions never shift
+        # occurrence lists, each in slot order (an add appends, its undo
+        # pops the last entry); stale entries are filtered by the live flag
+        # at scan time so positions never shift
         self.occ: list[list[Clause]] = [[] for _ in range(2 * num_vars + 1)]
         self.units: dict[Clause, None] = {}
         self.empty_weight = 0
@@ -75,17 +79,14 @@ class Formula:
         self.assignment: dict[int, bool] = {}
         self.trail: list[tuple] = []
         self.prop_stamp = 0  # propagation pass id for clause scratch counters
-        # weight sums per variable: unit / binary / length>=3, by polarity
-        z = num_vars + 1
-        self.pos1 = [0] * z
-        self.pos2 = [0] * z
-        self.pos3 = [0] * z
-        self.neg1 = [0] * z
-        self.neg2 = [0] * z
-        self.neg3 = [0] * z
-        # the (pos, neg) counts of each size bucket, by min(size, 3)
-        self._buckets = (None, (self.pos1, self.neg1), (self.pos2, self.neg2),
-                         (self.pos3, self.neg3))
+        # weight sums per literal in unit clauses (w1), binaries (w2) and
+        # longer clauses (w3)
+        z = 2 * num_vars + 1
+        self.w1 = [0] * z
+        self.w2 = [0] * z
+        self.w3 = [0] * z
+        # the counts of each size bucket, by min(size, 3)
+        self._buckets = (None, self.w1, self.w2, self.w3)
         # the pair index, None unless a search has built it (see
         # build_pair_index): sorted literal pair -> the clauses that were
         # binaries with that pair, and the log of the binaries trailed
@@ -115,7 +116,8 @@ class Formula:
         0 standing for not counted (removed, or not added yet).
 
         ``lits[:old]`` leave the old size bucket and ``lits[:new]`` enter
-        the new one, so a 2->1 hide touches three counters. Only a clause
+        the new one, each literal ``x`` at index ``x + num_vars`` of the
+        bucket's array, so a 2->1 hide touches three counters. Only a clause
         that stops or starts being a unit leaves or enters the unit
         registry, so no other unit changes its position there.
         ``hide_literal`` calls it; every other edit and ``undo_to`` do the
@@ -123,12 +125,15 @@ class Formula:
         the arithmetic itself.
         """
         w = c.weight
-        lits = c.lits
-        buckets = self._buckets
+        n = self.num_vars
         if old:
-            _shift(buckets[old if old < 3 else 3], lits[:old], -w)
+            cnt = self._buckets[old if old < 3 else 3]
+            for x in c.lits[:old]:
+                cnt[x + n] -= w
         if new:
-            _shift(buckets[new if new < 3 else 3], lits[:new], w)
+            cnt = self._buckets[new if new < 3 else 3]
+            for x in c.lits[:new]:
+                cnt[x + n] += w
         self.lit_count += new - old
         if old == 1:
             self.units.pop(c, None)
@@ -162,13 +167,10 @@ class Formula:
         self.slots.append(c)
         occ = self.occ
         k = len(lits)
-        pos, neg = self._buckets[k if k < 3 else 3]
+        cnt = self._buckets[k if k < 3 else 3]
         for x in lits:
             occ[x + n].append(c)
-            if x > 0:
-                pos[x] += weight
-            else:
-                neg[-x] += weight
+            cnt[x + n] += weight
         self.lit_count += k
         if k == 1:
             self.units[c] = None
@@ -184,12 +186,10 @@ class Formula:
         c.live = False
         k = c.size
         w = c.weight
-        pos, neg = self._buckets[k if k < 3 else 3]
+        n = self.num_vars
+        cnt = self._buckets[k if k < 3 else 3]
         for x in c.lits[:k]:
-            if x > 0:
-                pos[x] -= w
-            else:
-                neg[-x] -= w
+            cnt[x + n] -= w
         if k == 1:
             self.units.pop(c, None)
         self.lit_count -= k
@@ -239,12 +239,10 @@ class Formula:
         # the clause stays in its size bucket
         d = new - old
         k = c.size
-        pos, neg = self._buckets[k if k < 3 else 3]
+        n = self.num_vars
+        cnt = self._buckets[k if k < 3 else 3]
         for x in c.lits[:k]:
-            if x > 0:
-                pos[x] += d
-            else:
-                neg[-x] += d
+            cnt[x + n] += d
         c.weight = new
         self.trail.append(("wt", c, old))
 
@@ -268,8 +266,7 @@ class Formula:
             raise ValueError(f"variable {v} is already assigned")
         append = self.trail.append
         units = self.units
-        pos1, pos2, pos3 = self.pos1, self.pos2, self.pos3
-        neg1, neg2, neg3 = self.neg1, self.neg2, self.neg3
+        w1, w2, w3 = self.w1, self.w2, self.w3
         dropped = 0    # active literals removed, for lit_count
         falsified = 0  # weight of the units emptied, for empty_weight
         try:
@@ -280,25 +277,17 @@ class Formula:
                 k = c.size
                 w = c.weight
                 if k == 1:
-                    x = c.lits[0]
-                    if x > 0:
-                        pos1[x] -= w
-                    else:
-                        neg1[-x] -= w
+                    w1[c.lits[0] + n] -= w
                     units.pop(c, None)
                 else:
-                    pos, neg = (pos2, neg2) if k == 2 else (pos3, neg3)
+                    cnt = w2 if k == 2 else w3
                     for x in c.lits[:k]:
-                        if x > 0:
-                            pos[x] -= w
-                        else:
-                            neg[-x] -= w
+                        cnt[x + n] -= w
                 dropped += k
                 append(("rm", c))
             nl = -lit
-            # the counts of nl itself, by size bucket
-            h1, h2, h3 = (pos1, pos2, pos3) if nl > 0 else (neg1, neg2, neg3)
-            for c in self.occ[nl + n]:
+            j = nl + n  # the index of nl's own counts
+            for c in self.occ[j]:
                 if not c.live:
                     continue
                 k = c.size
@@ -310,7 +299,7 @@ class Formula:
                             f"literal {nl} not active in clause {c.cid}")
                     # hiding the last literal falsifies the clause
                     c.live = False
-                    h1[v] -= w
+                    w1[j] -= w
                     dropped += 1
                     units.pop(c, None)
                     append(("rm", c))
@@ -326,26 +315,19 @@ class Formula:
                 c.size = last
                 if k == 2:
                     # the kept literal moves from bucket 2 to bucket 1
-                    h2[v] -= w
-                    x = lits[0]
-                    if x > 0:
-                        pos2[x] -= w
-                        pos1[x] += w
-                    else:
-                        neg2[-x] -= w
-                        neg1[-x] += w
+                    w2[j] -= w
+                    x = lits[0] + n
+                    w2[x] -= w
+                    w1[x] += w
                     units[c] = None
                 else:
-                    h3[v] -= w
+                    w3[j] -= w
                     if k == 3:
                         # the two kept literals move from bucket 3 to 2
                         for x in lits[:2]:
-                            if x > 0:
-                                pos3[x] -= w
-                                pos2[x] += w
-                            else:
-                                neg3[-x] -= w
-                                neg2[-x] += w
+                            x += n
+                            w3[x] -= w
+                            w2[x] += w
                         if self.pairs is not None:
                             self._log_binary(c, len(self.trail))
                 dropped += 1
@@ -406,8 +388,8 @@ class Formula:
         pop = trail.pop
         units = self.units
         buckets = self._buckets
-        pos1, pos2, pos3 = self.pos1, self.pos2, self.pos3
-        neg1, neg2, neg3 = self.neg1, self.neg2, self.neg3
+        w1, w2, w3 = self.w1, self.w2, self.w3
+        n = self.num_vars
         restored = 0  # active literals back, for lit_count
         try:
             while len(trail) > mark:
@@ -419,19 +401,12 @@ class Formula:
                     k = c.size
                     w = c.weight
                     if k == 1:
-                        x = c.lits[0]
-                        if x > 0:
-                            pos1[x] += w
-                        else:
-                            neg1[-x] += w
+                        w1[c.lits[0] + n] += w
                         units[c] = None
                     else:
-                        pos, neg = (pos2, neg2) if k == 2 else (pos3, neg3)
+                        cnt = w2 if k == 2 else w3
                         for x in c.lits[:k]:
-                            if x > 0:
-                                pos[x] += w
-                            else:
-                                neg[-x] += w
+                            cnt[x + n] += w
                     restored += k
                 elif op == "hide":
                     _, c, i = rec
@@ -439,37 +414,24 @@ class Formula:
                     lits = c.lits
                     w = c.weight
                     # lits[last] is still the hidden literal
-                    h = lits[last]
+                    h = lits[last] + n
                     if last == 1:
                         # the kept literal moves from bucket 1 to bucket 2
-                        x = lits[0]
-                        if x > 0:
-                            pos1[x] -= w
-                            pos2[x] += w
-                        else:
-                            neg1[-x] -= w
-                            neg2[-x] += w
-                        if h > 0:
-                            pos2[h] += w
-                        else:
-                            neg2[-h] += w
+                        x = lits[0] + n
+                        w1[x] -= w
+                        w2[x] += w
+                        w2[h] += w
                         units.pop(c, None)
                     else:
                         if last == 2:
                             # the two kept literals move from bucket 2 to 3
                             for x in lits[:2]:
-                                if x > 0:
-                                    pos2[x] -= w
-                                    pos3[x] += w
-                                else:
-                                    neg2[-x] -= w
-                                    neg3[-x] += w
+                                x += n
+                                w2[x] -= w
+                                w3[x] += w
                             if pairs is not None:
                                 log.pop()[2].pop()
-                        if h > 0:
-                            pos3[h] += w
-                        else:
-                            neg3[-h] += w
+                        w3[h] += w
                     restored += 1
                     c.size = last + 1
                     lits[i], lits[last] = lits[last], lits[i]
@@ -482,18 +444,14 @@ class Formula:
                     k = c.size
                     w = c.weight
                     lits = c.lits
-                    pos, neg = buckets[k if k < 3 else 3]
+                    cnt = buckets[k if k < 3 else 3]
                     for x in lits[:k]:
-                        if x > 0:
-                            pos[x] -= w
-                        else:
-                            neg[-x] -= w
+                        cnt[x + n] -= w
                     if k == 1:
                         units.pop(c, None)
                     elif k == 2 and pairs is not None:
                         log.pop()[2].pop()
                     restored -= k
-                    n = self.num_vars
                     occ = self.occ
                     for x in lits:
                         occ[x + n].pop()
@@ -502,12 +460,9 @@ class Formula:
                     # the clause stays in its size bucket
                     d = old - c.weight
                     k = c.size
-                    pos, neg = buckets[k if k < 3 else 3]
+                    cnt = buckets[k if k < 3 else 3]
                     for x in c.lits[:k]:
-                        if x > 0:
-                            pos[x] += d
-                        else:
-                            neg[-x] += d
+                        cnt[x + n] += d
                     c.weight = old
                 elif op == "assign":
                     del self.assignment[rec[1]]
@@ -617,20 +572,18 @@ class Formula:
         """Full-scan consistency check of counts, units and occurrence lists,
         of the slot order of every occurrence list, and of the pair index
         when one exists."""
-        z = self.num_vars + 1
-        exp = {name: [0] * z for name in ("pos1", "pos2", "pos3", "neg1", "neg2", "neg3")}
+        n = self.num_vars
+        exp = {name: [0] * (2 * n + 1) for name in ("w1", "w2", "w3")}
         lit_count = 0
         units = []
         for c in self.clauses():
             lit_count += c.size
-            bucket = min(c.size, 3)
+            counts = exp["w" + str(min(c.size, 3))]
             for lit in c.active():
-                name = ("pos" if lit > 0 else "neg") + str(bucket)
-                exp[name][abs(lit)] += c.weight
+                counts[lit + n] += c.weight
             if c.size == 1:
                 units.append(c)
             # every active literal must be present in its occurrence list
-            n = self.num_vars
             for lit in c.active():
                 if not any(o is c for o in self.occ[lit + n]):
                     raise AssertionError(
@@ -680,14 +633,3 @@ class Formula:
                 raise AssertionError(
                     f"pair log entry {pos} names the wrong clause")
             last = pos
-
-
-def _shift(counts, lits, d: int) -> None:
-    """Add d to the (pos, neg) counts of every literal in lits."""
-    pos, negs = counts
-    for lit in lits:
-        if lit > 0:
-            pos[lit] += d
-        else:
-            negs[-lit] += d
-

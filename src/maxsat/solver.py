@@ -70,17 +70,21 @@ def select_variable(formula: Formula) -> int:
     """Branching variable: maximizes the product of its polarity scores,
     binary occurrences weighted four times; ties break to the lowest index.
     Only variables that occur are scored, and an assigned variable occurs
-    nowhere: ``assign_literal`` removes or shrinks every clause holding it."""
+    nowhere: ``assign_literal`` removes or shrinks every clause holding it.
+    The counts ``w1``, ``w2``, ``w3`` hold literal ``lit`` at index
+    ``lit + num_vars``, so variable v reads ``n + v`` and ``n - v``."""
     best_v = 0
     best_score = -1
-    p1, p2, p3 = formula.pos1, formula.pos2, formula.pos3
-    n1, n2, n3 = formula.neg1, formula.neg2, formula.neg3
-    for v in range(1, formula.num_vars + 1):
-        ptot = p1[v] + p2[v] + p3[v]
-        ntot = n1[v] + n2[v] + n3[v]
+    n = formula.num_vars
+    w1, w2, w3 = formula.w1, formula.w2, formula.w3
+    for v in range(1, n + 1):
+        p = n + v
+        q = n - v
+        ptot = w1[p] + w2[p] + w3[p]
+        ntot = w1[q] + w2[q] + w3[q]
         if ptot == 0 and ntot == 0:
             continue
-        score = (n1[v] + 4 * n2[v] + n3[v]) * (p1[v] + 4 * p2[v] + p3[v])
+        score = (w1[q] + 4 * w2[q] + w3[q]) * (w1[p] + 4 * w2[p] + w3[p])
         if score > best_score:
             best_score = score
             best_v = v
@@ -91,9 +95,10 @@ def select_variable(formula: Formula) -> int:
 
 def select_value(formula: Formula, var: int) -> bool:
     """True iff the positive polarity scores strictly higher; False on ties."""
-    neg_score = formula.neg1[var] + 4 * formula.neg2[var] + formula.neg3[var]
-    pos_score = formula.pos1[var] + 4 * formula.pos2[var] + formula.pos3[var]
-    return neg_score < pos_score
+    w1, w2, w3 = formula.w1, formula.w2, formula.w3
+    p = formula.num_vars + var
+    q = formula.num_vars - var
+    return w1[q] + 4 * w2[q] + w3[q] < w1[p] + 4 * w2[p] + w3[p]
 
 
 def initial_upper_bound(formula: Formula, deadline: float | None = None):
@@ -489,9 +494,13 @@ class Solver:
     def _pure_literal_pass(self) -> bool:
         f = self.f
         fired = False
-        for v in range(1, f.num_vars + 1):
-            ptot = f.pos1[v] + f.pos2[v] + f.pos3[v]
-            ntot = f.neg1[v] + f.neg2[v] + f.neg3[v]
+        n = f.num_vars
+        w1, w2, w3 = f.w1, f.w2, f.w3
+        for v in range(1, n + 1):
+            p = n + v
+            q = n - v
+            ptot = w1[p] + w2[p] + w3[p]
+            ntot = w1[q] + w2[q] + w3[q]
             if ptot == 0 and ntot == 0:
                 continue
             if ntot == 0:
@@ -507,15 +516,19 @@ class Solver:
         clauses is fixed against."""
         f = self.f
         fired = False
-        for v in range(1, f.num_vars + 1):
-            ptot = f.pos1[v] + f.pos2[v] + f.pos3[v]
-            ntot = f.neg1[v] + f.neg2[v] + f.neg3[v]
+        n = f.num_vars
+        w1, w2, w3 = f.w1, f.w2, f.w3
+        for v in range(1, n + 1):
+            p = n + v
+            q = n - v
+            ptot = w1[p] + w2[p] + w3[p]
+            ntot = w1[q] + w2[q] + w3[q]
             if ptot == 0 and ntot == 0:
                 continue
-            if ptot <= f.neg1[v]:
+            if ptot <= w1[q]:
                 f.assign_literal(-v)
                 fired = True
-            elif ntot <= f.pos1[v]:
+            elif ntot <= w1[p]:
                 f.assign_literal(v)
                 fired = True
         return fired
@@ -526,10 +539,12 @@ class Solver:
         f = self.f
         ub = self.ub
         fired = False
-        for v in range(1, f.num_vars + 1):
+        n = f.num_vars
+        w1 = f.w1
+        for v in range(1, n + 1):
             empty = f.empty_weight
-            to_false = empty + f.neg1[v] >= ub
-            to_true = empty + f.pos1[v] >= ub
+            to_false = empty + w1[n - v] >= ub
+            to_true = empty + w1[n + v] >= ub
             if to_false and to_true:
                 return False, fired
             if to_false:

@@ -141,6 +141,20 @@ def test_solve_wcnf_out_of_range_literal_strict_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_wcnf_top_below_soft_total(tmp_path, capsys):
+    # four soft units of weight 6 under TOP 10: strict mode exits 2 with
+    # both numbers, lenient mode warns before it answers
+    path = tmp_path / "low.wcnf"
+    path.write_text("p wcnf 2 4 10\n6 1 0\n6 -1 0\n6 2 0\n6 -2 0\n")
+    for cmd in ("solve", "oracle"):
+        assert main([cmd, str(path), "--strict"]) == 2
+        assert capsys.readouterr().err == \
+            "error: soft weight total 24 reaches top 10\n"
+        with pytest.warns(UserWarning, match="soft weight total 24"):
+            main([cmd, str(path)])
+        capsys.readouterr()
+
+
 def test_gen_ksat_deterministic(tmp_path, capsys):
     args = ["gen", "ksat", "-n", "15", "-m", "90", "-k", "2", "--seed", "7"]
     assert main(args) == 0

@@ -119,6 +119,25 @@ def test_parse_rejects_negative_counts_in_both_dialects():
                 parse_dimacs(text, strict=strict)
 
 
+TOP_TOO_LOW = "p wcnf 2 4 10\n6 1 0\n6 -1 0\n6 2 0\n6 -2 0\n"
+
+
+def test_parse_wcnf_top_must_exceed_soft_total():
+    # the soft units cost 12 at best, so no hard clause is needed to reach
+    # TOP 10: strict mode refuses the file, lenient mode warns
+    with pytest.raises(DimacsError, match="soft weight total 24 reaches top 10"):
+        parse_wcnf(TOP_TOO_LOW)
+    with pytest.warns(UserWarning, match="soft weight total 24 reaches top 10"):
+        inst = parse_wcnf(TOP_TOO_LOW, strict=False)
+    assert inst.formula.top == 10 and inst.formula.clause_count() == 4
+    # an empty soft clause counts; a tautology and a hard clause do not
+    with pytest.raises(DimacsError, match="total 10 reaches top 10"):
+        parse_wcnf("p wcnf 1 2 10\n5 0\n5 1 0\n")
+    with pytest.warns(UserWarning, match="tautological"):
+        parse_wcnf("p wcnf 1 2 10\n9 1 -1 0\n9 1 0\n")
+    assert parse_wcnf("p wcnf 1 2 10\n10 1 0\n9 -1 0\n").formula.top == 10
+
+
 def test_parse_wcnf_lenient_grows_vars_to_literals_not_weights():
     with pytest.warns(UserWarning, match="literal 5"):
         inst = parse_wcnf("p wcnf 2 1 10\n3 1 5 0\n", strict=False)

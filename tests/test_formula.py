@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import maxsat
 from maxsat import Formula, SolverConfig, underestimation
-from maxsat.formula import Clause, _shift, normalize_lits
+from maxsat.formula import Clause, normalize_lits
 from maxsat.rules import MandatoryConflictError
 from maxsat.oracle import _cost_vector
 
@@ -247,20 +247,47 @@ def test_weight_arithmetic_with_top():
 def test_hide_literal_bucket_transitions():
     f = build(3, [[1, 2, 3]])
     c = next(f.clauses())
-    assert f.pos3[1] == 1
+    x1 = 1 + f.num_vars  # the index of literal 1
+    assert f.w3[x1] == 1
     f.hide_literal(c, 3)
-    assert f.pos3[1] == 0 and f.pos2[1] == 1
+    assert f.w3[x1] == 0 and f.w2[x1] == 1
     f.hide_literal(c, 2)
-    assert f.pos1[1] == 1
+    assert f.w1[x1] == 1
     assert c in f.units
     f.audit()
 
 
 def test_audit_detects_corruption():
     f = build(2, [[1, 2]])
-    f.pos2[1] += 1
+    f.w2[1 + f.num_vars] += 1
     with pytest.raises(AssertionError):
         f.audit()
+
+
+def test_audit_detects_a_count_on_the_wrong_polarity():
+    # variable 1's total count is unchanged, but each of its literals is
+    # off, so a check of per-variable totals would miss it; under -O too
+    f = Formula.from_clauses(2, [[1, 2]], weights=[3])
+    n = f.num_vars
+    f.w2[n + 1] -= 3
+    f.w2[n - 1] += 3
+    with pytest.raises(AssertionError, match="count mismatch in w2"):
+        f.audit()
+    out = run_optimized("""
+        from maxsat import Formula
+        if __debug__:
+            raise SystemExit("not running under -O")
+        f = Formula.from_clauses(2, [[1, 2]], weights=[3])
+        n = f.num_vars
+        f.w2[n + 1] -= 3
+        f.w2[n - 1] += 3
+        try:
+            f.audit()
+        except AssertionError as e:
+            print(e)
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "count mismatch in w2\n"
 
 
 def test_audit_detects_occurrence_list_out_of_slot_order():
@@ -281,7 +308,7 @@ def test_audits_survive_optimize_flag():
         if __debug__:
             raise SystemExit("not running under -O")
         f = Formula.from_clauses(2, [[1, 2]])
-        f.pos2[1] += 1
+        f.w2[1 + f.num_vars] += 1
         try:
             f.audit()
         except AssertionError as e:
@@ -295,7 +322,7 @@ def test_audits_survive_optimize_flag():
     """)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "formula: count mismatch in pos2",
+        "formula: count mismatch in w2",
         "graph: edge 1->2 violates acyclicity"], \
         out.stdout
 
@@ -364,7 +391,10 @@ class ReferenceKernelFormula(Formula):
         """Add d to the counts of c's active literals in its size bucket:
         a weight edit stays in its bucket."""
         k = c.size
-        _shift(self._buckets[k if k < 3 else 3], c.lits[:k], d)
+        n = self.num_vars
+        cnt = self._buckets[k if k < 3 else 3]
+        for x in c.lits[:k]:
+            cnt[x + n] += d
 
     def add_clause(self, lits: list[int], weight: int = 1, *,
                    on_trail: bool = False) -> Clause:
@@ -474,11 +504,11 @@ class ReferenceKernelFormula(Formula):
 
 def _kernel_state(f):
     """Everything the kernels write, with clauses named by slot id: the
-    six counts, lit_count, empty_weight, the trail and the unit registry
+    three counts, lit_count, empty_weight, the trail and the unit registry
     in order (the order Q1 reads), and every slot's literals."""
     def name(item):
         return item.cid if isinstance(item, maxsat.Clause) else item
-    return ([f.pos1, f.pos2, f.pos3, f.neg1, f.neg2, f.neg3],
+    return ([f.w1, f.w2, f.w3],
             f.lit_count, f.empty_weight,
             [tuple(name(x) for x in rec) for rec in f.trail],
             [c.cid for c in f.units],

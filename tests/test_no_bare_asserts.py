@@ -1,9 +1,11 @@
 """Source checks on the package. No safety check may be an ``assert``
 statement: python -O strips them, so the check would silently stop
 running. Every module must parse as Python 3.10, the oldest version
-pyproject.toml admits."""
+pyproject.toml admits. No private helper may outlive its last caller in
+the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import maxsat
@@ -38,3 +40,51 @@ def test_package_parses_as_python_3_10():
     for path in modules:
         ast.parse(path.read_text(encoding="utf-8"), str(path),
                   feature_version=(3, 10))
+
+
+def _names(tree: ast.AST):
+    """Every name a tree reads, imports or looks up as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """The ``_``-prefixed functions, methods and classes (dunders aside)
+    that no code outside their own definition names."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_names(tree))
+    dead = []
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            if used[name] == Counter(_names(node))[name]:
+                dead.append(f"{filename}:{node.lineno} {name}")
+    return dead
+
+
+def test_package_has_no_dead_private_helpers():
+    # a helper kept only for tests belongs in the tests
+    sources = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert sources
+    assert dead_private_helpers(sources) == []
+
+
+def test_dead_private_helpers_finds_an_unused_helper():
+    source = ("def _used():\n    return 1\n\n"
+              "def _dead(x):\n    return _dead(x - 1) if x else _used()\n\n"
+              "class _Box:\n    def __init__(self):\n        self.v = 0\n")
+    assert dead_private_helpers({"m.py": source}) == ["m.py:4 _dead",
+                                                      "m.py:7 _Box"]

@@ -629,9 +629,10 @@ def test_assigned_variables_have_zero_counts(monkeypatch):
     # search assigned occurs in no live clause, before and after every
     # simplification and at every branching choice
     def check(f):
+        n = f.num_vars
         for v in f.assignment:
-            counts = (f.pos1[v], f.pos2[v], f.pos3[v],
-                      f.neg1[v], f.neg2[v], f.neg3[v])
+            counts = tuple(w[n + s * v] for w in (f.w1, f.w2, f.w3)
+                           for s in (1, -1))
             assert counts == (0,) * 6, f"assigned variable {v}: {counts}"
 
     simplify = Solver._simplify

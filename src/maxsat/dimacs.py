@@ -7,8 +7,10 @@ extension; standard DIMACS has no empty clause).
 
 from __future__ import annotations
 
+import gc
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .formula import Formula, normalize_lits
 
@@ -26,11 +28,17 @@ class ParsedInstance:
 
 
 def _split_stream(text: str):
-    """Comment lines and the token stream of everything else."""
+    """Comment lines, the header's tokens (None without one) and the token
+    stream of every other line. Lines are walked one at a time only up to
+    the last one holding a 'c' or a 'p': no later line can be a comment or
+    a header, and every line break is whitespace, so one split reads the
+    rest."""
     comments = []
     tokens = []
     header = None
-    for line in text.splitlines():
+    last = max(text.rfind("c"), text.rfind("p"))
+    cut = (text.find("\n", last) + 1 or len(text)) if last >= 0 else 0
+    for line in text[:cut].splitlines():
         stripped = line.strip()
         if stripped.startswith("c"):
             comments.append(stripped[1:].lstrip())
@@ -41,6 +49,7 @@ def _split_stream(text: str):
             header = stripped.split()
             continue
         tokens.extend(stripped.split())
+    tokens.extend(text[cut:].split())
     return comments, header, tokens
 
 
@@ -52,21 +61,29 @@ def _int_token(tok: str) -> int:
 
 
 def _clauses(nums: list[int], weighted: bool):
-    """(literals, weight) of each clause in the integer stream."""
-    pos = 0
-    while pos < len(nums):
+    """The literal lists and weights of the clauses in the integer stream,
+    in order, and the DimacsError that ends the stream early, or None."""
+    clauses: list[list[int]] = []
+    weights: list[int] = []
+    index = nums.index
+    pos, total = 0, len(nums)
+    while pos < total:
         weight = 1
         if weighted:
             weight = nums[pos]
             pos += 1
             if weight <= 0:
-                raise DimacsError(f"clause weight {weight} must be >= 1")
+                return clauses, weights, DimacsError(
+                    f"clause weight {weight} must be >= 1")
         try:
-            end = nums.index(0, pos)
+            end = index(0, pos)
         except ValueError:
-            raise DimacsError("unterminated clause (missing trailing 0)") from None
-        yield nums[pos:end], weight
+            return clauses, weights, DimacsError(
+                "unterminated clause (missing trailing 0)")
+        clauses.append(nums[pos:end])
+        weights.append(weight)
         pos = end + 1
+    return clauses, weights, None
 
 
 def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
@@ -77,8 +94,28 @@ def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
     of the clauses below it, empty ones included (tautologies are dropped
     and not counted): otherwise breaking only soft clauses could cost TOP,
     which reads as infeasible. Lenient mode warns instead of failing on a
-    wrong clause count or a TOP that is too low, and grows the variable
-    count to the largest literal."""
+    wrong clause count or a TOP that is too low, reads such a TOP as the
+    soft total plus one (and every clause at or above the declared TOP at
+    the new one), and grows the variable count to the largest literal.
+
+    The cyclic garbage collector is paused for the parse: a parse
+    allocates little besides the formula it returns, so a collection
+    would only walk survivors."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text, dialect, strict)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
+    """``_read`` in whole-stream passes: the literal range is checked by
+    one min and max, and only a clause whose variables are not all
+    distinct is normalized. A clause is walked literal by literal only
+    when some literal is out of range, in stream order, so every error
+    and warning comes in the order of a clause-by-clause read."""
     comments, header, tokens = _split_stream(text)
     if dialect is None:
         dialect = "wcnf" if header is not None and header[1:2] == ["wcnf"] else "cnf"
@@ -94,42 +131,66 @@ def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
     top = _int_token(header[4]) if len(header) == 5 else None
     if top is not None and top < 1:
         raise DimacsError("top must be positive")
-    nums = [_int_token(tok) for tok in tokens]
-    num_vars = n
-    if not strict:
-        num_vars = max(n, max((abs(lit) for lits, _ in _clauses(nums, weighted)
-                               for lit in lits), default=0))
-    formula = Formula(num_vars, top=top)
-    count = 0
-    soft = 0  # the weight below TOP
-    for lits, weight in _clauses(nums, weighted):
-        for lit in lits:
-            if abs(lit) > n:
-                msg = f"literal {lit} exceeds declared variable count {n}"
-                if strict:
-                    raise DimacsError(msg)
-                warnings.warn(msg)
-        norm = normalize_lits(lits)
-        if norm is None:
-            warnings.warn(f"tautological clause {lits} dropped")
-        else:
-            if top is not None and weight < top:
-                soft += weight
-            if norm:
-                formula.add_clause(norm, weight)
+    try:
+        nums = list(map(int, tokens))
+    except ValueError:
+        nums = [_int_token(tok) for tok in tokens]  # names the first bad one
+    clauses, weights, broken = _clauses(nums, weighted)
+    # a stream that ends early fails before any warning in lenient mode;
+    # strict mode first reports a range error in a complete clause
+    if broken is not None and not strict:
+        raise broken
+    count = len(clauses)
+    lits = nums if not weighted and broken is None \
+        else list(chain.from_iterable(clauses))
+    # the largest variable, 0 without literals
+    largest = max(max(lits, default=0), -min(lits, default=0))
+    # the clauses to walk: every one if a literal is out of range, else
+    # those that repeat a variable
+    walk = range(count) if largest > n else [
+        i for i, c in enumerate(clauses)
+        if len(c) > 1 and len(set(map(abs, c))) < len(c)]
+    dropped = []
+    for i in walk:
+        c = clauses[i]
+        if largest > n:
+            for lit in c:
+                if abs(lit) > n:
+                    msg = f"literal {lit} exceeds declared variable count {n}"
+                    if strict:
+                        raise DimacsError(msg)
+                    warnings.warn(msg)
+        if len(set(map(abs, c))) < len(c):
+            norm = normalize_lits(c)
+            if norm is None:
+                warnings.warn(f"tautological clause {c} dropped")
+                dropped.append(i)
             else:
-                formula.add_empty(weight)
-        count += 1
+                clauses[i] = norm
+    if broken is not None:
+        raise broken
+    for i in reversed(dropped):
+        del clauses[i], weights[i]
     if count != m:
         msg = f"header declares {m} clauses but {count} were read"
         if strict:
             raise DimacsError(msg)
         warnings.warn(msg)
-    if top is not None and soft >= top:
-        msg = f"soft weight total {soft} reaches top {top}"
-        if strict:
-            raise DimacsError(msg)
-        warnings.warn(msg)
+    if top is not None:
+        soft = sum(w for w in weights if w < top)
+        if soft >= top:
+            msg = f"soft weight total {soft} reaches top {top}"
+            if strict:
+                raise DimacsError(msg)
+            warnings.warn(f"{msg}; top read as {soft + 1}")
+            weights = [w if w < top else soft + 1 for w in weights]
+            top = soft + 1
+    formula = Formula(n if strict else max(n, largest), top=top)
+    if [] in clauses:
+        formula.add_empty(sum(w for c, w in zip(clauses, weights) if not c))
+        weights = [w for c, w in zip(clauses, weights) if c]
+        clauses = [c for c in clauses if c]
+    formula.add_clauses_unchecked(clauses, weights)
     return ParsedInstance(formula, comments, n, m)
 
 

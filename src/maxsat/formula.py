@@ -180,6 +180,33 @@ class Formula:
             self.trail.append(("add", c))
         return c
 
+    def add_clauses_unchecked(self, clauses, weights) -> None:
+        """Append each literal list with its weight in a new slot, in order,
+        untrailed and unchecked: every list must be nonempty with distinct
+        variables in range and every weight at least 1, as ``add_clause``
+        checks. The parser and ``copy`` build a formula with it."""
+        slots = self.slots
+        occ = self.occ
+        units = self.units
+        buckets = self._buckets
+        n = self.num_vars
+        cid = len(slots)
+        added = 0
+        for lits, w in zip(clauses, weights):
+            c = Clause(lits, w, cid)
+            cid += 1
+            slots.append(c)
+            k = len(lits)
+            added += k
+            if k == 1:
+                units[c] = None
+            cnt = buckets[k if k < 3 else 3]
+            for x in lits:
+                x += n
+                occ[x].append(c)
+                cnt[x] += w
+        self.lit_count += added
+
     def remove_clause(self, c: Clause) -> None:
         if not c.live:
             raise ValueError(f"clause {c.cid} is not live")
@@ -545,8 +572,9 @@ class Formula:
     def copy(self) -> "Formula":
         """Fresh formula with the same live clause multiset (slot order kept)."""
         f = Formula(self.num_vars, top=self.top)
-        for c in self.clauses():
-            f.add_clause(list(c.active()), c.weight)
+        live = list(self.clauses())
+        f.add_clauses_unchecked([c.active() for c in live],
+                                [c.weight for c in live])
         f.empty_weight = self.empty_weight
         return f
 

@@ -143,16 +143,21 @@ def test_solve_wcnf_out_of_range_literal_strict_exit(tmp_path, capsys):
 
 def test_wcnf_top_below_soft_total(tmp_path, capsys):
     # four soft units of weight 6 under TOP 10: strict mode exits 2 with
-    # both numbers, lenient mode warns before it answers
+    # both numbers; lenient mode warns, reads TOP as 25 and finds the
+    # optimum 12 (the oracle prints no s line for an optimum)
     path = tmp_path / "low.wcnf"
     path.write_text("p wcnf 2 4 10\n6 1 0\n6 -1 0\n6 2 0\n6 -2 0\n")
     for cmd in ("solve", "oracle"):
         assert main([cmd, str(path), "--strict"]) == 2
         assert capsys.readouterr().err == \
             "error: soft weight total 24 reaches top 10\n"
-        with pytest.warns(UserWarning, match="soft weight total 24"):
-            main([cmd, str(path)])
-        capsys.readouterr()
+        with pytest.warns(UserWarning, match="soft weight total 24 reaches "
+                                             "top 10; top read as 25"):
+            assert main([cmd, str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "o 12"
+        if cmd == "solve":
+            assert out[-1] == "s OPTIMUM FOUND"
 
 
 def test_gen_ksat_deterministic(tmp_path, capsys):

@@ -27,6 +27,9 @@ CSV_COLUMNS = ["instance", "variant", "optimum", *STATS_COLUMNS, "time_ms",
 
 ORACLE_CHECK_LIMIT = 18
 
+STATUS_LINES = {OPTIMAL: "s OPTIMUM FOUND", TIMED_OUT: "s TIMEOUT",
+                MANDATORY_CONFLICT: "s UNSATISFIABLE"}
+
 # manifest generator key -> GeneratorSpec field
 MANIFEST_KEYS = {"seed": "seed", "n": "n", "m": "m", "k": "k",
                  "v": "vertices", "e": "edges", "density": "density"}
@@ -40,6 +43,16 @@ def _load_formula(path: str, strict: bool = False) -> Formula:
 def _assignment_line(assignment, num_vars) -> str:
     lits = [str(v if assignment[v] else -v) for v in range(1, num_vars + 1)]
     return "v " + " ".join(lits)
+
+
+def _report(formula: Formula, optimum: int, assignment, status: str) -> None:
+    """The answer lines of solve and oracle: o and v only for an
+    assignment that keeps every hard clause (cost below TOP), then the s
+    line of the status."""
+    if formula.top is None or optimum < formula.top:
+        print(f"o {optimum}")
+        print(_assignment_line(assignment, formula.num_vars))
+    print(STATUS_LINES[status])
 
 
 def _timeout_seconds(text: str) -> float:
@@ -77,16 +90,7 @@ def _solve_and_report(args, formula: Formula, trace_fh) -> int:
     config = SolverConfig.variant(args.variant)
     trace = [] if trace_fh is not None else None
     result = solve(formula, config, timeout=args.timeout, trace=trace)
-    # o and v lines report only assignments that keep every hard clause
-    if formula.top is None or result.optimum < formula.top:
-        print(f"o {result.optimum}")
-        print(_assignment_line(result.best_assignment, formula.num_vars))
-    if result.status == OPTIMAL:
-        print("s OPTIMUM FOUND")
-    elif result.status == TIMED_OUT:
-        print("s TIMEOUT")
-    else:
-        print("s UNSATISFIABLE")
+    _report(formula, result.optimum, result.best_assignment, result.status)
     if args.stats:
         for key, value in result.stats.as_dict().items():
             print(f"{key}={value}")
@@ -144,13 +148,11 @@ def cmd_oracle(args) -> int:
     except (OSError, DimacsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # as in solve: an optimum at TOP breaks a hard clause, so no o or v line
-    if formula.top is not None and optimum >= formula.top:
-        print("s UNSATISFIABLE")
-        return 1
-    print(f"o {optimum}")
-    print(_assignment_line(witness, formula.num_vars))
-    return 0
+    # an optimum at TOP breaks a hard clause: no assignment keeps them all
+    feasible = formula.top is None or optimum < formula.top
+    _report(formula, optimum, witness,
+            OPTIMAL if feasible else MANDATORY_CONFLICT)
+    return 0 if feasible else 1
 
 
 # ---------- benchmark harness ----------

@@ -66,6 +66,8 @@ class Formula:
         ``lit + num_vars``; index ``num_vars`` (literal 0) stays unused."""
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
+        if top is not None and top < 1:
+            raise ValueError("top must be positive")
         self.num_vars = num_vars
         self.top = top  # mandatory-clause sentinel weight, None if all soft
         self.slots: list[Clause] = []
@@ -75,7 +77,6 @@ class Formula:
         self.occ: list[list[Clause]] = [[] for _ in range(2 * num_vars + 1)]
         self.units: dict[Clause, None] = {}
         self.empty_weight = 0
-        self.lit_count = 0  # total active literals over live clauses
         self.assignment: dict[int, bool] = {}
         self.trail: list[tuple] = []
         self.prop_stamp = 0  # propagation pass id for clause scratch counters
@@ -109,37 +110,6 @@ class Formula:
     def is_top(self, w: int) -> bool:
         return self.top is not None and w >= self.top
 
-    # ---------- count bookkeeping ----------
-
-    def _resize(self, c: Clause, old: int, new: int) -> None:
-        """Account for c's active length going from old to new literals,
-        0 standing for not counted (removed, or not added yet).
-
-        ``lits[:old]`` leave the old size bucket and ``lits[:new]`` enter
-        the new one, each literal ``x`` at index ``x + num_vars`` of the
-        bucket's array, so a 2->1 hide touches three counters. Only a clause
-        that stops or starts being a unit leaves or enters the unit
-        registry, so no other unit changes its position there.
-        ``hide_literal`` calls it; every other edit and ``undo_to`` do the
-        same arithmetic in line, since a call per clause cost more than
-        the arithmetic itself.
-        """
-        w = c.weight
-        n = self.num_vars
-        if old:
-            cnt = self._buckets[old if old < 3 else 3]
-            for x in c.lits[:old]:
-                cnt[x + n] -= w
-        if new:
-            cnt = self._buckets[new if new < 3 else 3]
-            for x in c.lits[:new]:
-                cnt[x + n] += w
-        self.lit_count += new - old
-        if old == 1:
-            self.units.pop(c, None)
-        elif new == 1:
-            self.units[c] = None
-
     # ---------- structural edits ----------
 
     def add_clause(self, lits: list[int], weight: int = 1, *,
@@ -171,7 +141,6 @@ class Formula:
         for x in lits:
             occ[x + n].append(c)
             cnt[x + n] += weight
-        self.lit_count += k
         if k == 1:
             self.units[c] = None
         if on_trail:
@@ -191,13 +160,11 @@ class Formula:
         buckets = self._buckets
         n = self.num_vars
         cid = len(slots)
-        added = 0
         for lits, w in zip(clauses, weights):
             c = Clause(lits, w, cid)
             cid += 1
             slots.append(c)
             k = len(lits)
-            added += k
             if k == 1:
                 units[c] = None
             cnt = buckets[k if k < 3 else 3]
@@ -205,7 +172,6 @@ class Formula:
                 x += n
                 occ[x].append(c)
                 cnt[x] += w
-        self.lit_count += added
 
     def remove_clause(self, c: Clause) -> None:
         if not c.live:
@@ -219,29 +185,7 @@ class Formula:
             cnt[x + n] -= w
         if k == 1:
             self.units.pop(c, None)
-        self.lit_count -= k
         self.trail.append(("rm", c))
-
-    def hide_literal(self, c: Clause, lit: int) -> None:
-        """Remove one literal occurrence; a unit reduced to length 0 becomes
-        empty-clause weight."""
-        if c.size == 1:
-            if c.lits[0] != lit:
-                raise ValueError(f"literal {lit} not active in clause {c.cid}")
-            # hiding the last literal falsifies the clause
-            self.remove_clause(c)
-            self.add_empty(c.weight, on_trail=True)
-            return
-        i = c.lits.index(lit)
-        if i >= c.size:
-            raise ValueError(f"literal {lit} not active in clause {c.cid}")
-        last = c.size - 1
-        c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
-        c.size = last
-        self._resize(c, last + 1, last)
-        if last == 2 and self.pairs is not None:
-            self._log_binary(c, len(self.trail))
-        self.trail.append(("hide", c, i))
 
     def add_empty(self, weight: int, *, on_trail: bool = False) -> None:
         self.empty_weight += weight
@@ -277,14 +221,18 @@ class Formula:
         """One-literal rule: delete clauses containing lit, remove all
         occurrences of -lit (units falsified this way become empty weight).
         Always on the trail; a literal out of range or of an assigned
-        variable raises before any edit.
+        variable raises before any edit, and no later step raises.
 
-        The edits, their trail records and the unit registry order are
-        those of ``remove_clause`` on each satisfied clause and then
-        ``hide_literal(c, -lit)`` on each shrunk one, in occurrence-list
-        order, but the counts are updated in these loops: a helper call
-        per clause cost more than the count arithmetic itself. A 3->2 hide
-        enters the pair index when it exists."""
+        Every live clause listed under -lit still holds -lit among its
+        active literals: only an assignment of a variable hides its
+        literals, the variable stays assigned until those hides are
+        undone, and this one is not assigned.
+
+        Each satisfied clause leaves an ``"rm"`` record, each shrunk one a
+        ``"hide"`` record and each emptied unit ``"rm"`` then ``"empty"``,
+        in occurrence-list order; the counts are updated in these loops,
+        since a helper call per clause cost more than the count arithmetic
+        itself. A 3->2 hide enters the pair index when it exists."""
         n = self.num_vars
         v = abs(lit)
         if not 0 < v <= n:
@@ -294,81 +242,66 @@ class Formula:
         append = self.trail.append
         units = self.units
         w1, w2, w3 = self.w1, self.w2, self.w3
-        dropped = 0    # active literals removed, for lit_count
-        falsified = 0  # weight of the units emptied, for empty_weight
-        try:
-            for c in self.occ[lit + n]:
-                if not c.live:
-                    continue
+        for c in self.occ[lit + n]:
+            if not c.live:
+                continue
+            c.live = False
+            k = c.size
+            w = c.weight
+            if k == 1:
+                w1[c.lits[0] + n] -= w
+                units.pop(c, None)
+            else:
+                cnt = w2 if k == 2 else w3
+                for x in c.lits[:k]:
+                    cnt[x + n] -= w
+            append(("rm", c))
+        nl = -lit
+        j = nl + n  # the index of nl's own counts
+        for c in self.occ[j]:
+            if not c.live:
+                continue
+            k = c.size
+            w = c.weight
+            lits = c.lits
+            if k == 1:
+                # hiding the last literal falsifies the clause
                 c.live = False
-                k = c.size
-                w = c.weight
-                if k == 1:
-                    w1[c.lits[0] + n] -= w
-                    units.pop(c, None)
-                else:
-                    cnt = w2 if k == 2 else w3
-                    for x in c.lits[:k]:
-                        cnt[x + n] -= w
-                dropped += k
+                w1[j] -= w
+                units.pop(c, None)
                 append(("rm", c))
-            nl = -lit
-            j = nl + n  # the index of nl's own counts
-            for c in self.occ[j]:
-                if not c.live:
-                    continue
-                k = c.size
-                w = c.weight
-                lits = c.lits
-                if k == 1:
-                    if lits[0] != nl:
-                        raise ValueError(
-                            f"literal {nl} not active in clause {c.cid}")
-                    # hiding the last literal falsifies the clause
-                    c.live = False
-                    w1[j] -= w
-                    dropped += 1
-                    units.pop(c, None)
-                    append(("rm", c))
-                    falsified += w
-                    append(("empty", w))
-                    continue
-                i = lits.index(nl)
-                if i >= k:
-                    raise ValueError(
-                        f"literal {nl} not active in clause {c.cid}")
-                last = k - 1
-                lits[i], lits[last] = lits[last], lits[i]
-                c.size = last
-                if k == 2:
-                    # the kept literal moves from bucket 2 to bucket 1
-                    w2[j] -= w
-                    x = lits[0] + n
-                    w2[x] -= w
-                    w1[x] += w
-                    units[c] = None
-                else:
-                    w3[j] -= w
-                    if k == 3:
-                        # the two kept literals move from bucket 3 to 2
-                        for x in lits[:2]:
-                            x += n
-                            w3[x] -= w
-                            w2[x] += w
-                        if self.pairs is not None:
-                            self._log_binary(c, len(self.trail))
-                dropped += 1
-                append(("hide", c, i))
-        finally:
-            self.lit_count -= dropped
-            self.empty_weight += falsified
+                self.empty_weight += w
+                append(("empty", w))
+                continue
+            i = lits.index(nl)
+            last = k - 1
+            lits[i], lits[last] = lits[last], lits[i]
+            c.size = last
+            if k == 2:
+                # the kept literal moves from bucket 2 to bucket 1
+                w2[j] -= w
+                x = lits[0] + n
+                w2[x] -= w
+                w1[x] += w
+                units[c] = None
+            else:
+                w3[j] -= w
+                if k == 3:
+                    # the two kept literals move from bucket 3 to 2
+                    for x in lits[:2]:
+                        x += n
+                        w3[x] -= w
+                        w2[x] += w
+                    if self.pairs is not None:
+                        self._log_binary(c, len(self.trail))
+            append(("hide", c, i))
         self.assignment[v] = lit > 0
         append(("assign", v))
 
     # temporary removal used by the lower-bound computation; not trailed.
     # A detached clause leaves the unit registry, which propagation reads,
-    # but stays in the weight sums and lit_count, which it does not, so
-    # audit() holds only while nothing is detached. Trail operations may
+    # but stays in the weight sums, which it does not, so audit() and
+    # is_empty() hold only while nothing is detached. Trail operations may
     # run in between; the caller reattaches before anything reads counts.
     def detach_clause(self, clauses) -> None:
         """Set a sequence of live clauses aside; none is touched unless
@@ -401,9 +334,9 @@ class Formula:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
-        """Pop trail records down to ``mark``, newest first. Every record
-        updates the counts in line, as ``_resize`` would: a call per record
-        cost more than its arithmetic. An undo below the pair index's build
+        """Pop trail records down to ``mark``, newest first, each undoing
+        its edit's count updates in line: a helper call per record cost
+        more than its arithmetic. An undo below the pair index's build
         point drops the index; above it, an ``"add"`` of a binary and a
         ``"hide"`` back to three literals pop their log entry and the
         clause's entry in the index."""
@@ -417,86 +350,79 @@ class Formula:
         buckets = self._buckets
         w1, w2, w3 = self.w1, self.w2, self.w3
         n = self.num_vars
-        restored = 0  # active literals back, for lit_count
-        try:
-            while len(trail) > mark:
-                rec = pop()
-                op = rec[0]
-                if op == "rm":
-                    c = rec[1]
-                    c.live = True
-                    k = c.size
-                    w = c.weight
-                    if k == 1:
-                        w1[c.lits[0] + n] += w
-                        units[c] = None
-                    else:
-                        cnt = w2 if k == 2 else w3
-                        for x in c.lits[:k]:
-                            cnt[x + n] += w
-                    restored += k
-                elif op == "hide":
-                    _, c, i = rec
-                    last = c.size
-                    lits = c.lits
-                    w = c.weight
-                    # lits[last] is still the hidden literal
-                    h = lits[last] + n
-                    if last == 1:
-                        # the kept literal moves from bucket 1 to bucket 2
-                        x = lits[0] + n
-                        w1[x] -= w
-                        w2[x] += w
-                        w2[h] += w
-                        units.pop(c, None)
-                    else:
-                        if last == 2:
-                            # the two kept literals move from bucket 2 to 3
-                            for x in lits[:2]:
-                                x += n
-                                w2[x] -= w
-                                w3[x] += w
-                            if pairs is not None:
-                                log.pop()[2].pop()
-                        w3[h] += w
-                    restored += 1
-                    c.size = last + 1
-                    lits[i], lits[last] = lits[last], lits[i]
-                elif op == "empty":
-                    self.empty_weight -= rec[1]
-                elif op == "add":
-                    c = rec[1]
-                    self.slots.pop()
-                    c.live = False
-                    k = c.size
-                    w = c.weight
-                    lits = c.lits
-                    cnt = buckets[k if k < 3 else 3]
-                    for x in lits[:k]:
-                        cnt[x + n] -= w
-                    if k == 1:
-                        units.pop(c, None)
-                    elif k == 2 and pairs is not None:
-                        log.pop()[2].pop()
-                    restored -= k
-                    occ = self.occ
-                    for x in lits:
-                        occ[x + n].pop()
-                elif op == "wt":
-                    _, c, old = rec
-                    # the clause stays in its size bucket
-                    d = old - c.weight
-                    k = c.size
-                    cnt = buckets[k if k < 3 else 3]
+        while len(trail) > mark:
+            rec = pop()
+            op = rec[0]
+            if op == "rm":
+                c = rec[1]
+                c.live = True
+                k = c.size
+                w = c.weight
+                if k == 1:
+                    w1[c.lits[0] + n] += w
+                    units[c] = None
+                else:
+                    cnt = w2 if k == 2 else w3
                     for x in c.lits[:k]:
-                        cnt[x + n] += d
-                    c.weight = old
-                elif op == "assign":
-                    del self.assignment[rec[1]]
-                else:  # pragma: no cover
-                    raise AssertionError(f"unknown trail op {op}")
-        finally:
-            self.lit_count += restored
+                        cnt[x + n] += w
+            elif op == "hide":
+                _, c, i = rec
+                last = c.size
+                lits = c.lits
+                w = c.weight
+                # lits[last] is still the hidden literal
+                h = lits[last] + n
+                if last == 1:
+                    # the kept literal moves from bucket 1 to bucket 2
+                    x = lits[0] + n
+                    w1[x] -= w
+                    w2[x] += w
+                    w2[h] += w
+                    units.pop(c, None)
+                else:
+                    if last == 2:
+                        # the two kept literals move from bucket 2 to 3
+                        for x in lits[:2]:
+                            x += n
+                            w2[x] -= w
+                            w3[x] += w
+                        if pairs is not None:
+                            log.pop()[2].pop()
+                    w3[h] += w
+                c.size = last + 1
+                lits[i], lits[last] = lits[last], lits[i]
+            elif op == "empty":
+                self.empty_weight -= rec[1]
+            elif op == "add":
+                c = rec[1]
+                self.slots.pop()
+                c.live = False
+                k = c.size
+                w = c.weight
+                lits = c.lits
+                cnt = buckets[k if k < 3 else 3]
+                for x in lits[:k]:
+                    cnt[x + n] -= w
+                if k == 1:
+                    units.pop(c, None)
+                elif k == 2 and pairs is not None:
+                    log.pop()[2].pop()
+                occ = self.occ
+                for x in lits:
+                    occ[x + n].pop()
+            elif op == "wt":
+                _, c, old = rec
+                # the clause stays in its size bucket
+                d = old - c.weight
+                k = c.size
+                cnt = buckets[k if k < 3 else 3]
+                for x in c.lits[:k]:
+                    cnt[x + n] += d
+                c.weight = old
+            elif op == "assign":
+                del self.assignment[rec[1]]
+            else:  # pragma: no cover
+                raise AssertionError(f"unknown trail op {op}")
 
     # ---------- pair index ----------
 
@@ -562,6 +488,12 @@ class Formula:
             if c.live:
                 yield c
 
+    def is_empty(self) -> bool:
+        """True iff no live clause is left. Every live clause adds its
+        positive weight to its literals' counts, so this is exact whenever
+        nothing is detached."""
+        return not (any(self.w1) or any(self.w2) or any(self.w3))
+
     def clause_count(self) -> int:
         return sum(1 for _ in self.clauses())
 
@@ -602,10 +534,8 @@ class Formula:
         when one exists."""
         n = self.num_vars
         exp = {name: [0] * (2 * n + 1) for name in ("w1", "w2", "w3")}
-        lit_count = 0
         units = []
         for c in self.clauses():
-            lit_count += c.size
             counts = exp["w" + str(min(c.size, 3))]
             for lit in c.active():
                 counts[lit + n] += c.weight
@@ -619,8 +549,6 @@ class Formula:
         for name, arr in exp.items():
             if getattr(self, name) != arr:
                 raise AssertionError(f"count mismatch in {name}")
-        if lit_count != self.lit_count:
-            raise AssertionError("lit_count mismatch")
         if set(units) != set(self.units):
             raise AssertionError("unit registry mismatch")
         for i, occ in enumerate(self.occ):

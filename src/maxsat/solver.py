@@ -102,7 +102,7 @@ def select_value(formula: Formula, var: int) -> bool:
 
 
 def initial_upper_bound(formula: Formula, deadline: float | None = None):
-    """Greedy incumbent: assign the heuristic's literal until no literal
+    """Greedy incumbent: assign the heuristic's literal until no clause
     is left or ``time.monotonic()`` passes ``deadline``; unassigned
     variables default to False.
 
@@ -110,7 +110,7 @@ def initial_upper_bound(formula: Formula, deadline: float | None = None):
     """
     mark = formula.mark()
     try:
-        while formula.lit_count:
+        while not formula.is_empty():
             if deadline is not None and time.monotonic() > deadline:
                 break
             v = select_variable(formula)
@@ -320,7 +320,7 @@ class Solver:
                 if not alive:
                     stats.pruned += 1
                     return
-                if f.lit_count == 0:
+                if f.is_empty():
                     cost = f.empty_weight
                     if cost < self.ub:
                         self.ub = cost

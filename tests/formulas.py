@@ -28,6 +28,33 @@ def build(n, clauses, weights=None, top=None):
     return Formula.from_clauses(n, clauses, weights=weights, top=top)
 
 
+def reference_resize(self, c, old: int, new: int) -> None:
+    """The reference count update, once ``Formula._resize``: account for
+    c's active length going from old to new literals, 0 standing for not
+    counted (removed, or not added yet).
+
+    ``lits[:old]`` leave the old size bucket and ``lits[:new]`` enter
+    the new one, each literal ``x`` at index ``x + num_vars`` of the
+    bucket's array, so a 2->1 hide touches three counters. Only a clause
+    that stops or starts being a unit leaves or enters the unit
+    registry, so no other unit changes its position there.
+    """
+    w = c.weight
+    n = self.num_vars
+    if old:
+        cnt = self._buckets[old if old < 3 else 3]
+        for x in c.lits[:old]:
+            cnt[x + n] -= w
+    if new:
+        cnt = self._buckets[new if new < 3 else 3]
+        for x in c.lits[:new]:
+            cnt[x + n] += w
+    if old == 1:
+        self.units.pop(c, None)
+    elif new == 1:
+        self.units[c] = None
+
+
 def random_clauses(rng: random.Random, n: int, m: int, max_len: int = 3):
     out = []
     for _ in range(m):

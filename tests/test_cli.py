@@ -144,7 +144,7 @@ def test_solve_wcnf_out_of_range_literal_strict_exit(tmp_path, capsys):
 def test_wcnf_top_below_soft_total(tmp_path, capsys):
     # four soft units of weight 6 under TOP 10: strict mode exits 2 with
     # both numbers; lenient mode warns, reads TOP as 25 and finds the
-    # optimum 12 (the oracle prints no s line for an optimum)
+    # optimum 12, and both commands end in the same s line
     path = tmp_path / "low.wcnf"
     path.write_text("p wcnf 2 4 10\n6 1 0\n6 -1 0\n6 2 0\n6 -2 0\n")
     for cmd in ("solve", "oracle"):
@@ -156,8 +156,7 @@ def test_wcnf_top_below_soft_total(tmp_path, capsys):
             assert main([cmd, str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "o 12"
-        if cmd == "solve":
-            assert out[-1] == "s OPTIMUM FOUND"
+        assert out[-1] == "s OPTIMUM FOUND"
 
 
 def test_gen_ksat_deterministic(tmp_path, capsys):
@@ -224,7 +223,8 @@ def test_oracle_sums_weights_beyond_int64(tmp_path, capsys):
     path = tmp_path / "big.wcnf"
     path.write_text(BIG_SOFT)
     assert main(["oracle", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["o 5", "v 1"]
+    assert capsys.readouterr().out.splitlines() == ["o 5", "v 1",
+                                                    "s OPTIMUM FOUND"]
 
 
 def test_seedcheck_agrees_beyond_int64(tmp_path, capsys):
@@ -239,7 +239,8 @@ def test_top_beyond_int64_ends_in_an_answer(tmp_path, capsys):
     path = tmp_path / "top.wcnf"
     path.write_text(BIG_TOP)
     assert main(["oracle", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["o 3", "v 1"]
+    assert capsys.readouterr().out.splitlines() == ["o 3", "v 1",
+                                                    "s OPTIMUM FOUND"]
     assert main(["solve", str(path), "--seedcheck"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "c seedcheck ok (3)"
     # both hard units cannot hold: the saturated optimum is TOP itself

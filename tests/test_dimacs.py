@@ -393,7 +393,7 @@ def _parsed_state(inst: ParsedInstance):
     registry in order, and the scalars."""
     f = inst.formula
     return (inst.comments, inst.declared_variables, inst.declared_clauses,
-            f.num_vars, f.top, f.empty_weight, f.lit_count,
+            f.num_vars, f.top, f.empty_weight,
             [(c.cid, c.lits, c.size, c.weight, c.live) for c in f.slots],
             [[c.cid for c in occ] for occ in f.occ],
             f.w1, f.w2, f.w3, [c.cid for c in f.units],

@@ -10,7 +10,7 @@ from maxsat.rules import MandatoryConflictError
 from maxsat.oracle import _cost_vector
 
 from formulas import (THREE_DISJOINT, UP_NOT_EQUIVALENT, build, random_clauses,
-                      run_optimized)
+                      reference_resize, run_optimized)
 
 
 def all_assignments(n):
@@ -100,6 +100,14 @@ def test_assign_literal_unit_falsification():
     assert f.empty_weight == 1
 
 
+def test_formula_refuses_a_top_below_one():
+    # as the parser does: a TOP of 0 would make every clause mandatory
+    for top in (0, -3):
+        with pytest.raises(ValueError, match="top must be positive"):
+            Formula.from_clauses(2, [[1], [-1], [2]], top=top)
+    assert Formula(2, top=1).top == 1
+
+
 def test_assign_literal_falsifies_opposing_unit():
     # assigning x4 falsifies the unit clause -4
     f = build(5, THREE_DISJOINT)
@@ -127,17 +135,6 @@ def test_assign_literal_rejects_bad_literal_before_any_edit():
         assert f.trail == trail
     f.undo_to(mark)
     assert f.as_multiset() == before and f.assignment == {}
-    f.audit()
-
-
-def test_hide_literal_on_unit_requires_its_literal():
-    f = Formula.from_clauses(3, [[1], [2, 3]])
-    unit = f.slots[0]
-    with pytest.raises(ValueError, match="not active"):
-        f.hide_literal(unit, 2)
-    assert unit.live and f.empty_weight == 0 and f.trail == []
-    f.hide_literal(unit, 1)
-    assert not unit.live and f.empty_weight == 1
     f.audit()
 
 
@@ -245,13 +242,15 @@ def test_weight_arithmetic_with_top():
 
 
 def test_hide_literal_bucket_transitions():
+    # assigning -3 and then -2 hides 3 and then 2: literal 1 moves from
+    # bucket 3 to bucket 2 to bucket 1
     f = build(3, [[1, 2, 3]])
     c = next(f.clauses())
     x1 = 1 + f.num_vars  # the index of literal 1
     assert f.w3[x1] == 1
-    f.hide_literal(c, 3)
+    f.assign_literal(-3)
     assert f.w3[x1] == 0 and f.w2[x1] == 1
-    f.hide_literal(c, 2)
+    f.assign_literal(-2)
     assert f.w1[x1] == 1
     assert c in f.units
     f.audit()
@@ -373,19 +372,24 @@ def test_interleaved_operations_fuzz(rng):
             else:
                 states.append((f.mark(), f.as_multiset(), f.empty_weight))
             f.audit()
+            assert f.is_empty() == (not any(True for _ in f.clauses()))
         for mark, multiset, empty in reversed(states):
             f.undo_to(mark)
             assert f.as_multiset() == multiset
             assert f.empty_weight == empty
             f.audit()
+            assert f.is_empty() == (not any(True for _ in f.clauses()))
 
 
 class ReferenceKernelFormula(Formula):
     """Reference kernels: the earlier ``assign_literal``, ``undo_to``,
-    ``add_clause``, ``remove_clause`` and ``reduce_weight``, kept verbatim,
-    which make one ``remove_clause``/``hide_literal`` call per clause and
-    one ``_resize``/``_bump_counts`` call per edit or undone record. The
+    ``add_clause``, ``remove_clause``, ``reduce_weight`` and
+    ``hide_literal``, kept verbatim, which make one
+    ``remove_clause``/``hide_literal`` call per clause and one
+    ``_resize``/``_bump_counts`` call per edit or undone record. The
     pair index is not theirs, so they run without one."""
+
+    _resize = reference_resize
 
     def _bump_counts(self, c: Clause, d: int) -> None:
         """Add d to the counts of c's active literals in its size bucket:
@@ -429,6 +433,27 @@ class ReferenceKernelFormula(Formula):
         c.live = False
         self._resize(c, c.size, 0)
         self.trail.append(("rm", c))
+
+    def hide_literal(self, c: Clause, lit: int) -> None:
+        """Remove one literal occurrence; a unit reduced to length 0 becomes
+        empty-clause weight."""
+        if c.size == 1:
+            if c.lits[0] != lit:
+                raise ValueError(f"literal {lit} not active in clause {c.cid}")
+            # hiding the last literal falsifies the clause
+            self.remove_clause(c)
+            self.add_empty(c.weight, on_trail=True)
+            return
+        i = c.lits.index(lit)
+        if i >= c.size:
+            raise ValueError(f"literal {lit} not active in clause {c.cid}")
+        last = c.size - 1
+        c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
+        c.size = last
+        self._resize(c, last + 1, last)
+        if last == 2 and self.pairs is not None:
+            self._log_binary(c, len(self.trail))
+        self.trail.append(("hide", c, i))
 
     def reduce_weight(self, c: Clause, d: int) -> None:
         """Subtract d from a clause weight; weight 0 removes. A TOP weight
@@ -504,12 +529,12 @@ class ReferenceKernelFormula(Formula):
 
 def _kernel_state(f):
     """Everything the kernels write, with clauses named by slot id: the
-    three counts, lit_count, empty_weight, the trail and the unit registry
-    in order (the order Q1 reads), and every slot's literals."""
+    three counts, empty_weight, the trail and the unit registry in order
+    (the order Q1 reads), and every slot's literals."""
     def name(item):
         return item.cid if isinstance(item, maxsat.Clause) else item
     return ([f.w1, f.w2, f.w3],
-            f.lit_count, f.empty_weight,
+            f.empty_weight,
             [tuple(name(x) for x in rec) for rec in f.trail],
             [c.cid for c in f.units],
             [(c.lits, c.size, c.live, c.weight) for c in f.slots],
@@ -529,8 +554,7 @@ def _outcome(call):
 def test_kernels_match_reference_kernels(data):
     # the same edit sequence through the in-line kernels and the reference
     # ones leaves the same state after every step, the registry order
-    # included, which audit() compares only as a set; a direct hide makes
-    # an assignment meet a clause whose literal is gone, so the kernels'
+    # included, which audit() compares only as a set, and the kernels'
     # ValueErrors are compared too
     n = data.draw(st.integers(2, 7), label="n")
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -546,8 +570,8 @@ def test_kernels_match_reference_kernels(data):
     pair = [cls.from_clauses(n, clauses, weights=weights, top=top)
             for cls in (Formula, ReferenceKernelFormula)]
     marks = []
-    ops = ["assign", "assign", "assign", "remove", "reduce", "add", "hide",
-           "bound", "mark", "undo"]
+    ops = ["assign", "assign", "assign", "remove", "reduce", "add", "bound",
+           "mark", "undo"]
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         op = data.draw(st.sampled_from(ops), label="op")
         f = pair[0]
@@ -570,11 +594,6 @@ def test_kernels_match_reference_kernels(data):
             outs = [_outcome(lambda g=g: g.add_clause(list(lits), w,
                                                       on_trail=True).cid)
                     for g in pair]
-        elif op == "hide" and live:
-            i = data.draw(st.sampled_from(live), label="clause")
-            x = data.draw(st.sampled_from(f.slots[i].active()), label="hidden")
-            outs = [_outcome(lambda g=g: g.hide_literal(g.slots[i], x))
-                    for g in pair]
         elif op == "bound":
             ub = data.draw(st.sampled_from([3, 1000]), label="ub")
             variant = data.draw(st.sampled_from(["0", "z"]), label="variant")
@@ -591,6 +610,7 @@ def test_kernels_match_reference_kernels(data):
         assert outs[0] == outs[1], op
         assert _kernel_state(pair[0]) == _kernel_state(pair[1]), op
         pair[0].audit()
+        assert pair[0].is_empty() == (not any(True for _ in pair[0].clauses()))
     for g in pair:
         g.undo_to(0)
     assert _kernel_state(pair[0]) == _kernel_state(pair[1])
@@ -660,7 +680,7 @@ def test_pair_index_matches_a_rebuild_after_every_edit(data):
     f = Formula.from_clauses(n, clauses, weights=weights, top=top)
     marks = []
     built = 0
-    ops = ["assign", "assign", "remove", "reduce", "add", "hide", "bound",
+    ops = ["assign", "assign", "remove", "reduce", "add", "bound",
            "rule1", "rule2", "mark", "mark", "undo", "undo", "build"]
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         if f.pairs is None and (built == 0 or data.draw(st.booleans())):
@@ -681,9 +701,6 @@ def test_pair_index_matches_a_rebuild_after_every_edit(data):
                 f.add_clause(list(data.draw(clause, label="added")),
                              data.draw(st.sampled_from([1, 2])),
                              on_trail=True)
-            elif op == "hide" and live:
-                c = data.draw(st.sampled_from(live), label="clause")
-                f.hide_literal(c, data.draw(st.sampled_from(c.active())))
             elif op == "bound":
                 underestimation(f, data.draw(st.sampled_from([3, 1000])),
                                 SolverConfig.variant(

@@ -2,7 +2,8 @@
 statement: python -O strips them, so the check would silently stop
 running. Every module must parse as Python 3.10, the oldest version
 pyproject.toml admits. No private helper may outlive its last caller in
-the package."""
+the package, and no public method of a package class its last caller in
+the package, the demos or the benchmark harness."""
 
 import ast
 from collections import Counter
@@ -11,6 +12,7 @@ from pathlib import Path
 import maxsat
 
 PACKAGE = Path(maxsat.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def bare_asserts(source: str, filename: str) -> list[str]:
@@ -88,3 +90,56 @@ def test_dead_private_helpers_finds_an_unused_helper():
               "class _Box:\n    def __init__(self):\n        self.v = 0\n")
     assert dead_private_helpers({"m.py": source}) == ["m.py:4 _dead",
                                                       "m.py:7 _Box"]
+
+
+def dead_public_methods(package: dict[str, str],
+                        users: dict[str, str]) -> list[str]:
+    """The public methods (no ``_`` prefix) of the classes in ``package``
+    that no code in ``package`` or ``users`` names outside their own
+    definition."""
+    trees = {name: ast.parse(text, name) for name, text in package.items()}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_names(tree))
+    for name, text in users.items():
+        used.update(_names(ast.parse(text, name)))
+    dead = []
+    for filename, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")
+                        and used[node.name] == Counter(_names(node))[node.name]):
+                    dead.append(f"{filename}:{node.lineno} "
+                                f"{cls.name}.{node.name}")
+    return dead
+
+
+def test_package_has_no_dead_public_methods():
+    # a method kept only for tests belongs in the tests; the tests' own
+    # uses (tests/ and solvebench/tests/) do not count
+    package = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    users = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+             for folder in ("demos", "solvebench")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if "tests" not in path.relative_to(ROOT).parts}
+    assert package and users
+    assert dead_public_methods(package, users) == []
+
+
+def test_dead_public_methods_finds_an_unused_method():
+    # a method named only in its own body is dead; one named only by a
+    # user module lives while that module counts
+    source = ("class Box:\n"
+              "    def used(self):\n        return 1\n\n"
+              "    def dead(self, x):\n        return self.dead(x - 1)\n\n"
+              "    def _private(self):\n        return self.used()\n\n"
+              "    def for_users(self):\n        return 3\n")
+    user = "from m import Box\nBox().for_users()\n"
+    assert dead_public_methods({"m.py": source}, {"u.py": user}) == \
+        ["m.py:5 Box.dead"]
+    assert dead_public_methods({"m.py": source}, {}) == \
+        ["m.py:5 Box.dead", "m.py:11 Box.for_users"]

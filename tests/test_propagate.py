@@ -14,7 +14,7 @@ from maxsat import (Formula, MandatoryConflictError, NoConflictError, NO_RULE,
                     underestimation)
 from maxsat.solver import solve
 
-from formulas import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, WIDE_GRAPH, TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, ORDER_HIDES_PAIR, build, random_clauses
+from formulas import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, WIDE_GRAPH, TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, ORDER_HIDES_PAIR, build, random_clauses, reference_resize
 from test_solver import _rule1_gate_instances
 
 ALL_RULES = SolverConfig.variant("z")
@@ -381,7 +381,7 @@ def reference_detach(formula, clauses):
     """Detach that also unregisters each clause's counts and unit entry."""
     for c in clauses:
         c.live = False
-        formula._resize(c, c.size, 0)
+        reference_resize(formula, c, c.size, 0)
 
 
 def reference_attach(formula, clauses):
@@ -389,7 +389,7 @@ def reference_attach(formula, clauses):
     of the registry."""
     for c in clauses:
         c.live = True
-        formula._resize(c, 0, c.size)
+        reference_resize(formula, c, 0, c.size)
 
 
 @contextmanager

@@ -49,7 +49,7 @@ def _report(formula: Formula, optimum: int, assignment, status: str) -> None:
     """The answer lines of solve and oracle: o and v only for an
     assignment that keeps every hard clause (cost below TOP), then the s
     line of the status."""
-    if formula.top is None or optimum < formula.top:
+    if not formula.is_top(optimum):
         print(f"o {optimum}")
         print(_assignment_line(assignment, formula.num_vars))
     print(STATUS_LINES[status])
@@ -149,7 +149,7 @@ def cmd_oracle(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # an optimum at TOP breaks a hard clause: no assignment keeps them all
-    feasible = formula.top is None or optimum < formula.top
+    feasible = not formula.is_top(optimum)
     _report(formula, optimum, witness,
             OPTIMAL if feasible else MANDATORY_CONFLICT)
     return 0 if feasible else 1

@@ -187,7 +187,7 @@ def _parse(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
             top = soft + 1
     formula = Formula(n if strict else max(n, largest), top=top)
     if [] in clauses:
-        formula.add_empty(sum(w for c, w in zip(clauses, weights) if not c))
+        formula.empty_weight = sum(w for c, w in zip(clauses, weights) if not c)
         weights = [w for c, w in zip(clauses, weights) if c]
         clauses = [c for c in clauses if c]
     formula.add_clauses_unchecked(clauses, weights)

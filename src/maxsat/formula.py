@@ -99,10 +99,15 @@ class Formula:
     @classmethod
     def from_clauses(cls, num_vars: int, clauses, weights=None,
                      top: int | None = None) -> "Formula":
+        """A formula of the clauses in order, each checked as
+        ``add_clause`` checks it, weight 1 unless ``weights`` is given."""
         f = cls(num_vars, top=top)
+        clauses = [list(lits) for lits in clauses]
+        if weights is None:
+            weights = [1] * len(clauses)
         for i, lits in enumerate(clauses):
-            w = 1 if weights is None else weights[i]
-            f.add_clause(list(lits), w)
+            f._check_clause(lits, weights[i])
+        f.add_clauses_unchecked(clauses, weights)
         return f
 
     # ---------- weight helpers ----------
@@ -112,11 +117,9 @@ class Formula:
 
     # ---------- structural edits ----------
 
-    def add_clause(self, lits: list[int], weight: int = 1, *,
-                   on_trail: bool = False) -> Clause:
-        """Append a clause in a new slot at the end of ``slots``. Undoing a
-        trailed add pops the last slot, so a formula is built with untrailed
-        adds before any trailed one."""
+    def _check_clause(self, lits: list[int], weight: int) -> None:
+        """Raise ValueError unless lits is nonempty with distinct variables
+        in range and weight is at least 1; the first bad literal wins."""
         if not lits:
             raise ValueError("empty clauses are tracked via empty_weight")
         n = self.num_vars
@@ -133,6 +136,12 @@ class Formula:
                 seen.add(lit)
         if weight < 1:
             raise ValueError("clause weight must be >= 1")
+
+    def add_clause(self, lits: list[int], weight: int = 1) -> Clause:
+        """Append a clause in a new slot at the end of ``slots``, on the
+        trail: undoing the add pops the slot."""
+        self._check_clause(lits, weight)
+        n = self.num_vars
         c = Clause(lits, weight, len(self.slots))
         self.slots.append(c)
         occ = self.occ
@@ -143,17 +152,18 @@ class Formula:
             cnt[x + n] += weight
         if k == 1:
             self.units[c] = None
-        if on_trail:
-            if k == 2 and self.pairs is not None:
-                self._log_binary(c, len(self.trail))
-            self.trail.append(("add", c))
+        elif k == 2 and self.pairs is not None:
+            self._log_binary(c, len(self.trail))
+        self.trail.append(("add", c))
         return c
 
     def add_clauses_unchecked(self, clauses, weights) -> None:
         """Append each literal list with its weight in a new slot, in order,
-        untrailed and unchecked: every list must be nonempty with distinct
-        variables in range and every weight at least 1, as ``add_clause``
-        checks. The parser and ``copy`` build a formula with it."""
+        unchecked (each list nonempty with distinct variables in range, each
+        weight at least 1, as ``add_clause`` checks) and untrailed, so it
+        refuses a formula that has a trail record or a pair index."""
+        if self.trail or self.pairs is not None:
+            raise ValueError("untrailed adds must precede every trailed edit")
         slots = self.slots
         occ = self.occ
         units = self.units
@@ -187,14 +197,18 @@ class Formula:
             self.units.pop(c, None)
         self.trail.append(("rm", c))
 
-    def add_empty(self, weight: int, *, on_trail: bool = False) -> None:
+    def add_empty(self, weight: int) -> None:
         self.empty_weight += weight
-        if on_trail:
-            self.trail.append(("empty", weight))
+        self.trail.append(("empty", weight))
 
     def reduce_weight(self, c: Clause, d: int) -> None:
         """Subtract d from a clause weight; weight 0 removes. A TOP weight
-        stays TOP under a soft d, and TOP - TOP = 0."""
+        stays TOP under a soft d, and TOP - TOP = 0. A clause that is not
+        live or a d below 1 raises before any edit."""
+        if not c.live:
+            raise ValueError(f"clause {c.cid} is not live")
+        if d < 1:
+            raise ValueError("weight reduction must be >= 1")
         old = c.weight
         if self.is_top(old):
             new = 0 if self.is_top(d) else old
@@ -437,8 +451,7 @@ class Formula:
         pops both. A clause that dies or shrinks to a unit stays listed, so
         a reader skips entries by ``live`` and ``size``; a live binary is
         always listed under its own pair and no other (``audit`` checks
-        it). Untrailed adds are not indexed, so a formula is built before
-        its index, and an undo below the build point drops the index."""
+        it). An undo below the build point drops the index."""
         pairs: dict[tuple[int, int], list[Clause]] = {}
         out = []
         for c in self.slots:

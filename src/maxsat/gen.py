@@ -46,12 +46,10 @@ def gen_random_maxksat(n: int, m: int, k: int, seed: int) -> Formula:
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
     rng = random.Random(seed)
-    f = Formula(n)
     variables = range(1, n + 1)
-    for _ in range(m):
-        lits = [v if rng.getrandbits(1) else -v for v in rng.sample(variables, k)]
-        f.add_clause(lits)
-    return f
+    clauses = [[v if rng.getrandbits(1) else -v for v in rng.sample(variables, k)]
+               for _ in range(m)]
+    return Formula.from_clauses(n, clauses)
 
 
 def _connected(vertex_count: int, edges) -> bool:
@@ -106,11 +104,10 @@ def gen_random_kcolorable_graph(v: int, density: float, seed: int) -> GraphInsta
 def encode_maxcut(graph: GraphInstance) -> Formula:
     """Two binary clauses per edge; a cut of weight k satisfies m + k
     clauses, so the Max-SAT optimum is m minus the maximum cut."""
-    f = Formula(graph.vertex_count)
+    clauses = []
     for a, b in graph.edges:
-        f.add_clause([a, b])
-        f.add_clause([-a, -b])
-    return f
+        clauses += [[a, b], [-a, -b]]
+    return Formula.from_clauses(graph.vertex_count, clauses)
 
 
 def _color_var(vertex: int, color: int) -> int:
@@ -121,17 +118,14 @@ def encode_3coloring(graph: GraphInstance) -> Formula:
     """Per vertex: one at-least-one-color ternary clause and the three
     at-most-one binaries; per edge: three clauses forbidding equal colors.
     3v variables, 4v + 3|E| clauses."""
-    f = Formula(3 * graph.vertex_count)
+    clauses = []
     for i in range(1, graph.vertex_count + 1):
         c1, c2, c3 = (_color_var(i, c) for c in (1, 2, 3))
-        f.add_clause([c1, c2, c3])
-        f.add_clause([-c1, -c2])
-        f.add_clause([-c1, -c3])
-        f.add_clause([-c2, -c3])
+        clauses += [[c1, c2, c3], [-c1, -c2], [-c1, -c3], [-c2, -c3]]
     for a, b in graph.edges:
         for c in (1, 2, 3):
-            f.add_clause([-_color_var(a, c), -_color_var(b, c)])
-    return f
+            clauses.append([-_color_var(a, c), -_color_var(b, c)])
+    return Formula.from_clauses(3 * graph.vertex_count, clauses)
 
 
 def gen_from_spec(spec: GeneratorSpec) -> Formula:

@@ -56,16 +56,6 @@ class ImplicationGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def audit(self) -> None:
-        """Acyclicity: every edge points forward in insertion order."""
-        pos = {lit: i for i, lit in enumerate(self.nodes)}
-        for lit in self.nodes:
-            for p in self.predecessors(lit):
-                if p not in pos:
-                    raise AssertionError(f"predecessor {p} of {lit} is not a node")
-                if pos[p] >= pos[lit]:
-                    raise AssertionError(f"edge {p}->{lit} violates acyclicity")
-
 
 def build_implication_graph(formula: Formula) -> ImplicationGraph:
     """One construction pass; stops as soon as its conflict is determined.
@@ -262,7 +252,9 @@ def apply_conflict_rule(formula: Formula, clauses) -> RuleApplication:
     clauses = list(clauses)
     _check_live(clauses)
     scratch = Formula(formula.num_vars, top=formula.top)
-    origin = {scratch.add_clause(c.active(), c.weight): c for c in clauses}
+    scratch.add_clauses_unchecked([c.active() for c in clauses],
+                                  [c.weight for c in clauses])
+    origin = dict(zip(scratch.slots, clauses))
     graph = build_implication_graph(scratch)
     if graph.conflict is None:
         raise PatternError("pattern propagates to no conflict")

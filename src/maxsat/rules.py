@@ -105,9 +105,8 @@ def _fire(formula: Formula, rule_id: str, pattern: list[Clause],
     _audit_sizes(consumed_size, sum(len(lits) for lits in produced_lits))
     for c in pattern:
         formula.reduce_weight(c, w)
-    produced = [formula.add_clause(lits, w, on_trail=True).cid
-                for lits in produced_lits]
-    formula.add_empty(w, on_trail=True)
+    produced = [formula.add_clause(lits, w).cid for lits in produced_lits]
+    formula.add_empty(w)
     return RuleApplication(rule_id, [c.cid for c in pattern], produced, w)
 
 
@@ -143,7 +142,7 @@ def apply_rule1(formula: Formula, c1: Clause, c2: Clause) -> RuleApplication:
     _audit_sizes(c1.size + c2.size, len(rest))
     formula.reduce_weight(c1, w)
     formula.reduce_weight(c2, w)
-    nc = formula.add_clause(rest, w, on_trail=True)
+    nc = formula.add_clause(rest, w)
     return RuleApplication(R1, [c1.cid, c2.cid], [nc.cid], w)
 
 

@@ -138,7 +138,7 @@ def repair_incumbent(formula: Formula, assignment: dict[int, bool],
     Returns (cost, complete assignment) of the best assignment seen,
     priced by ``Formula.cost``.
     """
-    if formula.top is None or cost < formula.top:
+    if not formula.is_top(cost):
         return cost, assignment
     n = formula.num_vars
     value = [False] + [assignment[v] for v in range(1, n + 1)]
@@ -281,13 +281,13 @@ class Solver:
         # may drift from the input formula's (all such costs mean infeasible)
         true_cost = f.cost(self.incumbent)
         if true_cost != self.ub and not (
-                f.top is not None and true_cost >= f.top and self.ub >= f.top):
+                f.is_top(true_cost) and f.is_top(self.ub)):
             raise RuntimeError(
                 f"incumbent reported at cost {self.ub} but its "
                 f"assignment costs {true_cost}")
         if timed_out:
             return SolveResult(true_cost, self.incumbent, self.stats, TIMED_OUT)
-        if f.top is not None and self.ub >= f.top:
+        if f.is_top(self.ub):
             return SolveResult(self.ub, None, self.stats, MANDATORY_CONFLICT)
         return SolveResult(self.ub, self.incumbent, self.stats, OPTIMAL)
 

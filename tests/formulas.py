@@ -55,6 +55,18 @@ def reference_resize(self, c, old: int, new: int) -> None:
         self.units[c] = None
 
 
+def audit_graph(self) -> None:
+    """Acyclicity of an ``ImplicationGraph``: every edge points forward in
+    insertion order. Only tests call it, so it lives here."""
+    pos = {lit: i for i, lit in enumerate(self.nodes)}
+    for lit in self.nodes:
+        for p in self.predecessors(lit):
+            if p not in pos:
+                raise AssertionError(f"predecessor {p} of {lit} is not a node")
+            if pos[p] >= pos[lit]:
+                raise AssertionError(f"edge {p}->{lit} violates acyclicity")
+
+
 def random_clauses(rng: random.Random, n: int, m: int, max_len: int = 3):
     out = []
     for _ in range(m):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import multiprocessing
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,7 +263,8 @@ def _run_main(args):
 def test_solve_and_oracle_agree_on_huge_weights(tmp_path_factory, data):
     # weights up to 2^70, with or without a TOP: solve and the oracle
     # report the same optimum (or both no assignment below TOP), each
-    # with an exit code
+    # with an exit code, and each read warns of the lenient TOP lift
+    # exactly when the drawn TOP is at or below the soft total
     n = data.draw(st.integers(1, 6))
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
     clauses = data.draw(st.lists(
@@ -274,8 +276,15 @@ def test_solve_and_oracle_agree_on_huge_weights(tmp_path_factory, data):
     formula = Formula.from_clauses(n, clauses, weights=weights, top=top)
     path = tmp_path_factory.mktemp("huge") / "f.wcnf"
     path.write_text(write_wcnf(formula))
-    code, solved = _run_main(["solve", str(path)])
-    oracle_code, oracle = _run_main(["oracle", str(path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, solved = _run_main(["solve", str(path)])
+        oracle_code, oracle = _run_main(["oracle", str(path)])
+    soft = sum(w for w in weights if top is not None and w < top)
+    lift = (UserWarning, f"soft weight total {soft} reaches top {top}; "
+                         f"top read as {soft + 1}")
+    assert [(w.category, str(w.message)) for w in caught] == \
+        ([lift, lift] if top is not None and soft >= top else [])
     assert code == oracle_code
     assert [x for x in solved if x[0] in "os"] == \
         [x for x in oracle if x[0] in "o"] + \

@@ -349,6 +349,8 @@ def _read(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
         if strict:
             raise DimacsError(msg)
         warnings.warn(msg)
+    # every add above left a trail record; a parse leaves no trail
+    formula.trail.clear()
     return ParsedInstance(formula, comments, n, m)
 
 

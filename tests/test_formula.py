@@ -213,7 +213,7 @@ def test_add_appends_and_undo_pops():
     c = next(f.clauses())
     f.remove_clause(c)
     slots = list(f.slots)
-    nc = f.add_clause([1, 2], on_trail=True)
+    nc = f.add_clause([1, 2])
     assert nc.cid == len(slots)
     assert f.slots == slots + [nc]
     f.audit()
@@ -224,12 +224,11 @@ def test_add_appends_and_undo_pops():
 
 
 def test_weight_arithmetic_with_top():
-    f = Formula(2, top=50)
-    c = f.add_clause([1], weight=50)
+    f = Formula.from_clauses(2, [[1], [2]], weights=[50, 5], top=50)
+    c, soft = f.slots
     assert f.is_top(c.weight)
     f.reduce_weight(c, 5)
     assert c.weight == 50  # TOP - w = TOP
-    soft = f.add_clause([2], weight=5)
     with pytest.raises(ValueError):
         f.reduce_weight(soft, 50)  # soft - TOP is below zero
     f.reduce_weight(soft, 5)
@@ -238,6 +237,58 @@ def test_weight_arithmetic_with_top():
     assert not c.live  # TOP - TOP = 0
     f.undo_to(0)
     assert c.live and c.weight == 50 and soft.live and soft.weight == 5
+    f.audit()
+
+
+def test_every_add_after_a_mark_is_undone():
+    # an add is always trailed, so undo pops exactly the adds after the
+    # mark, and the clause added before it stays
+    f = Formula(3)
+    f.add_clause([1, 2])
+    m = f.mark()
+    f.add_clause([1, 3])
+    f.add_clause([2, 3])
+    f.undo_to(m)
+    assert [c.active() for c in f.clauses()] == [[1, 2]]
+    assert [c.active() for c in f.slots] == [[1, 2]]
+    f.audit()
+
+
+def test_untrailed_build_refused_after_a_trailed_edit():
+    # add_clauses_unchecked writes no trail record, so it refuses a
+    # formula that has one or that keeps a pair index
+    f = build(2, [[1, 2]])
+    f.add_clauses_unchecked([[-1]], [1])
+    f.add_empty(1)
+    with pytest.raises(ValueError, match="untrailed"):
+        f.add_clauses_unchecked([[2]], [1])
+    g = build(2, [[1, 2]])
+    g.build_pair_index()
+    with pytest.raises(ValueError, match="untrailed"):
+        g.add_clauses_unchecked([[2]], [1])
+    assert [c.active() for c in f.slots] == [[1, 2], [-1]]
+    assert [c.active() for c in g.slots] == [[1, 2]]
+    f.audit()
+    g.audit()
+
+
+def test_reduce_weight_refuses_a_dead_clause_or_a_bad_amount():
+    # a clause the one-literal rule satisfied, and an amount below 1,
+    # raise before any edit
+    f = build(2, [[1, 2], [-1, 2]], weights=[3, 3])
+    sat, other = f.slots
+    f.assign_literal(1)
+    trail = list(f.trail)
+    with pytest.raises(ValueError, match="not live"):
+        f.reduce_weight(sat, 1)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match=">= 1"):
+            f.reduce_weight(other, d)
+    assert f.trail == trail and sat.weight == 3 and other.weight == 3
+    f.audit()
+    f.undo_to(0)
+    assert f.as_multiset() == build(2, [[1, 2], [-1, 2]],
+                                    weights=[3, 3]).as_multiset()
     f.audit()
 
 
@@ -299,11 +350,10 @@ def test_audit_detects_occurrence_list_out_of_slot_order():
 
 
 def test_audits_survive_optimize_flag():
-    # the audits raise explicitly, so python -O (which strips asserts)
-    # still reports a corrupted formula or implication graph
+    # the audit raises explicitly, so python -O (which strips asserts)
+    # still reports a corrupted formula
     out = run_optimized("""
         from maxsat import Formula
-        from maxsat.propagate import build_implication_graph
         if __debug__:
             raise SystemExit("not running under -O")
         f = Formula.from_clauses(2, [[1, 2]])
@@ -312,17 +362,9 @@ def test_audits_survive_optimize_flag():
             f.audit()
         except AssertionError as e:
             print("formula:", e)
-        g = build_implication_graph(Formula.from_clauses(2, [[1], [-1, 2]]))
-        g.nodes = dict(reversed(g.nodes.items()))
-        try:
-            g.audit()
-        except AssertionError as e:
-            print("graph:", e)
     """)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        "formula: count mismatch in w2",
-        "graph: edge 1->2 violates acyclicity"], \
+    assert out.stdout.splitlines() == ["formula: count mismatch in w2"], \
         out.stdout
 
 
@@ -353,7 +395,7 @@ def test_interleaved_operations_fuzz(rng):
                 f.remove_clause(rng.choice(live))
             elif op < 0.6:
                 f.add_clause(random_clauses(rng, n, 1, max_len=5)[0],
-                             rng.randint(1, 3), on_trail=True)
+                             rng.randint(1, 3))
             elif op < 0.75 and len(live) >= 2:
                 a, b = rng.sample(live, 2)
                 try:
@@ -400,11 +442,9 @@ class ReferenceKernelFormula(Formula):
         for x in c.lits[:k]:
             cnt[x + n] += d
 
-    def add_clause(self, lits: list[int], weight: int = 1, *,
-                   on_trail: bool = False) -> Clause:
-        """Append a clause in a new slot at the end of ``slots``. Undoing a
-        trailed add pops the last slot, so a formula is built with untrailed
-        adds before any trailed one."""
+    def add_clause(self, lits: list[int], weight: int = 1) -> Clause:
+        """Append a clause in a new slot at the end of ``slots``, on the
+        trail: undoing the add pops the slot."""
         if not lits:
             raise ValueError("empty clauses are tracked via empty_weight")
         seen = set()
@@ -423,8 +463,7 @@ class ReferenceKernelFormula(Formula):
         for lit in lits:
             self.occ[lit + n].append(c)
         self._resize(c, 0, c.size)
-        if on_trail:
-            self.trail.append(("add", c))
+        self.trail.append(("add", c))
         return c
 
     def remove_clause(self, c: Clause) -> None:
@@ -442,7 +481,7 @@ class ReferenceKernelFormula(Formula):
                 raise ValueError(f"literal {lit} not active in clause {c.cid}")
             # hiding the last literal falsifies the clause
             self.remove_clause(c)
-            self.add_empty(c.weight, on_trail=True)
+            self.add_empty(c.weight)
             return
         i = c.lits.index(lit)
         if i >= c.size:
@@ -591,8 +630,7 @@ def test_kernels_match_reference_kernels(data):
         elif op == "add":
             lits = data.draw(clause, label="added")
             w = data.draw(st.sampled_from([1, 2]), label="weight")
-            outs = [_outcome(lambda g=g: g.add_clause(list(lits), w,
-                                                      on_trail=True).cid)
+            outs = [_outcome(lambda g=g: g.add_clause(list(lits), w).cid)
                     for g in pair]
         elif op == "bound":
             ub = data.draw(st.sampled_from([3, 1000]), label="ub")
@@ -699,8 +737,7 @@ def test_pair_index_matches_a_rebuild_after_every_edit(data):
                                 data.draw(st.sampled_from([1, 2, 40])))
             elif op == "add":
                 f.add_clause(list(data.draw(clause, label="added")),
-                             data.draw(st.sampled_from([1, 2])),
-                             on_trail=True)
+                             data.draw(st.sampled_from([1, 2])))
             elif op == "bound":
                 underestimation(f, data.draw(st.sampled_from([3, 1000])),
                                 SolverConfig.variant(

@@ -3,7 +3,9 @@ statement: python -O strips them, so the check would silently stop
 running. Every module must parse as Python 3.10, the oldest version
 pyproject.toml admits. No private helper may outlive its last caller in
 the package, and no public method of a package class its last caller in
-the package, the demos or the benchmark harness."""
+the package, the demos or the benchmark harness; since callers are found
+by name, no two package classes may define a public method of the same
+name."""
 
 import ast
 from collections import Counter
@@ -143,3 +145,41 @@ def test_dead_public_methods_finds_an_unused_method():
         ["m.py:5 Box.dead"]
     assert dead_public_methods({"m.py": source}, {}) == \
         ["m.py:5 Box.dead", "m.py:11 Box.for_users"]
+
+
+def shared_public_methods(package: dict[str, str]) -> list[str]:
+    """The public methods of the classes in ``package`` whose name another
+    package class also defines. The dead-method check counts uses by name,
+    so such a name can keep a method alive that only tests call."""
+    owners: dict[str, list[str]] = {}
+    for filename, text in package.items():
+        for cls in ast.walk(ast.parse(text, filename)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    owners.setdefault(node.name, []).append(
+                        f"{filename}:{node.lineno} {cls.name}.{node.name}")
+    return [where for found in owners.values() if len(found) > 1
+            for where in found]
+
+
+def test_package_classes_share_no_public_method_name():
+    package = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert package
+    assert shared_public_methods(package) == []
+
+
+def test_shared_public_methods_finds_a_shared_name():
+    # two classes in two modules define audit; private and dunder names
+    # may repeat
+    one = ("class Box:\n    def audit(self):\n        return 1\n\n"
+           "    def _check(self):\n        return 2\n")
+    two = ("class Graph:\n    def __len__(self):\n        return 0\n\n"
+           "    def _check(self):\n        return 3\n\n"
+           "    def audit(self):\n        return 4\n")
+    assert shared_public_methods({"a.py": one, "b.py": two}) == \
+        ["a.py:2 Box.audit", "b.py:8 Graph.audit"]
+    assert shared_public_methods({"a.py": one}) == []

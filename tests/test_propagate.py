@@ -14,7 +14,7 @@ from maxsat import (Formula, MandatoryConflictError, NoConflictError, NO_RULE,
                     underestimation)
 from maxsat.solver import solve
 
-from formulas import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, WIDE_GRAPH, TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, ORDER_HIDES_PAIR, build, random_clauses, reference_resize
+from formulas import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, WIDE_GRAPH, TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, ORDER_HIDES_PAIR, audit_graph, build, random_clauses, reference_resize
 from test_solver import _rule1_gate_instances
 
 ALL_RULES = SolverConfig.variant("z")
@@ -40,7 +40,7 @@ def test_graph_bystander_clause_excluded():
     assert clause_sets(analysis.subset) == clause_sets(
         [c for c in build(8, WIDE_GRAPH).clauses()
          if tuple(sorted(c.active())) not in ((-5, 8),)][1:])
-    g.audit()
+    audit_graph(g)
 
 
 def test_graph_no_units_is_empty():
@@ -69,7 +69,7 @@ def test_graph_reasons_force_their_nodes():
     # whose every other active literal is falsified by an earlier node
     f = build(8, WIDE_GRAPH)
     g = build_implication_graph(f)
-    g.audit()
+    audit_graph(g)
     earlier = set()
     for lit, reason in g.nodes.items():
         assert reason.live
@@ -87,7 +87,7 @@ def test_graph_audit_rejects_missing_predecessor():
     assert g.predecessors(1) == () and g.predecessors(2) == (1,)
     del g.nodes[1]
     with pytest.raises(AssertionError, match="predecessor 1 of 2"):
-        g.audit()
+        audit_graph(g)
 
 
 def test_graph_does_not_mutate_formula():
@@ -449,7 +449,7 @@ def assert_same_pass(g, ref) -> bool:
     conflict, followed by ``conflict[1], conflict[0]``, or all of the
     reference's when a unit taken from Q1 met its negation. Returns
     whether the pass stopped before the reference did."""
-    g.audit()
+    audit_graph(g)
     if ref.conflict is None:
         assert graph_signature(g) == graph_signature(ref)
         return False

@@ -94,7 +94,7 @@ class Formula:
         # edits made since the build, as (record position, clause, list)
         self.pairs: dict[tuple[int, int], list[Clause]] | None = None
         self.pair_log: list[tuple[int, Clause, list[Clause]]] = []
-        self.pairs_base = 0  # trail length at the build
+        self.pairs_base = 0  # position of the build's trail record
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses, weights=None,
@@ -161,8 +161,8 @@ class Formula:
         """Append each literal list with its weight in a new slot, in order,
         unchecked (each list nonempty with distinct variables in range, each
         weight at least 1, as ``add_clause`` checks) and untrailed, so it
-        refuses a formula that has a trail record or a pair index."""
-        if self.trail or self.pairs is not None:
+        refuses a formula that has a trail record (a pair index has one)."""
+        if self.trail:
             raise ValueError("untrailed adds must precede every trailed edit")
         slots = self.slots
         occ = self.occ
@@ -350,12 +350,10 @@ class Formula:
     def undo_to(self, mark: int) -> None:
         """Pop trail records down to ``mark``, newest first, each undoing
         its edit's count updates in line: a helper call per record cost
-        more than its arithmetic. An undo below the pair index's build
-        point drops the index; above it, an ``"add"`` of a binary and a
-        ``"hide"`` back to three literals pop their log entry and the
-        clause's entry in the index."""
-        if self.pairs is not None and mark < self.pairs_base:
-            self.drop_pair_index()
+        more than its arithmetic. While the pair index exists, an ``"add"``
+        of a binary and a ``"hide"`` back to three literals pop their log
+        entry and the clause's entry in the index; the ``"pairs"`` record
+        of its build drops it."""
         pairs = self.pairs
         log = self.pair_log
         trail = self.trail
@@ -435,6 +433,8 @@ class Formula:
                 c.weight = old
             elif op == "assign":
                 del self.assignment[rec[1]]
+            elif op == "pairs":  # the log entries above it are popped
+                self.pairs = pairs = None
             else:  # pragma: no cover
                 raise AssertionError(f"unknown trail op {op}")
 
@@ -442,16 +442,17 @@ class Formula:
 
     def build_pair_index(self) -> list[Clause]:
         """Index the live binaries by their sorted literal pair, start an
-        empty log at the current trail length, and return those binaries
-        in slot order.
+        empty log, write the ``("pairs",)`` trail record at ``pairs_base``
+        and return those binaries in slot order.
 
         Until the index is dropped, every trailed edit that makes a binary
         (an ``"add"`` of a 2-literal clause, a 3->2 hide) appends the
-        clause to its pair's list and logs it, and the undo of that record
-        pops both. A clause that dies or shrinks to a unit stays listed, so
-        a reader skips entries by ``live`` and ``size``; a live binary is
-        always listed under its own pair and no other (``audit`` checks
-        it). An undo below the build point drops the index."""
+        clause to its pair's list and logs it at its record's position,
+        and the undo of that record pops both. A clause that dies or
+        shrinks to a unit stays listed, so a reader skips entries by
+        ``live`` and ``size``; a live binary is always listed under its
+        own pair and no other (``audit`` checks it). Undoing the build
+        record drops the index."""
         pairs: dict[tuple[int, int], list[Clause]] = {}
         out = []
         for c in self.slots:
@@ -466,11 +467,8 @@ class Formula:
         self.pairs = pairs
         self.pair_log = []
         self.pairs_base = len(self.trail)
+        self.trail.append(("pairs",))
         return out
-
-    def drop_pair_index(self) -> None:
-        self.pairs = None
-        self.pair_log = []
 
     def _log_binary(self, c: Clause, pos: int) -> None:
         """Enter c, a binary made by the trail record at ``pos``, in the
@@ -482,16 +480,6 @@ class Formula:
             self.pairs[key] = lst = []
         lst.append(c)
         self.pair_log.append((pos, c, lst))
-
-    def binaries_since(self, mark: int) -> list[Clause]:
-        """The clauses the trail records from ``mark`` on made binaries,
-        oldest first; they may have died or shrunk since. ``mark`` must
-        not lie below the index's build point."""
-        log = self.pair_log
-        i = len(log)
-        while i and log[i - 1][0] >= mark:
-            i -= 1
-        return [c for _, c, _ in log[i:]]
 
     # ---------- queries ----------
 
@@ -577,8 +565,11 @@ class Formula:
 
     def _audit_pairs(self) -> None:
         """Every live binary is listed under its pair, and no live binary
-        under another pair; the log's positions lie at or above the build
-        point, in increasing order, each at a trail record."""
+        under another pair; the log's positions lie above the build record
+        at ``pairs_base``, in increasing order, each at a trail record."""
+        base = self.pairs_base
+        if self.trail[base:base + 1] != [("pairs",)]:
+            raise AssertionError(f"no pair index build record at {base}")
         listed = {}
         for key, lst in self.pairs.items():
             for c in lst:
@@ -594,7 +585,7 @@ class Formula:
             if c.size == 2 and id(c) not in listed:
                 raise AssertionError(
                     f"binary clause {c.cid} missing from the pair index")
-        last = self.pairs_base - 1
+        last = base
         for pos, c, _ in self.pair_log:
             if not last < pos < len(self.trail):
                 raise AssertionError(f"pair log position {pos} out of order")

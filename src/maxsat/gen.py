@@ -9,7 +9,9 @@ yields the same instance (and byte-identical DIMACS output).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .formula import Formula
 
@@ -69,16 +71,22 @@ def _connected(vertex_count: int, edges) -> bool:
 
 def gen_random_connected_graph(v: int, m: int, seed: int) -> GraphInstance:
     """m edges sampled uniformly without replacement; disconnected draws
-    are discarded and resampled from the same stream."""
+    are discarded and resampled from the same stream. The draw picks
+    positions in the lexicographic list of vertex pairs, which is never
+    built: the pair at position i is found from the row starts."""
     if v < 1:
         raise ValueError("need at least one vertex")
     max_edges = v * (v - 1) // 2
     if m < v - 1 or m > max_edges:
         raise ValueError(f"edge count {m} infeasible for a connected graph on {v} vertices")
     rng = random.Random(seed)
-    pairs = [(a, b) for a in range(1, v + 1) for b in range(a + 1, v + 1)]
+    # starts[a - 1]: the position of (a, a + 1), the first pair of row a
+    starts = list(accumulate(range(v - 1, 0, -1), initial=0))
     for _ in range(CONNECT_RETRY_LIMIT):
-        edges = rng.sample(pairs, m)
+        edges = []
+        for i in rng.sample(range(max_edges), m):
+            a = bisect_right(starts, i)
+            edges.append((a, a + 1 + i - starts[a - 1]))
         if _connected(v, edges):
             return GraphInstance(v, sorted(edges))
     raise RuntimeError("no connected graph found within the retry limit")

@@ -234,16 +234,16 @@ class Solver:
                  *, timeout: float | None = None, trace=None):
         self.f = formula
         self.config = config if config is not None else SolverConfig.variant("z")
-        self.stats = SearchStats()
         self.trace = trace
         if timeout is not None and not timeout >= 0:
             raise ValueError(f"timeout must be None or >= 0, got {timeout!r}")
-        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.timeout = timeout
+        self._start_search()
         # the incumbent's cost: the search's upper bound
         self.ub = 0
         self.incumbent: dict[int, bool] = {}
-        # trail length at the last point with no almost-common binary pair,
-        # None until the first rule-1 pass
+        # the pair log's length at the last point with no almost-common
+        # binary pair, None until the first rule-1 pass
         self.r1_mark: int | None = None
         # whether a node's bound first counts the surviving subsets its
         # parent's bound set aside. Only without rules 3-6: carried subsets
@@ -251,7 +251,15 @@ class Solver:
         # branched more in measurements
         self.carry = not (self.config.enable_r34 or self.config.enable_r56)
 
+    def _start_search(self) -> None:
+        """Fresh counters, and the deadline ``timeout`` seconds from now."""
+        self.stats = SearchStats()
+        self.deadline = (None if self.timeout is None
+                         else time.monotonic() + self.timeout)
+
     def solve(self) -> SolveResult:
+        """Search afresh: each call has its own counters and timeout."""
+        self._start_search()
         f = self.f
         # search depth is bounded by the variable count
         limit = sys.getrecursionlimit()
@@ -274,7 +282,6 @@ class Solver:
             timed_out = True
         finally:
             f.undo_to(mark)
-            f.drop_pair_index()
             sys.setrecursionlimit(limit)
         self.stats.elapsed = time.perf_counter() - start
         # below TOP the trail arithmetic is exact; at or above it raw sums
@@ -399,8 +406,9 @@ class Solver:
         first pass of a search builds the formula's pair index
         (``Formula.build_pair_index``) and takes every live binary. When a
         pass ends no two live binaries are almost common, and ``r1_mark``
-        keeps the trail length of that point. Removals, weight cuts and
-        detach/attach create no binary, and undo returns to an earlier
+        keeps the pair log's length then: the log is in trail order, and
+        an undo pops its entries with their records. Removals, weight cuts
+        and detach/attach create no binary, and undo returns to an earlier
         state whose records are still on the trail, so a live binary outside
         the "add" (rule product) and "hide" (shrunk ternary) records since
         the mark was live at the mark, and no two such are almost common.
@@ -419,7 +427,7 @@ class Solver:
             candidates = f.build_pair_index()
         else:
             picked = set()
-            for c in f.binaries_since(self.r1_mark):
+            for _, c, _ in f.pair_log[self.r1_mark:]:
                 if c.live and c.size == 2:
                     partners = self._partners(c)
                     if partners:
@@ -437,7 +445,7 @@ class Solver:
                     break
                 self._record(apply_rule1(f, c, partner))
                 fired = True
-        self.r1_mark = len(f.trail)
+        self.r1_mark = len(f.pair_log)
         return fired
 
     def _record(self, app) -> None:

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -6,7 +8,7 @@ from maxsat import (GeneratorSpec, brute_force_maxcut, brute_force_optimum,
                     encode_3coloring, encode_maxcut, gen_from_spec,
                     gen_random_connected_graph, gen_random_kcolorable_graph,
                     gen_random_maxksat, solve, write_cnf)
-from maxsat.gen import _connected
+from maxsat.gen import GraphInstance, _connected
 
 
 def test_ksat_empty():
@@ -58,6 +60,37 @@ def test_connected_graph_trivial_cases():
     assert len(g.edges) == 3 and _connected(4, g.edges)
 
 
+def list_drawn_connected_graph(v, m, seed):
+    """Reference: the earlier draw, from the list of every vertex pair."""
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(1, v + 1) for b in range(a + 1, v + 1)]
+    while True:
+        edges = rng.sample(pairs, m)
+        if _connected(v, edges):
+            return GraphInstance(v, sorted(edges))
+
+
+def test_connected_graph_matches_the_list_draw():
+    # sampling positions from a range draws what sampling the list did
+    for v, m in ((1, 0), (2, 1), (5, 4), (12, 30), (40, 200), (60, 120),
+                 (9, 36)):
+        for seed in range(30):
+            assert gen_random_connected_graph(v, m, seed) == \
+                list_drawn_connected_graph(v, m, seed), (v, m, seed)
+
+
+def test_connected_graph_builds_no_pair_list():
+    # drawn from a list of all 79,800 vertex pairs, the peak was 6.8 MB
+    tracemalloc.start()
+    try:
+        g = gen_random_connected_graph(400, 2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) == 2000 and _connected(400, g.edges)
+    assert peak < 2_000_000, peak
+
+
 def test_connected_graph_rejects_infeasible():
     with pytest.raises(ValueError):
         gen_random_connected_graph(4, 2, 0)
@@ -80,7 +113,6 @@ def test_maxcut_encoding_shape():
 
 
 def test_maxcut_triangle_correspondence():
-    from maxsat.gen import GraphInstance
     triangle = GraphInstance(3, [(1, 2), (2, 3), (1, 3)])
     f = encode_maxcut(triangle)
     assert f.clause_count() == 6
@@ -88,7 +120,6 @@ def test_maxcut_triangle_correspondence():
 
 
 def test_maxcut_single_edge_and_empty():
-    from maxsat.gen import GraphInstance
     f = encode_maxcut(GraphInstance(2, [(1, 2)]))
     assert brute_force_optimum(f)[0] == 0
     assert encode_maxcut(GraphInstance(3, [])).clause_count() == 0
@@ -109,7 +140,6 @@ def test_coloring_encoding_counts():
 
 
 def test_coloring_k3_and_k4():
-    from maxsat.gen import GraphInstance
     k3 = GraphInstance(3, [(1, 2), (2, 3), (1, 3)])
     assert brute_force_optimum(encode_3coloring(k3))[0] == 0
     k4 = GraphInstance(4, list(itertools.combinations(range(1, 5), 2)))
@@ -117,7 +147,6 @@ def test_coloring_k3_and_k4():
 
 
 def test_coloring_single_vertex():
-    from maxsat.gen import GraphInstance
     f = encode_3coloring(GraphInstance(1, []))
     assert f.clause_count() == 4
     assert brute_force_optimum(f)[0] == 0

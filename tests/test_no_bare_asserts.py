@@ -5,7 +5,8 @@ pyproject.toml admits. No private helper may outlive its last caller in
 the package, and no public method of a package class its last caller in
 the package, the demos or the benchmark harness; since callers are found
 by name, no two package classes may define a public method of the same
-name."""
+name. Every kind of trail record the formula writes has an undo branch,
+and every undo branch a kind that is written."""
 
 import ast
 from collections import Counter
@@ -183,3 +184,63 @@ def test_shared_public_methods_finds_a_shared_name():
     assert shared_public_methods({"a.py": one, "b.py": two}) == \
         ["a.py:2 Box.audit", "b.py:8 Graph.audit"]
     assert shared_public_methods({"a.py": one}) == []
+
+
+def trail_kinds(source: str) -> tuple[set[str], set[str]]:
+    """The trail record kinds a formula module writes, and those its
+    ``undo_to`` compares ``op`` with. A written kind is the leading string
+    of a tuple passed to ``self.trail.append`` or to a local ``append``
+    (the kernels bind ``append = self.trail.append``)."""
+    tree = ast.parse(source)
+    written = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and len(node.args) == 1
+                and isinstance(node.args[0], ast.Tuple)
+                and node.args[0].elts):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id == "append"
+                or isinstance(func, ast.Attribute) and func.attr == "append"
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "trail"):
+            continue
+        kind = node.args[0].elts[0]
+        if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+            written.add(kind.value)
+    undone = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "undo_to":
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Compare)
+                        and isinstance(node.left, ast.Name)
+                        and node.left.id == "op"
+                        and isinstance(node.comparators[0], ast.Constant)):
+                    undone.add(node.comparators[0].value)
+    return written, undone
+
+
+def test_every_trail_kind_has_one_undo_branch():
+    # a kind with no undo branch would raise mid-search, and a branch no
+    # kernel writes is dead
+    written, undone = trail_kinds(
+        (PACKAGE / "formula.py").read_text(encoding="utf-8"))
+    assert written == undone
+    assert {"add", "assign", "empty", "hide", "pairs", "rm", "wt"} <= written
+
+
+def test_trail_kinds_finds_a_kind_without_an_undo_branch():
+    source = ("class F:\n"
+              "    def add(self, c):\n"
+              "        self.trail.append(('add', c))\n"
+              "        self.log.append(('log', c))\n\n"
+              "    def grow(self, c):\n"
+              "        append = self.trail.append\n"
+              "        append(('grow', c))\n\n"
+              "    def undo_to(self, mark):\n"
+              "        while len(self.trail) > mark:\n"
+              "            op = self.trail.pop()[0]\n"
+              "            if op == 'add':\n"
+              "                pass\n"
+              "            elif op == 'shrink':\n"
+              "                pass\n")
+    assert trail_kinds(source) == ({"add", "grow"}, {"add", "shrink"})

@@ -373,6 +373,25 @@ def test_solve_timeout_holds_during_repair(monkeypatch):
     assert elapsed <= limit + 0.3, f"stopped after {elapsed:.2f} s"
 
 
+def test_solve_again_starts_fresh_counters_and_clock():
+    # a second solve counts only its own search, and the timeout runs from
+    # solve(), not from the constructor
+    f = gen_random_maxksat(12, 60, 2, 1)
+    solver = Solver(f)
+    first = solver.solve()
+    second = solver.solve()
+    assert second.stats is not first.stats
+    assert second.stats.as_dict() | {"elapsed_ms": 0} == \
+        first.stats.as_dict() | {"elapsed_ms": 0}
+    assert (second.optimum, second.status) == (first.optimum, OPTIMAL)
+    assert f.trail == [] and f.pairs is None
+    solver = Solver(f, timeout=0.5)
+    time.sleep(0.6)
+    res = solver.solve()
+    assert (res.optimum, res.status) == (first.optimum, OPTIMAL)
+    assert res.stats.nodes == first.stats.nodes
+
+
 def test_solve_restores_recursion_limit():
     # solve raises the limit to 2n + 512 for its search and puts the
     # caller's limit back

@@ -19,6 +19,11 @@ class DimacsError(ValueError):
     pass
 
 
+# the most variables a parse allocates beyond the input's length in
+# characters (see _parse)
+VARIABLE_SLACK = 65536
+
+
 @dataclass
 class ParsedInstance:
     formula: Formula
@@ -115,7 +120,11 @@ def _parse(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
     one min and max, and only a clause whose variables are not all
     distinct is normalized. A clause is walked literal by literal only
     when some literal is out of range, in stream order, so every error
-    and warning comes in the order of a clause-by-clause read."""
+    and warning comes in the order of a clause-by-clause read. The
+    formula's variable count (the declared one, or in lenient mode the
+    larger of it and the largest literal) may exceed the input's length
+    by at most ``VARIABLE_SLACK``: a few header bytes would otherwise
+    allocate arrays of any size."""
     comments, header, tokens = _split_stream(text)
     if dialect is None:
         dialect = "wcnf" if header is not None and header[1:2] == ["wcnf"] else "cnf"
@@ -185,7 +194,15 @@ def _parse(text: str, dialect: str | None, strict: bool) -> ParsedInstance:
             warnings.warn(f"{msg}; top read as {soft + 1}")
             weights = [w if w < top else soft + 1 for w in weights]
             top = soft + 1
-    formula = Formula(n if strict else max(n, largest), top=top)
+    num_vars = n if strict else max(n, largest)
+    # every variable costs per-literal arrays, so the count an input can
+    # ask for is bounded by its own length
+    cap = len(text) + VARIABLE_SLACK
+    if num_vars > cap:
+        raise DimacsError(
+            f"variable count {num_vars} exceeds {cap}, the input's length "
+            f"plus {VARIABLE_SLACK}")
+    formula = Formula(num_vars, top=top)
     if [] in clauses:
         formula.empty_weight = sum(w for c, w in zip(clauses, weights) if not c)
         weights = [w for c, w in zip(clauses, weights) if c]

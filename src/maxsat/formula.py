@@ -190,11 +190,17 @@ class Formula:
         k = c.size
         w = c.weight
         n = self.num_vars
-        cnt = self._buckets[k if k < 3 else 3]
-        for x in c.lits[:k]:
-            cnt[x + n] -= w
-        if k == 1:
-            self.units.pop(c, None)
+        lits = c.lits
+        if k == 2:
+            w2 = self.w2
+            w2[lits[0] + n] -= w
+            w2[lits[1] + n] -= w
+        else:
+            cnt = self._buckets[k if k < 3 else 3]
+            for x in lits[:k]:
+                cnt[x + n] -= w
+            if k == 1:
+                self.units.pop(c, None)
         self.trail.append(("rm", c))
 
     def add_empty(self, weight: int) -> None:
@@ -210,8 +216,9 @@ class Formula:
         if d < 1:
             raise ValueError("weight reduction must be >= 1")
         old = c.weight
-        if self.is_top(old):
-            new = 0 if self.is_top(d) else old
+        top = self.top
+        if top is not None and old >= top:
+            new = 0 if d >= top else old
         else:
             new = old - d
         if new == old:
@@ -225,9 +232,15 @@ class Formula:
         d = new - old
         k = c.size
         n = self.num_vars
-        cnt = self._buckets[k if k < 3 else 3]
-        for x in c.lits[:k]:
-            cnt[x + n] += d
+        lits = c.lits
+        if k == 2:
+            w2 = self.w2
+            w2[lits[0] + n] += d
+            w2[lits[1] + n] += d
+        else:
+            cnt = self._buckets[k if k < 3 else 3]
+            for x in lits[:k]:
+                cnt[x + n] += d
         c.weight = new
         self.trail.append(("wt", c, old))
 
@@ -262,13 +275,16 @@ class Formula:
             c.live = False
             k = c.size
             w = c.weight
-            if k == 1:
+            if k == 2:
+                lits = c.lits
+                w2[lits[0] + n] -= w
+                w2[lits[1] + n] -= w
+            elif k == 1:
                 w1[c.lits[0] + n] -= w
                 units.pop(c, None)
             else:
-                cnt = w2 if k == 2 else w3
                 for x in c.lits[:k]:
-                    cnt[x + n] -= w
+                    w3[x + n] -= w
             append(("rm", c))
         nl = -lit
         j = nl + n  # the index of nl's own counts
@@ -362,7 +378,7 @@ class Formula:
         buckets = self._buckets
         w1, w2, w3 = self.w1, self.w2, self.w3
         n = self.num_vars
-        while len(trail) > mark:
+        for _ in range(len(trail) - mark):
             rec = pop()
             op = rec[0]
             if op == "rm":
@@ -370,13 +386,16 @@ class Formula:
                 c.live = True
                 k = c.size
                 w = c.weight
-                if k == 1:
+                if k == 2:
+                    lits = c.lits
+                    w2[lits[0] + n] += w
+                    w2[lits[1] + n] += w
+                elif k == 1:
                     w1[c.lits[0] + n] += w
                     units[c] = None
                 else:
-                    cnt = w2 if k == 2 else w3
                     for x in c.lits[:k]:
-                        cnt[x + n] += w
+                        w3[x + n] += w
             elif op == "hide":
                 _, c, i = rec
                 last = c.size

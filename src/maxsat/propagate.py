@@ -116,7 +116,7 @@ def build_implication_graph(formula: Formula) -> ImplicationGraph:
                 k = c.size
                 if k == 2:
                     lits = c.lits
-                    r = lits[1] if lits[0] == nl else lits[0]
+                    r = lits[0] + lits[1] + lit     # c holds nl = -lit
                 elif k > 2:
                     if c.stamp != stamp:
                         c.stamp = stamp
@@ -157,38 +157,56 @@ class ConflictAnalysis:
     produced: list[list[int]] = field(default_factory=list)
 
 
-def _closure(graph: ImplicationGraph, lit: int) -> list[int]:
-    """lit plus every node with a path to it, in deterministic DFS order."""
+def _closure(nodes: dict[int, Clause], lit: int,
+             reasons: dict[Clause, None]) -> list[int]:
+    """lit plus every node with a path to it, in deterministic DFS order;
+    each node's reason enters ``reasons`` as the node is reached.
+
+    The order is that of a stack walk that pushes a node's predecessors in
+    literal order and pops the last one first. A unit reason has no
+    predecessor, and a binary {a, b} forcing v has the one predecessor
+    v - a - b, followed with no push; a longer reason pushes every
+    predecessor but its last and goes on with the last."""
     out: dict[int, None] = {}
-    stack = [lit]
-    nodes = graph.nodes
-    while stack:
+    stack: list[int] = []
+    v = lit
+    while True:
+        if v not in out:
+            out[v] = None
+            reason = nodes[v]
+            reasons[reason] = None
+            k = reason.size
+            if k == 2:
+                lits = reason.lits
+                v = v - lits[0] - lits[1]
+                continue
+            if k > 2:
+                preds = [-x for x in reason.lits[:k] if x != v]
+                v = preds.pop()
+                stack += preds
+                continue
+        if not stack:
+            return list(out)
         v = stack.pop()
-        if v in out:
-            continue
-        out[v] = None
-        reason = nodes[v]
-        for x in reason.lits[:reason.size]:
-            if x != v:
-                stack.append(-x)
-    return list(out)
 
 
 def extract_inconsistent_subset(graph: ImplicationGraph) -> ConflictAnalysis:
-    """Reverse reachability from both conflict literals.
+    """Reverse reachability from both conflict literals, one walk a side.
 
-    The analysis is not classified: `classify_conflict` fills in the rule
-    shape, and `underestimation` runs it only when a rule group is on.
+    The subset lists each reason once, first seen first: the reasons of
+    s_lit's nodes in order, then those of s_neg's. The analysis is not
+    classified: `classify_conflict` fills in the rule shape, and
+    `underestimation` runs it only when a rule group is on.
     """
     if graph.conflict is None:
         raise NoConflictError("graph has no complementary node pair")
     lit, nlit = graph.conflict
-    s_lit = _closure(graph, lit)
-    s_neg = _closure(graph, nlit)
     nodes = graph.nodes
     # detach order decides reattach order, and so the unit order Q1 follows
-    subset = list(dict.fromkeys([nodes[v] for v in s_lit + s_neg]))
-    return ConflictAnalysis(s_lit=s_lit, s_neg=s_neg, subset=subset)
+    reasons: dict[Clause, None] = {}
+    s_lit = _closure(nodes, lit, reasons)
+    s_neg = _closure(nodes, nlit, reasons)
+    return ConflictAnalysis(s_lit=s_lit, s_neg=s_neg, subset=list(reasons))
 
 
 def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> str:
@@ -215,8 +233,9 @@ def classify_conflict(analysis: ConflictAnalysis, graph: ImplicationGraph) -> st
     s_lit, s_neg = analysis.s_lit, analysis.s_neg
     analysis.consumed = []
     analysis.produced = []
-    if any(nodes[v].size > 2 for v in s_lit + s_neg):
-        return NO_RULE
+    for c in analysis.subset:
+        if c.size > 2:
+            return NO_RULE
     k = len(set(s_lit).intersection(s_neg))
     if k == 0:
         consumed = [nodes[v] for v in s_lit + s_neg]
@@ -296,7 +315,9 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     ``prior`` holds subsets set aside at an ancestor node. Before any
     propagation, each one whose clauses are all ``live`` is set aside
     again, counted at the minimum of its clauses' current weights (rules
-    1 and 2 may have lowered them since). Liveness is the whole test:
+    1 and 2 may have lowered them since); the survivors, in ``prior``
+    order up to the one that reaches ub, go aside in one `detach_clause`
+    call. Liveness is the whole test:
     every variable of a propagation subset occurs in both polarities
     among its active literals (a node's reason holds the node literal,
     and a successor's reason or the other conflict side holds its
@@ -318,14 +339,24 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     start = len(found)
     count = 0
     try:
+        # carried subsets are disjoint: setting one aside leaves the
+        # others' liveness as it was, so the survivors go in one call
+        limit = ub - formula.empty_weight
+        survivors = []
         for subset in prior:
             w = _live_weight(subset)
             if not w:
                 continue
             count += w
-            formula.detach_clause(subset)
-            found.append(subset)
-            if count + formula.empty_weight >= ub:
+            survivors.append(subset)
+            if count >= limit:
+                break
+        if survivors:
+            formula.detach_clause([c for s in survivors for c in s])
+            found.extend(survivors)
+            # the count grows with each survivor, so the loop broke at the
+            # last one; with none set aside, propagation decides
+            if count >= limit:
                 return count
         while True:
             graph = build_implication_graph(formula)

@@ -462,10 +462,13 @@ class Solver:
         its list after newer rule products, so a group of more than one
         clause is sorted by slot."""
         pairs = self.f.pairs
-        a, b = sorted(c.lits[:2])
+        a, b = c.lits[0], c.lits[1]
+        if b < a:
+            a, b = b, a
         out = []
-        for x, y in ((-a, b), (a, -b)):
-            lst = pairs.get((x, y) if x < y else (y, x))
+        for key in ((-a, b) if -a < b else (b, -a),
+                    (a, -b) if a < -b else (-b, a)):
+            lst = pairs.get(key)
             if lst is None:
                 continue
             group = [d for d in reversed(lst) if d.live and d.size == 2]

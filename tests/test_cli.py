@@ -2,7 +2,13 @@ import contextlib
 import csv
 import io
 import multiprocessing
+import os
+import resource
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import maxsat.gen as generators
 from maxsat import Formula, write_wcnf
 from maxsat.cli import main, parse_manifest
+from maxsat.dimacs import DimacsError, parse_cnf
 
 from formulas import THREE_DISJOINT
 
@@ -95,6 +102,58 @@ def test_solve_non_utf8_file_exit(tmp_path, capsys):
     path.write_bytes(b"p cnf 2 1\n1 -2 0\nc caf\xe9\n")
     assert main(["solve", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+HUGE_HEADER = "p cnf 100000000 0\n"  # 18 bytes, so at most 65554 variables
+
+
+def _limit_address_space():
+    # a parse that allocates for the declared count fails in the child
+    # with a MemoryError, not by exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_solve_refuses_a_huge_declared_variable_count(tmp_path):
+    path = tmp_path / "huge.cnf"
+    path.write_text(HUGE_HEADER)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from maxsat.cli import main; sys.exit(main())",
+         "solve", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2, proc.stderr
+    assert "variable count 100000000 exceeds 65554" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5, elapsed
+
+
+def test_variable_cap_is_the_input_length_plus_slack(tmp_path, capsys):
+    # "p cnf N 0\n" with a five-digit N is 14 bytes: the cap is 65550
+    assert parse_cnf("p cnf 65550 0\n").formula.num_vars == 65550
+    with pytest.raises(DimacsError, match="variable count 65551 exceeds 65550"):
+        parse_cnf("p cnf 65551 0\n")
+    # lenient mode counts the largest literal, after its warning
+    lenient = tmp_path / "literal.cnf"
+    lenient.write_text("p cnf 1 1\n99999999 0\n")
+    with pytest.warns(UserWarning, match="literal 99999999 exceeds"):
+        assert main(["solve", str(lenient)]) == 2
+    assert "variable count 99999999 exceeds 65557" in capsys.readouterr().err
+    huge = tmp_path / "huge.cnf"
+    huge.write_text(HUGE_HEADER)
+    assert main(["oracle", str(huge)]) == 2
+    assert "variable count 100000000 exceeds 65554" in capsys.readouterr().err
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{huge}\ngen ksat n=4 m=6 k=2 seed=1\n")
+    out_csv = tmp_path / "result.csv"
+    assert main(["bench", str(manifest), "--out", str(out_csv)]) == 1
+    rows = list(csv.DictReader(open(out_csv)))
+    assert [r["status"] for r in rows] == ["ERROR", "optimal"]
+    assert "exceeds 65554" in rows[0]["optimum"]
 
 
 def test_solve_wcnf_mandatory_conflict(tmp_path, capsys):

@@ -491,26 +491,118 @@ def test_propagate_matches_counter_only_reference(state):
     assert_same_pass(*reference_pair(*state))
 
 
+def conflict_rich_state(rng):
+    """Mostly units and binaries over few variables, some ternaries,
+    assignments and detached clauses, as a `weighted_states` tuple."""
+    n = rng.randint(3, 9)
+    clauses = [[v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), k)]
+               for k in [1] * rng.randint(1, 3) + [2] * rng.randint(n, 3 * n)
+               + [3] * rng.randint(0, 3)]
+    rng.shuffle(clauses)
+    weights = [rng.randint(1, 4) for _ in clauses]
+    assign = [v if rng.random() < 0.5 else -v
+              for v in rng.sample(range(1, n + 1), rng.randint(0, 2))]
+    detach = set(rng.sample(range(len(clauses)),
+                            rng.randint(0, len(clauses) // 5)))
+    return n, clauses, weights, None, assign, detach
+
+
 def test_propagate_stops_early_with_the_reference_conflict(rng):
-    # conflict-rich states: mostly units and binaries over few variables,
-    # some ternaries, assignments and detached clauses
     early = conflicts = 0
     for _ in range(1500):
-        n = rng.randint(3, 9)
-        clauses = [[v if rng.random() < 0.5 else -v
-                    for v in rng.sample(range(1, n + 1), k)]
-                   for k in [1] * rng.randint(1, 3) + [2] * rng.randint(n, 3 * n)
-                   + [3] * rng.randint(0, 3)]
-        rng.shuffle(clauses)
-        weights = [rng.randint(1, 4) for _ in clauses]
-        assign = [v if rng.random() < 0.5 else -v
-                  for v in rng.sample(range(1, n + 1), rng.randint(0, 2))]
-        detach = set(rng.sample(range(len(clauses)),
-                                rng.randint(0, len(clauses) // 5)))
-        g, ref = reference_pair(n, clauses, weights, None, assign, detach)
+        g, ref = reference_pair(*conflict_rich_state(rng))
         early += assert_same_pass(g, ref)
         conflicts += g.conflict is not None
     assert early >= 100 and conflicts > early, (early, conflicts)
+
+
+# ---------- the conflict walk against the stack walk ----------
+
+def reference_closure(graph, lit: int) -> list[int]:
+    """lit plus every node with a path to it, in deterministic DFS order:
+    the stack walk that pushes every predecessor of each node."""
+    out: dict[int, None] = {}
+    stack = [lit]
+    nodes = graph.nodes
+    while stack:
+        v = stack.pop()
+        if v in out:
+            continue
+        out[v] = None
+        reason = nodes[v]
+        for x in reason.lits[:reason.size]:
+            if x != v:
+                stack.append(-x)
+    return list(out)
+
+
+def reference_extract(graph) -> propagate.ConflictAnalysis:
+    """Both sides by the stack walk, then the subset by a second pass."""
+    lit, nlit = graph.conflict
+    s_lit = reference_closure(graph, lit)
+    s_neg = reference_closure(graph, nlit)
+    nodes = graph.nodes
+    subset = list(dict.fromkeys([nodes[v] for v in s_lit + s_neg]))
+    return propagate.ConflictAnalysis(s_lit=s_lit, s_neg=s_neg, subset=subset)
+
+
+def first_predecessor_closure(nodes, lit, reasons):
+    """A walk that goes on with the first predecessor of a long reason,
+    not the last: the same nodes, in another order."""
+    out: dict[int, None] = {}
+    stack = [lit]
+    while stack:
+        v = stack.pop()
+        if v in out:
+            continue
+        out[v] = None
+        reason = nodes[v]
+        reasons[reason] = None
+        preds = [-x for x in reason.lits[:reason.size] if x != v]
+        stack += reversed(preds)
+    return list(out)
+
+
+def walk_differs(state) -> bool | None:
+    """Whether the solver's extraction of the state's conflict graph
+    differs from the reference's in either side or the subset's clause
+    ids, each in order; None for a conflict-free graph."""
+    n, clauses, weights, top, assign, detach = state
+    f = state_formula(n, clauses, weights, top, assign)
+    f.detach_clause([f.slots[i] for i in sorted(detach) if f.slots[i].live])
+    g = build_implication_graph(f)
+    if g.conflict is None:
+        return None
+    sides = [(a.s_lit, a.s_neg, [c.cid for c in a.subset])
+             for a in (extract_inconsistent_subset(g), reference_extract(g))]
+    return sides[0] != sides[1]
+
+
+@EXACTNESS
+@given(weighted_states())
+def test_conflict_walk_matches_stack_walk_reference(state):
+    assert not walk_differs(state)
+
+
+def test_conflict_walk_matches_stack_walk_on_conflict_rich_states(rng):
+    long_reasons = 0
+    for _ in range(1500):
+        state = conflict_rich_state(rng)
+        assert not walk_differs(state)
+        long_reasons += any(len(c) == 3 for c in state[1])
+    assert long_reasons > 500
+
+
+def test_conflict_walk_reference_rejects_a_first_predecessor_walk(
+        rng, monkeypatch):
+    # the negative control: continuing with the first predecessor of a
+    # ternary reason reaches the same nodes in another order, and the
+    # comparison above must see it
+    monkeypatch.setattr(propagate, "_closure", first_predecessor_closure)
+    differ = sum(bool(walk_differs(conflict_rich_state(rng)))
+                 for _ in range(1500))
+    assert differ >= 20, differ
 
 
 @EXACTNESS
@@ -532,6 +624,63 @@ def test_underestimation_matches_unregistering_reference(state, config, ub):
         f.audit()
         sides.append((u, [c.cid for c in f.units], f.empty_weight,
                       f.as_multiset(), trace))
+    assert sides[0] == sides[1]
+
+
+def reference_carried_underestimation(formula, ub, prior, found) -> int:
+    """`underestimation` with no rule 3-6 group, setting each carried
+    subset aside on its own as it is checked."""
+    start = len(found)
+    count = 0
+    try:
+        for subset in prior:
+            w = propagate._live_weight(subset)
+            if not w:
+                continue
+            count += w
+            formula.detach_clause(subset)
+            found.append(subset)
+            if count + formula.empty_weight >= ub:
+                return count
+        while True:
+            graph = build_implication_graph(formula)
+            if graph.conflict is None:
+                break
+            subset = extract_inconsistent_subset(graph).subset
+            count += propagate._live_weight(subset)
+            formula.detach_clause(subset)
+            found.append(subset)
+            if count + formula.empty_weight >= ub:
+                break
+    finally:
+        formula.attach_clause([c for s in found[start:] for c in s])
+    return count
+
+
+@EXACTNESS
+@given(weighted_states(), st.sampled_from(["0", "12"]),
+       st.sampled_from([math.inf, 1, 3]), st.integers(0, 1000))
+def test_carried_subsets_match_one_at_a_time_reference(state, variant, ub, pick):
+    # the subsets of a first call are carried into a second one, after an
+    # assignment that kills every subset holding its variable
+    n, clauses, weights, top, assign, _ = state
+    config = SolverConfig.variant(variant)
+    sides = []
+    for reference in (False, True):
+        f = state_formula(n, clauses, weights, top, assign)
+        prior = []
+        underestimation(f, math.inf, config, found=prior)
+        lits = sorted({x for s in prior for c in s for x in c.active()})
+        if lits:
+            f.assign_literal(lits[pick % len(lits)])
+        found = []
+        if reference:
+            u = reference_carried_underestimation(f, ub, prior, found)
+        else:
+            u = underestimation(f, ub, config, prior=prior, found=found)
+        f.audit()
+        sides.append((u, [[c.cid for c in s] for s in found],
+                      [c.cid for c in f.units], f.as_multiset()))
     assert sides[0] == sides[1]
 
 

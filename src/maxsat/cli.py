@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import multiprocessing
+import os
 import sys
 
 from . import gen as generators
@@ -222,10 +223,11 @@ def _bench_task(task):
 
 def run_bench(entries, variants, timeout=None, jobs=1):
     """Rows in manifest x variant order regardless of worker scheduling;
-    at most one worker per task."""
+    at most one worker per task and per CPU (one when the CPU count is
+    unknown)."""
     tasks = [(instance_id, spec, variant, timeout)
              for instance_id, spec in entries for variant in variants]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_bench_task, tasks)
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--timeout", type=_timeout_seconds, default=None,
                          help="per-instance wall-clock limit")
     p_bench.add_argument("--jobs", type=int, default=1,
-                         help="worker processes")
+                         help="worker processes, at most one per CPU")
     return parser
 
 

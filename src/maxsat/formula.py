@@ -73,7 +73,7 @@ class Formula:
         self.slots: list[Clause] = []
         # occurrence lists, each in slot order (an add appends, its undo
         # pops the last entry); stale entries are filtered by the live flag
-        # at scan time so positions never shift
+        # at scan time, and compact_occ drops them on the trail
         self.occ: list[list[Clause]] = [[] for _ in range(2 * num_vars + 1)]
         self.units: dict[Clause, None] = {}
         self.empty_weight = 0
@@ -369,7 +369,8 @@ class Formula:
         more than its arithmetic. While the pair index exists, an ``"add"``
         of a binary and a ``"hide"`` back to three literals pop their log
         entry and the clause's entry in the index; the ``"pairs"`` record
-        of its build drops it."""
+        of its build drops it. An ``"occ"`` record puts back the
+        occurrence lists ``compact_occ`` replaced."""
         pairs = self.pairs
         log = self.pair_log
         trail = self.trail
@@ -454,8 +455,23 @@ class Formula:
                 del self.assignment[rec[1]]
             elif op == "pairs":  # the log entries above it are popped
                 self.pairs = pairs = None
+            elif op == "occ":
+                self.occ = rec[1]
             else:  # pragma: no cover
                 raise AssertionError(f"unknown trail op {op}")
+
+    def compact_occ(self) -> None:
+        """Replace the occurrence lists by lists of their live clauses, in
+        the same order, and write an ``("occ", old)`` trail record whose
+        undo puts the old lists back.
+
+        Only while nothing is detached: the kernels skip dead entries
+        anyway, and every clause dead now was killed by an earlier trail
+        record, so it stays dead until this record is undone. Later adds
+        append to the new lists and their undo pops from them."""
+        old = self.occ
+        self.occ = [[c for c in lst if c.live] for lst in old]
+        self.trail.append(("occ", old))
 
     # ---------- pair index ----------
 

@@ -120,7 +120,21 @@ def _check_live(clauses) -> None:
 
 def _clash_literal(c1: Clause, c2: Clause) -> int:
     """The single literal on which two equal-length clauses clash, given
-    identical remaining literals; raises PatternError otherwise."""
+    identical remaining literals; raises PatternError otherwise. Two
+    binaries are decided by comparing literals; any other pair, and two
+    binaries that are not almost common, go to ``_clash_by_sets``."""
+    if c1.size == 2 and c2.size == 2:
+        x, y = c1.lits[0], c1.lits[1]
+        u, v = c2.lits[0], c2.lits[1]
+        if y == v and x == -u or y == u and x == -v:
+            return x
+        if x == u and y == -v or x == v and y == -u:
+            return y
+    return _clash_by_sets(c1, c2)
+
+
+def _clash_by_sets(c1: Clause, c2: Clause) -> int:
+    """``_clash_literal`` for clauses of any length."""
     if c1.size != c2.size:
         raise PatternError("almost common clauses must have equal length")
     s1, s2 = set(c1.active()), set(c2.active())

@@ -310,6 +310,12 @@ class Solver:
         bound, so the capped value never exceeds the optimum, even where
         the raw one does (the empty-unit rule may fix a variable against
         the optimal assignment when that assignment costs exactly ub).
+
+        Before its first branch the root drops the dead entries of the
+        occurrence lists (``Formula.compact_occ``): its bound has put back
+        every clause it set aside, and the root's undo restores the lists.
+        Below the root it would not pay: most entries that die there are
+        scanned too few times before the undo.
         """
         stats = self.stats
         stats.nodes += 1
@@ -347,6 +353,8 @@ class Solver:
             if lb >= self.ub:
                 stats.pruned += 1
                 return
+            if depth == 0:
+                f.compact_occ()
             var = select_variable(f)
             first = var if select_value(f, var) else -var
             stats.branches += 1
@@ -370,39 +378,64 @@ class Solver:
     def _simplify(self) -> bool:
         """Fixpoint of the always-on techniques plus rules 1 and 2 when
         enabled; False when the node is proven hopeless (LB >= UB). The
-        deadline is checked before every pass and by rule 1 before every
-        candidate: at the root of a large instance one pass can take a
-        noticeable share of the time limit."""
+        deadline is checked before every pass that runs and by rule 1
+        before every candidate: at the root of a large instance one pass
+        can take a noticeable share of the time limit.
+
+        No pass reruns on an unchanged formula. Within one call the trail
+        only grows, every edit writes a record and ``ub`` is fixed, so a
+        pass whose input trail is as long as at an earlier point sees the
+        formula of that point. Rules 1 and 2 exhaust their pairs, so each
+        is skipped while the trail is as long as at the end of its last
+        run. Pure literal, DUC and empty-unit may find more to assign
+        after assigning, so each is skipped only while the trail is as
+        long as at the end of a run that assigned nothing. A round in
+        which the trail did not grow ends the fixpoint; the first round
+        runs every pass."""
         f = self.f
+        trail = f.trail
         r12 = self.config.enable_r12
         check = self._check_deadline
+        # per pass, a trail length at which it would do nothing; -1: none yet
+        r1_done = r2_done = pure_idle = duc_idle = eu_idle = -1
         while True:
-            changed = False
+            start = len(trail)
             if r12:
-                changed |= self._rule1_pass()
+                if len(trail) != r1_done:
+                    self._rule1_pass()
+                    r1_done = len(trail)
+                if len(trail) != r2_done:
+                    check()
+                    self._rule2_pass()
+                    r2_done = len(trail)
+            if f.empty_weight >= self.ub:
+                return False
+            if len(trail) != pure_idle:
                 check()
-                changed |= self._rule2_pass()
+                if not self._pure_literal_pass():
+                    pure_idle = len(trail)
+            if len(trail) != duc_idle:
+                check()
+                if not self._duc_pass():
+                    duc_idle = len(trail)
+            if len(trail) != eu_idle:
+                check()
+                alive, fired = self._empty_unit_pass()
+                if not alive:
+                    return False
+                if not fired:
+                    eu_idle = len(trail)
             if f.empty_weight >= self.ub:
                 return False
-            check()
-            changed |= self._pure_literal_pass()
-            check()
-            changed |= self._duc_pass()
-            check()
-            alive, ch = self._empty_unit_pass()
-            if not alive:
-                return False
-            changed |= ch
-            if f.empty_weight >= self.ub:
-                return False
-            if not changed:
+            if len(trail) == start:
                 return True
 
     def _rule1_pass(self) -> bool:
         """Exhaust almost-common binary pairs {l v r, -l v r} -> {r}.
 
         Candidates are visited in slot order; while one is live it fires
-        with its first partner (see ``_partners``) in a lower slot. The
+        with its first partner (see ``_partners``) in a lower slot, which
+        ``_lower_partner`` finds without listing the partners. The
         first pass of a search builds the formula's pair index
         (``Formula.build_pair_index``) and takes every live binary. When a
         pass ends no two live binaries are almost common, and ``r1_mark``
@@ -439,8 +472,7 @@ class Solver:
         for c in candidates:
             check()
             while c.live:
-                partner = next((d for d in self._partners(c) if d.cid < c.cid),
-                               None)
+                partner = self._lower_partner(c)
                 if partner is None:
                     break
                 self._record(apply_rule1(f, c, partner))
@@ -476,6 +508,30 @@ class Solver:
                 group.sort(key=_cid, reverse=True)
             out += group
         return out
+
+    def _lower_partner(self, c):
+        """The first of ``_partners(c)`` in a lower slot than c, or None:
+        in the first group that has one, the live binary with the highest
+        slot below c's. No list is built."""
+        pairs = self.f.pairs
+        a, b = c.lits[0], c.lits[1]
+        if b < a:
+            a, b = b, a
+        cid = c.cid
+        for key in ((-a, b) if -a < b else (b, -a),
+                    (a, -b) if a < -b else (-b, a)):
+            lst = pairs.get(key)
+            if lst is None:
+                continue
+            best = None
+            top = -1
+            for d in lst:
+                if top < d.cid < cid and d.live and d.size == 2:
+                    best = d
+                    top = d.cid
+            if best is not None:
+                return best
+        return None
 
     def _rule2_pass(self) -> bool:
         """Exhaust complementary unit pairs into empty-clause weight.

@@ -476,8 +476,10 @@ def test_bench_stable_columns(tmp_path):
 
 
 def test_bench_jobs_capped_at_task_count(tmp_path, monkeypatch, capsys):
-    # the pool never outnumbers the tasks, and --jobs below 1 is rejected
+    # the pool never outnumbers the tasks or the CPUs, and --jobs below 1
+    # is rejected
     sizes = []
+    cpus = [8]
 
     class RecordingPool:
         def __init__(self, processes):
@@ -493,13 +495,19 @@ def test_bench_jobs_capped_at_task_count(tmp_path, monkeypatch, capsys):
             return [fn(task) for task in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus[0])
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("gen ksat n=6 m=12 k=2 seed=1\n"
                         "gen ksat n=6 m=12 k=2 seed=2\n")
     assert main(["bench", str(manifest), "--jobs", "64"]) == 0
     assert sizes == [2]
+    # four tasks on three CPUs; one CPU or an unknown count runs in process
+    for cpus[0], expected in ((3, [2, 3]), (1, [2, 3]), (None, [2, 3])):
+        assert main(["bench", str(manifest), "--variants", "0,z",
+                     "--jobs", "64"]) == 0
+        assert sizes == expected
     capsys.readouterr()
     for jobs in ("0", "-3"):
         assert main(["bench", str(manifest), "--jobs", jobs]) == 2
         assert capsys.readouterr().err.startswith("error: --jobs")
-    assert sizes == [2]
+    assert sizes == [2, 3]

@@ -782,3 +782,112 @@ def test_pair_index_matches_a_rebuild_after_every_edit(data):
     assert f.pairs is None and f.pair_log == []
     assert f.as_multiset() == Formula.from_clauses(
         n, clauses, weights=weights, top=top).as_multiset()
+
+
+def _live_occ(f):
+    """Per occurrence list, the slot ids of its live clauses in order."""
+    return [[c.cid for c in lst if c.live] for lst in f.occ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_compact_occ_changes_no_edit_and_undoes(data):
+    # random edits, compact_occ, more edits with marks and undos, then an
+    # undo to the mark before the compaction: every occurrence list holds
+    # the same clause objects in the same order as before it, and audit()
+    # passes. After every edit in between, a twin that did not compact is
+    # in the same state, its trail short of the "occ" record, and lists
+    # the same live clauses in the same order
+    from maxsat.rules import PatternError, apply_rule1, apply_rule2
+    n = data.draw(st.integers(2, 6), label="n")
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(lit, min_size=1, max_size=4, unique_by=abs)
+    clauses = data.draw(st.lists(clause, min_size=1, max_size=14),
+                        label="clauses")
+    top = data.draw(st.sampled_from([None, 40]), label="top")
+    weights = data.draw(st.lists(st.sampled_from([1, 2, 3, 40]),
+                                 min_size=len(clauses), max_size=len(clauses)),
+                        label="weights")
+    if top is None:
+        weights = [min(w, 3) for w in weights]
+    pair = [Formula.from_clauses(n, clauses, weights=weights, top=top)
+            for _ in range(2)]
+    f, twin = pair
+    ops = ["assign", "assign", "remove", "reduce", "add", "bound", "rule1",
+           "rule2"]
+
+    def edit(op):
+        live = [c.cid for c in f.clauses()]
+        if op == "assign":
+            a = data.draw(lit, label="literal")
+            calls = [lambda g: g.assign_literal(a)]
+        elif op == "remove" and live:
+            i = data.draw(st.sampled_from(live), label="clause")
+            calls = [lambda g: g.remove_clause(g.slots[i])]
+        elif op == "reduce" and live:
+            i = data.draw(st.sampled_from(live), label="clause")
+            d = data.draw(st.sampled_from([1, 2, 40]), label="by")
+            calls = [lambda g: g.reduce_weight(g.slots[i], d)]
+        elif op == "add":
+            # the kernels take no clause on an assigned variable, and a
+            # search adds none
+            lits = [x for x in data.draw(clause, label="added")
+                    if abs(x) not in f.assignment]
+            if not lits:
+                return
+            calls = [lambda g: g.add_clause(list(lits), 1).cid]
+        elif op == "bound":
+            ub = data.draw(st.sampled_from([3, 1000]), label="ub")
+            config = SolverConfig.variant(
+                data.draw(st.sampled_from(["0", "z"]), label="variant"))
+            calls = [lambda g: underestimation(g, ub, config)]
+        elif op in ("rule1", "rule2"):
+            cs = list(f.clauses())
+            if op == "rule1":
+                found = [(a.cid, b.cid) for a in cs for b in cs
+                         if a.cid < b.cid and _almost_common(a, b)]
+                rule = apply_rule1
+            else:
+                found = [(a.cid, b.cid) for a in cs for b in cs
+                         if a.cid < b.cid and a.size == b.size == 1
+                         and a.lits[0] == -b.lits[0]]
+                rule = apply_rule2
+            if not found:
+                return
+            i, j = data.draw(st.sampled_from(found), label="pair")
+            calls = [lambda g: rule(g, g.slots[i], g.slots[j]).produced]
+        else:
+            return
+        outs = [_outcome(lambda g=g: calls[0](g)) for g in pair]
+        assert outs[0] == outs[1], op
+
+    def no_occ_record(g):
+        state = _kernel_state(g)
+        return state[:2] + ([r for r in state[2] if r[0] != "occ"],) + state[3:]
+
+    for _ in range(data.draw(st.integers(0, 12), label="before")):
+        edit(data.draw(st.sampled_from(ops), label="op"))
+    mark = f.mark()
+    before = [list(lst) for lst in f.occ]
+    f.compact_occ()
+    assert [[c.cid for c in lst] for lst in f.occ] == _live_occ(twin)
+    f.audit()
+    marks = []
+    for _ in range(data.draw(st.integers(0, 20), label="after")):
+        op = data.draw(st.sampled_from(ops + ["mark", "undo"]), label="op")
+        if op == "mark":
+            marks.append((f.mark(), twin.mark()))
+        elif op == "undo" and marks:
+            for g, m in zip(pair, marks.pop()):
+                g.undo_to(m)
+        else:
+            edit(op)
+        assert no_occ_record(f) == no_occ_record(twin), op
+        assert _live_occ(f) == _live_occ(twin), op
+        f.audit()
+    f.undo_to(mark)
+    twin.undo_to(mark)
+    assert [[id(c) for c in lst] for lst in f.occ] == \
+        [[id(c) for c in lst] for lst in before]
+    assert _kernel_state(f) == _kernel_state(twin)
+    f.audit()

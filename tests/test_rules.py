@@ -1,8 +1,13 @@
+import itertools
+
 import pytest
 
 from maxsat import (Formula, MandatoryConflictError, PatternError, R1, R2, R3,
                     R4, R5, R6, RULE_IDS, SolverConfig, apply_conflict_rule,
                     apply_rule1, apply_rule2, check_equivalence)
+
+from maxsat.formula import Clause
+from maxsat.rules import _clash_by_sets, _clash_literal
 
 from formulas import TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, build
 from schema_helpers import instantiate
@@ -44,6 +49,29 @@ def test_rule1_pattern_mismatch():
     f = build(3, [[1, 2], [-1, 3]])
     with pytest.raises(PatternError):
         apply_rule1(f, *clauses_of(f))
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except PatternError as exc:
+        return ("PatternError", str(exc))
+
+
+def test_clash_literal_binary_path_matches_the_set_path():
+    # every ordered pair of binaries over three variables, each in both
+    # literal orders: the compared literals give the set path's value, or
+    # its PatternError
+    binaries = [[s * x, t * y] for x, y in itertools.permutations((1, 2, 3), 2)
+                for s in (1, -1) for t in (1, -1)]
+    clashes = 0
+    for a, b in itertools.product(binaries, repeat=2):
+        c1, c2 = Clause(list(a), 1, 0), Clause(list(b), 1, 1)
+        got = _outcome(lambda: _clash_literal(c1, c2))
+        assert got == _outcome(lambda: _clash_by_sets(c1, c2)), (a, b)
+        clashes += got[0] == "ok"
+    # each binary {a, b} clashes with {-a, b} and {a, -b}, each in two orders
+    assert clashes == len(binaries) * 4
 
 
 def test_rule2_complementary_units():

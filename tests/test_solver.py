@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -578,6 +579,111 @@ def test_rule1_gate_matches_full_scan():
             assert runs[0] == runs[1], f"variant {variant} diverged"
 
 
+class FullRoundSolver(Solver):
+    """Reference search: every round of the simplify fixpoint runs every
+    pass. The fixpoint is the earlier solver's, kept verbatim."""
+
+    def _simplify(self) -> bool:
+        f = self.f
+        r12 = self.config.enable_r12
+        check = self._check_deadline
+        while True:
+            changed = False
+            if r12:
+                changed |= self._rule1_pass()
+                check()
+                changed |= self._rule2_pass()
+            if f.empty_weight >= self.ub:
+                return False
+            check()
+            changed |= self._pure_literal_pass()
+            check()
+            changed |= self._duc_pass()
+            check()
+            alive, ch = self._empty_unit_pass()
+            if not alive:
+                return False
+            changed |= ch
+            if f.empty_weight >= self.ub:
+                return False
+            if not changed:
+                return True
+
+
+class WrongSkipSolver(Solver):
+    """Negative control: the sweeps report that they assigned nothing, so
+    ``_simplify`` also skips a sweep after a run that assigned."""
+
+    def _pure_literal_pass(self) -> bool:
+        super()._pure_literal_pass()
+        return False
+
+    def _duc_pass(self) -> bool:
+        super()._duc_pass()
+        return False
+
+    def _empty_unit_pass(self):
+        alive, _ = super()._empty_unit_pass()
+        return alive, False
+
+
+def _search_record(cls, f, variant):
+    trace = []
+    res = cls(f.copy(), SolverConfig.variant(variant), trace=trace).solve()
+    return (res.optimum, res.status, res.stats.branches, res.stats.nodes,
+            res.stats.rule_apps, trace)
+
+
+def test_simplify_matches_full_rounds():
+    # skipping a pass on a formula it left unchanged changes nothing the
+    # search does, while skipping a sweep after it assigned does
+    corpus = list(_rule1_gate_instances()) + list(_over_constrained_instances())
+    wrong = 0
+    for variant in VARIANTS:
+        for f in corpus:
+            ref = _search_record(FullRoundSolver, f, variant)
+            assert _search_record(Solver, f, variant) == ref, variant
+            wrong += _search_record(WrongSkipSolver, f, variant) != ref
+    assert wrong > 0
+
+
+# an over-constrained instance on which the negative control branches
+# more under z, and (branches, nodes) of the reference and of the control
+WRONG_SKIP_INSTANCE = 23
+WRONG_SKIP_COUNTS = ((2, 5), (3, 7))
+
+
+def test_wrong_skip_changes_a_pinned_search():
+    # the negative control on one instance: the skipped sweep leaves an
+    # assignment to a later node, which then branches differently
+    f = list(_over_constrained_instances())[WRONG_SKIP_INSTANCE]
+    ref = _search_record(FullRoundSolver, f, "z")
+    assert _search_record(Solver, f, "z") == ref
+    wrong = _search_record(WrongSkipSolver, f, "z")
+    assert (ref[2:4], wrong[2:4]) == WRONG_SKIP_COUNTS
+
+
+def test_lower_partner_is_the_first_lower_partner(monkeypatch):
+    # at every call of a gate-corpus search, _lower_partner picks what a
+    # scan of the listed partners would
+    inner = Solver._lower_partner
+    calls = [0, 0]
+
+    def checked(self, c):
+        got = inner(self, c)
+        assert got is next(
+            (d for d in self._partners(c) if d.cid < c.cid), None)
+        calls[0] += 1
+        calls[1] += got is not None
+        return got
+
+    monkeypatch.setattr(Solver, "_lower_partner", checked)
+    for f in _rule1_gate_instances():
+        for variant in ("12", "1234", "z"):
+            solve(f, SolverConfig.variant(variant))
+    assert calls[0] > calls[1] > 0
+
+
 def test_solve_twice_restores_slots_and_repeats_trace():
     # every rule product takes a fresh slot and undo pops it, so a second
     # solve of the same formula sees the same slots and fires with the
@@ -688,9 +794,20 @@ PINNED_SEARCH_COUNTS = {
 }
 
 
+# per variant: sha256 over each solve's optimum, branches, nodes and
+# trace, in corpus order, so a reordered firing with equal totals shows
+PINNED_SEARCH_DIGEST = {
+    "0": "e935f3bec8d4166982eb9293a82fb1a979e389cd8b8279980b450333faf04c16",
+    "12": "151522362806b25edeaa31914763fe84396beb39766f7a35fb856fe08fe2210f",
+    "1234": "d13d08061b281e8f5fe89206776fc18bf110730d916bd5c2f7a2e468862192bf",
+    "z": "5ecc63aacf59c50c579bef3a38d1a8081ba14a3ab81bb1acdd405adc47b6e9dc",
+}
+
+
 def test_search_counts_pinned(monkeypatch):
-    # the exact tree of the gate corpus and of the over-constrained corpus;
-    # a change here moves branch counts and must say why
+    # the exact tree of the gate corpus and of the over-constrained corpus,
+    # and every firing in it; a change here moves the search and must say
+    # why
     raised = [0]
 
     def counting(fn):
@@ -709,12 +826,20 @@ def test_search_counts_pinned(monkeypatch):
     for variant in VARIANTS:
         raised[0] = 0
         totals = [0, 0, 0]
+        digest = hashlib.sha256()
         for f in corpus:
-            stats = solve(f, SolverConfig.variant(variant)).stats
+            trace = []
+            res = solve(f, SolverConfig.variant(variant), trace=trace)
+            stats = res.stats
             totals[0] += stats.nodes
             totals[1] += stats.branches
             totals[2] += stats.pruned
+            digest.update(repr((
+                res.optimum, stats.branches, stats.nodes,
+                [(app.rule_id, app.consumed, app.produced, app.weight)
+                 for app in trace])).encode())
         assert (*totals, raised[0]) == PINNED_SEARCH_COUNTS[variant], variant
+        assert digest.hexdigest() == PINNED_SEARCH_DIGEST[variant], variant
 
 
 def _small_instances():

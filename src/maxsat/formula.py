@@ -118,8 +118,11 @@ class Formula:
     # ---------- structural edits ----------
 
     def _check_clause(self, lits: list[int], weight: int) -> None:
-        """Raise ValueError unless lits is nonempty with distinct variables
-        in range and weight is at least 1; the first bad literal wins."""
+        """Raise ValueError unless lits is nonempty with distinct unassigned
+        variables in range and weight is at least 1; the first bad literal
+        wins. A literal of an assigned variable is refused: the
+        propagation relies on every live clause holding only literals of
+        free variables."""
         if not lits:
             raise ValueError("empty clauses are tracked via empty_weight")
         n = self.num_vars
@@ -134,6 +137,9 @@ class Formula:
                     raise ValueError(
                         f"duplicate or clashing literal {lit} in clause")
                 seen.add(lit)
+        if not vs.isdisjoint(self.assignment):
+            lit = next(x for x in lits if abs(x) in self.assignment)
+            raise ValueError(f"literal {lit} has an assigned variable")
         if weight < 1:
             raise ValueError("clause weight must be >= 1")
 

@@ -222,6 +222,15 @@ def _cid(c) -> int:
     return c.cid
 
 
+def _partner_keys(c) -> tuple:
+    """The pair-index keys of the binaries almost common with the binary
+    c = {a, b}, a < b: that of {-a, b}, then that of {a, -b}."""
+    a, b = c.lits[0], c.lits[1]
+    if b < a:
+        a, b = b, a
+    return ((-a, b) if -a < b else (b, -a), (a, -b) if a < -b else (-b, a))
+
+
 def _complete_assignment(formula: Formula) -> dict[int, bool]:
     """The formula's assignment with every unassigned variable False."""
     assignment = dict.fromkeys(range(1, formula.num_vars + 1), False)
@@ -382,28 +391,29 @@ class Solver:
         before every candidate: at the root of a large instance one pass
         can take a noticeable share of the time limit.
 
-        No pass reruns on an unchanged formula. Within one call the trail
-        only grows, every edit writes a record and ``ub`` is fixed, so a
-        pass whose input trail is as long as at an earlier point sees the
-        formula of that point. Rules 1 and 2 exhaust their pairs, so each
-        is skipped while the trail is as long as at the end of its last
-        run. Pure literal, DUC and empty-unit may find more to assign
-        after assigning, so each is skipped only while the trail is as
-        long as at the end of a run that assigned nothing. A round in
-        which the trail did not grow ends the fixpoint; the first round
-        runs every pass."""
+        No pass reruns on an unchanged formula, and the trail alone says
+        what changed it. Within one call the trail only grows, every edit
+        writes a record and ``ub`` is fixed, so a pass changed the formula
+        exactly when it grew the trail, and a pass whose input trail is as
+        long as at an earlier point sees the formula of that point. Rule 1
+        returns at once when no binary was logged since its last run (see
+        ``_rule1_pass``). Rule 2 exhausts its pairs, so it is skipped while
+        the trail is as long as at the end of its last run. Pure literal,
+        DUC and empty-unit may find more to assign after assigning, so each
+        is skipped while the trail is as long as before its last run: a run
+        that assigned grew the trail past that mark. A round in which the
+        trail did not grow ends the fixpoint; the first round runs every
+        pass."""
         f = self.f
         trail = f.trail
         r12 = self.config.enable_r12
         check = self._check_deadline
         # per pass, a trail length at which it would do nothing; -1: none yet
-        r1_done = r2_done = pure_idle = duc_idle = eu_idle = -1
+        r2_done = pure_idle = duc_idle = eu_idle = -1
         while True:
             start = len(trail)
             if r12:
-                if len(trail) != r1_done:
-                    self._rule1_pass()
-                    r1_done = len(trail)
+                self._rule1_pass()
                 if len(trail) != r2_done:
                     check()
                     self._rule2_pass()
@@ -412,62 +422,66 @@ class Solver:
                 return False
             if len(trail) != pure_idle:
                 check()
-                if not self._pure_literal_pass():
-                    pure_idle = len(trail)
+                pure_idle = len(trail)
+                self._pure_literal_pass()
             if len(trail) != duc_idle:
                 check()
-                if not self._duc_pass():
-                    duc_idle = len(trail)
+                duc_idle = len(trail)
+                self._duc_pass()
             if len(trail) != eu_idle:
                 check()
-                alive, fired = self._empty_unit_pass()
-                if not alive:
+                eu_idle = len(trail)
+                if not self._empty_unit_pass():
                     return False
-                if not fired:
-                    eu_idle = len(trail)
             if f.empty_weight >= self.ub:
                 return False
             if len(trail) == start:
                 return True
 
-    def _rule1_pass(self) -> bool:
+    def _rule1_pass(self) -> None:
         """Exhaust almost-common binary pairs {l v r, -l v r} -> {r}.
 
         Candidates are visited in slot order; while one is live it fires
-        with its first partner (see ``_partners``) in a lower slot, which
-        ``_lower_partner`` finds without listing the partners. The
-        first pass of a search builds the formula's pair index
-        (``Formula.build_pair_index``) and takes every live binary. When a
-        pass ends no two live binaries are almost common, and ``r1_mark``
-        keeps the pair log's length then: the log is in trail order, and
-        an undo pops its entries with their records. Removals, weight cuts
-        and detach/attach create no binary, and undo returns to an earlier
-        state whose records are still on the trail, so a live binary outside
-        the "add" (rule product) and "hide" (shrunk ternary) records since
-        the mark was live at the mark, and no two such are almost common.
-        Firing two binaries makes a unit, never a binary. So a later pass
-        takes each binary that has a partner among the clauses the index
-        logged since the mark, plus all its partners: every pair that fires
-        contains one of them, every partner of a candidate is a candidate,
-        and the pass fires exactly as a scan of every slot would. The log
-        holds each "add" of a binary and each 3->2 hide; a clause with a
-        "hide" record since the mark that is a binary now had its 3->2 hide
-        since the mark (a size grows back only when its hide is undone), so
-        the log selects exactly the binaries those records name.
+        with a partner (an almost-common live binary, see
+        ``_lower_partner``) in a lower slot. The first pass of a search
+        builds the formula's pair index (``Formula.build_pair_index``) and
+        takes every live binary. When a pass ends no two live binaries are
+        almost common, and ``r1_mark`` keeps the pair log's length then:
+        the log is in trail order, and an undo pops its entries with their
+        records. Removals, weight cuts and detach/attach create no binary,
+        and undo returns to an earlier state whose records are still on the
+        trail, so a live binary outside the "add" (rule product) and "hide"
+        (shrunk ternary) records since the mark was live at the mark, and
+        no two such are almost common. Firing two binaries makes a unit,
+        never a binary. So a later pass returns at once while the log is as
+        long as the mark, and otherwise takes each binary that has a partner
+        among the clauses the index logged since the mark, plus all its
+        partners: every pair that fires contains one of them, every partner
+        of a candidate is a candidate, and the pass fires exactly as a scan
+        of every slot would. The log holds each "add" of a binary and each
+        3->2 hide; a clause with a "hide" record since the mark that is a
+        binary now had its 3->2 hide since the mark (a size grows back only
+        when its hide is undone), so the log selects exactly the binaries
+        those records name.
         """
         f = self.f
-        if self.r1_mark is None:
+        mark = self.r1_mark
+        if mark is None:
             candidates = f.build_pair_index()
+        elif mark == len(f.pair_log):
+            return
         else:
+            pairs = f.pairs
             picked = set()
-            for _, c, _ in f.pair_log[self.r1_mark:]:
+            for _, c, _ in f.pair_log[mark:]:
                 if c.live and c.size == 2:
-                    partners = self._partners(c)
+                    partners = [d for key in _partner_keys(c)
+                                for d in pairs.get(key, ())
+                                if d.live and d.size == 2]
                     if partners:
                         picked.add(c)
                         picked.update(partners)
-            candidates = sorted(picked, key=lambda d: d.cid)
-        fired = False
+            candidates = sorted(picked, key=_cid)
         check = self._check_deadline
         for c in candidates:
             check()
@@ -476,9 +490,7 @@ class Solver:
                 if partner is None:
                     break
                 self._record(apply_rule1(f, c, partner))
-                fired = True
         self.r1_mark = len(f.pair_log)
-        return fired
 
     def _record(self, app) -> None:
         """Count a rule firing and append it to the trace."""
@@ -486,40 +498,13 @@ class Solver:
         if self.trace is not None:
             self.trace.append(app)
 
-    def _partners(self, c) -> list:
-        """The live binaries almost common with c = {a, b}, a < b, in the
-        order rule 1 takes them: every {-a, b} before every {a, -b}, each
-        group from the highest slot down. Each group is one list of the
-        formula's pair index, read backwards; a shrunk old ternary joins
-        its list after newer rule products, so a group of more than one
-        clause is sorted by slot."""
-        pairs = self.f.pairs
-        a, b = c.lits[0], c.lits[1]
-        if b < a:
-            a, b = b, a
-        out = []
-        for key in ((-a, b) if -a < b else (b, -a),
-                    (a, -b) if a < -b else (-b, a)):
-            lst = pairs.get(key)
-            if lst is None:
-                continue
-            group = [d for d in reversed(lst) if d.live and d.size == 2]
-            if len(group) > 1:
-                group.sort(key=_cid, reverse=True)
-            out += group
-        return out
-
     def _lower_partner(self, c):
-        """The first of ``_partners(c)`` in a lower slot than c, or None:
-        in the first group that has one, the live binary with the highest
-        slot below c's. No list is built."""
+        """The partner rule 1 takes for c = {a, b}, a < b, or None: the
+        live binary {-a, b} with the highest slot below c's, else the live
+        binary {a, -b} with the highest slot below c's."""
         pairs = self.f.pairs
-        a, b = c.lits[0], c.lits[1]
-        if b < a:
-            a, b = b, a
         cid = c.cid
-        for key in ((-a, b) if -a < b else (b, -a),
-                    (a, -b) if a < -b else (-b, a)):
+        for key in _partner_keys(c):
             lst = pairs.get(key)
             if lst is None:
                 continue
@@ -533,14 +518,13 @@ class Solver:
                 return best
         return None
 
-    def _rule2_pass(self) -> bool:
+    def _rule2_pass(self) -> None:
         """Exhaust complementary unit pairs into empty-clause weight.
 
         The registry holds only unit clauses, and rule 2 only lowers
         weights and removes clauses, so a registered clause that is still
         live is still a unit."""
         f = self.f
-        fired = False
         by_lit: dict[int, list] = {}
         for c in list(f.units):
             if not c.live:
@@ -553,14 +537,11 @@ class Solver:
                 if not stack:
                     break
                 self._record(apply_rule2(f, c, stack[-1]))
-                fired = True
             if c.live:
                 by_lit.setdefault(lit, []).append(c)
-        return fired
 
-    def _pure_literal_pass(self) -> bool:
+    def _pure_literal_pass(self) -> None:
         f = self.f
-        fired = False
         n = f.num_vars
         w1, w2, w3 = f.w1, f.w2, f.w3
         for v in range(1, n + 1):
@@ -572,17 +553,13 @@ class Solver:
                 continue
             if ntot == 0:
                 f.assign_literal(v)
-                fired = True
             elif ptot == 0:
                 f.assign_literal(-v)
-                fired = True
-        return fired
 
-    def _duc_pass(self) -> bool:
+    def _duc_pass(self) -> None:
         """Dominating unit clause: a polarity outweighed by opposing unit
         clauses is fixed against."""
         f = self.f
-        fired = False
         n = f.num_vars
         w1, w2, w3 = f.w1, f.w2, f.w3
         for v in range(1, n + 1):
@@ -594,18 +571,14 @@ class Solver:
                 continue
             if ptot <= w1[q]:
                 f.assign_literal(-v)
-                fired = True
             elif ntot <= w1[p]:
                 f.assign_literal(v)
-                fired = True
-        return fired
 
-    def _empty_unit_pass(self):
+    def _empty_unit_pass(self) -> bool:
         """Force variables whose unit clauses alone reach the upper bound;
         both polarities firing certifies LB >= UB."""
         f = self.f
         ub = self.ub
-        fired = False
         n = f.num_vars
         w1 = f.w1
         for v in range(1, n + 1):
@@ -613,14 +586,12 @@ class Solver:
             to_false = empty + w1[n - v] >= ub
             to_true = empty + w1[n + v] >= ub
             if to_false and to_true:
-                return False, fired
+                return False
             if to_false:
                 f.assign_literal(-v)
-                fired = True
             elif to_true:
                 f.assign_literal(v)
-                fired = True
-        return True, fired
+        return True
 
 
 def solve(formula: Formula, config: SolverConfig | None = None, *,

@@ -86,6 +86,20 @@ def test_add_clause_validation():
         f.add_clause([1], weight=0)
 
 
+def test_add_clause_refuses_an_assigned_variable():
+    # a clause added on an assigned variable once broke the propagation:
+    # its shrunk binary forced a literal computed from a hidden one
+    f = Formula.from_clauses(5, [[1, -2, 5]])
+    f.assign_literal(-5)
+    state = (f.mark(), f.as_multiset(), len(f.slots))
+    for lits in ([-5], [5], [1, 5], [-2, -5, 3]):
+        with pytest.raises(ValueError, match="assigned variable"):
+            f.add_clause(lits)
+    assert (f.mark(), f.as_multiset(), len(f.slots)) == state
+    f.audit()
+    assert underestimation(f, 3, SolverConfig.variant("0")) == 0
+
+
 def test_assign_literal_one_literal_rule():
     f = build(3, [[1, 2], [-1, 3]])
     f.assign_literal(1)
@@ -399,8 +413,10 @@ def test_interleaved_operations_fuzz(rng):
                 f.assign_literal(v if rng.random() < 0.5 else -v)
             elif op < 0.5 and live:
                 f.remove_clause(rng.choice(live))
-            elif op < 0.6:
-                f.add_clause(random_clauses(rng, n, 1, max_len=5)[0],
+            elif op < 0.6 and free:
+                # add_clause refuses a literal of an assigned variable
+                vs = rng.sample(free, rng.randint(1, min(5, len(free))))
+                f.add_clause([v if rng.random() < 0.5 else -v for v in vs],
                              rng.randint(1, 3))
             elif op < 0.75 and len(live) >= 2:
                 a, b = rng.sample(live, 2)
@@ -461,6 +477,9 @@ class ReferenceKernelFormula(Formula):
             if lit in seen or -lit in seen:
                 raise ValueError(f"duplicate or clashing literal {lit} in clause")
             seen.add(lit)
+        for lit in lits:
+            if abs(lit) in self.assignment:
+                raise ValueError(f"literal {lit} has an assigned variable")
         if weight < 1:
             raise ValueError("clause weight must be >= 1")
         c = Clause(lits, weight, len(self.slots))
@@ -829,8 +848,7 @@ def test_compact_occ_changes_no_edit_and_undoes(data):
             d = data.draw(st.sampled_from([1, 2, 40]), label="by")
             calls = [lambda g: g.reduce_weight(g.slots[i], d)]
         elif op == "add":
-            # the kernels take no clause on an assigned variable, and a
-            # search adds none
+            # add_clause refuses a literal of an assigned variable
             lits = [x for x in data.draw(clause, label="added")
                     if abs(x) not in f.assignment]
             if not lits:

@@ -6,9 +6,12 @@ the package, and no public method of a package class its last caller in
 the package, the demos or the benchmark harness; since callers are found
 by name, no two package classes may define a public method of the same
 name. Every kind of trail record the formula writes has an undo branch,
-and every undo branch a kind that is written."""
+and every undo branch a kind that is written. Every package name the
+README spells out resolves."""
 
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -244,3 +247,58 @@ def test_trail_kinds_finds_a_kind_without_an_undo_branch():
               "            elif op == 'shrink':\n"
               "                pass\n")
     assert trail_kinds(source) == ({"add", "grow"}, {"add", "shrink"})
+
+
+# a backticked dotted name that starts with a class the README documents
+# or with a module of the package
+README_NAME = re.compile(r"`((?:Solver|Formula|maxsat\.\w+)(?:\.\w+)+)")
+
+
+def unresolved_names(text: str, roots: dict) -> list[str]:
+    """The backticked names in ``text`` (see ``README_NAME``) that do not
+    resolve. ``roots`` maps a name's head to the object its next part is
+    looked up on: a fresh instance for a class, so that attributes set in
+    ``__init__`` resolve too, or the package, whose submodules are
+    imported on demand."""
+    missing = []
+    for name in README_NAME.findall(text):
+        head, *parts = name.split(".")
+        obj = roots[head]
+        for part in parts:
+            if hasattr(obj, part):
+                obj = getattr(obj, part)
+            elif hasattr(obj, "__path__"):  # a package: try a submodule
+                try:
+                    obj = importlib.import_module(f"{obj.__name__}.{part}")
+                except ModuleNotFoundError:
+                    missing.append(name)
+                    break
+            else:
+                missing.append(name)
+                break
+    return missing
+
+
+def _readme_roots() -> dict:
+    from maxsat.solver import Solver
+    return {"Solver": Solver(maxsat.Formula(1)),
+            "Formula": maxsat.Formula(1), "maxsat": maxsat}
+
+
+def test_readme_names_resolve():
+    # a README that names a method, attribute or module member the
+    # package no longer has describes code that is gone
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert README_NAME.search(text)
+    assert unresolved_names(text, _readme_roots()) == []
+
+
+def test_unresolved_names_finds_a_stale_name():
+    # class attributes, instance attributes set in __init__ and members of
+    # submodules resolve; a removed method and a missing module do not
+    text = ("`Solver._lower_partner(c)` and `Solver._partners` read "
+            "`Formula.pairs`, `Formula.from_clauses` and "
+            "`maxsat.dimacs.VARIABLE_SLACK`, unlike `maxsat.nomodule.x`; "
+            "`maxsat.solver` alone and `Solver` are no dotted names\n")
+    assert unresolved_names(text, _readme_roots()) == \
+        ["Solver._partners", "maxsat.nomodule.x"]

@@ -56,7 +56,7 @@ def test_pure_literal_deletes_whole_formula():
     f = build(2, [[1, 2], [1, -2]])
     s = Solver(f)
     s.ub = math.inf
-    assert s._pure_literal_pass() is True
+    s._pure_literal_pass()
     assert f.clause_count() == 0
     assert f.assignment[1] is True
 
@@ -65,7 +65,8 @@ def test_pure_literal_noop():
     f = build(1, [[1], [-1]])
     s = Solver(f)
     s.ub = math.inf
-    assert s._pure_literal_pass() is False
+    s._pure_literal_pass()
+    assert f.assignment == {}
 
 
 def test_pure_literal_cascade_in_simplify():
@@ -82,7 +83,7 @@ def test_duc_assigns_false_when_units_dominate():
     f = build(2, [[-1], [-1], [1, 2]])
     s = Solver(f)
     s.ub = math.inf
-    assert s._duc_pass() is True
+    s._duc_pass()
     assert f.assignment[1] is False
 
 
@@ -90,7 +91,7 @@ def test_duc_assigns_true():
     f = build(2, [[1], [-1, 2]])
     s = Solver(f)
     s.ub = math.inf
-    assert s._duc_pass() is True
+    s._duc_pass()
     assert f.assignment[1] is True
 
 
@@ -98,7 +99,7 @@ def test_duc_balanced_no_forcing():
     f = build(2, [[1, 2], [-1, -2]])
     s = Solver(f)
     s.ub = math.inf
-    assert s._duc_pass() is False
+    s._duc_pass()
     assert f.assignment == {}
 
 
@@ -107,8 +108,7 @@ def test_empty_unit_forces_assignment():
     f.add_empty(1)
     s = Solver(f)
     s.ub = 2
-    alive, fired = s._empty_unit_pass()
-    assert alive and fired
+    assert s._empty_unit_pass() is True
     assert f.assignment[1] is True
 
 
@@ -116,8 +116,8 @@ def test_empty_unit_never_fires_without_bound():
     f = build(1, [[1]])
     s = Solver(f)
     s.ub = math.inf
-    alive, fired = s._empty_unit_pass()
-    assert alive and not fired
+    assert s._empty_unit_pass() is True
+    assert f.assignment == {}
 
 
 def test_empty_unit_both_sides_prune():
@@ -125,8 +125,57 @@ def test_empty_unit_both_sides_prune():
     f.add_empty(1)
     s = Solver(f)
     s.ub = 2
-    alive, _ = s._empty_unit_pass()
-    assert alive is False
+    assert s._empty_unit_pass() is False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_pass_grows_the_trail_exactly_when_it_changes_the_formula(data):
+    # Solver._simplify reads "the pass changed the formula" from the trail
+    # length alone. On random weighted states with a finite bound, each
+    # pass writes a trail record exactly when it changes the live clauses,
+    # their weights, the empty weight or the assignment. The one record
+    # that changes none of them is rule 1's pair-index build, written by
+    # the first rule-1 pass of a search
+    n = data.draw(st.integers(2, 7), label="n")
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(lit, min_size=1, max_size=3, unique_by=abs)
+    clauses = data.draw(st.lists(clause, min_size=1, max_size=16),
+                        label="clauses")
+    top = data.draw(st.sampled_from([None, 40]), label="top")
+    weights = data.draw(st.lists(st.sampled_from([1, 2, 3, 40]),
+                                 min_size=len(clauses), max_size=len(clauses)),
+                        label="weights")
+    if top is None:
+        weights = [min(w, 3) for w in weights]
+    f = Formula.from_clauses(n, clauses, weights=weights, top=top)
+    s = Solver(f, SolverConfig.variant("12"))
+    s.ub = data.draw(st.integers(1, sum(weights) + 1), label="ub")
+    if data.draw(st.booleans(), label="first rule-1 pass"):
+        s._rule1_pass()
+    for _ in range(data.draw(st.integers(0, 4), label="edits")):
+        free = [v for v in range(1, n + 1) if v not in f.assignment]
+        if not free:
+            break
+        vs = data.draw(st.lists(st.sampled_from(free), min_size=1,
+                                max_size=3, unique=True), label="vars")
+        signs = data.draw(st.lists(st.booleans(), min_size=len(vs),
+                                   max_size=len(vs)), label="signs")
+        lits = [v if sign else -v for v, sign in zip(vs, signs)]
+        if data.draw(st.booleans(), label="assign"):
+            f.assign_literal(lits[0])
+        else:
+            f.add_clause(lits, data.draw(st.sampled_from([1, 2]), label="w"))
+    name = data.draw(st.sampled_from(
+        ["_rule1_pass", "_rule2_pass", "_pure_literal_pass", "_duc_pass",
+         "_empty_unit_pass"]), label="pass")
+    mark = len(f.trail)
+    before = (f.as_multiset(), f.empty_weight, dict(f.assignment))
+    out = getattr(s, name)()
+    assert out is None or name == "_empty_unit_pass"
+    records = [rec for rec in f.trail[mark:] if rec != ("pairs",)]
+    changed = (f.as_multiset(), f.empty_weight, f.assignment) != before
+    assert bool(records) == changed, name
 
 
 # ---------- initial upper bound ----------
@@ -496,10 +545,9 @@ def test_simplify_exhausts_almost_common_binary_pairs(rng, monkeypatch):
     passes = [0]
 
     def checked(self):
-        fired = inner(self)
+        inner(self)
         _assert_no_almost_common_binaries(self.f)
         passes[0] += 1
-        return fired
 
     monkeypatch.setattr(Solver, "_rule1_pass", checked)
     for f in _rule1_gate_instances():
@@ -512,9 +560,8 @@ class FullScanSolver(Solver):
     """Reference search: every rule-1 pass scans every slot. The scan and
     its partner lookup are the earlier solver's, kept verbatim."""
 
-    def _rule1_pass(self) -> bool:
+    def _rule1_pass(self) -> None:
         f = self.f
-        fired = False
         sig: dict[tuple, list] = {}
         for i in range(len(f.slots)):
             c = f.slots[i]
@@ -525,11 +572,8 @@ class FullScanSolver(Solver):
                 if partner is None:
                     break
                 self._record(apply_rule1(f, c, partner))
-                fired = True
             if c.live:
                 sig.setdefault(tuple(sorted(c.active())), []).append(c)
-        self.r1_mark = len(f.trail)
-        return fired
 
     @staticmethod
     def _find_partner(sig, c):
@@ -581,50 +625,71 @@ def test_rule1_gate_matches_full_scan():
 
 class FullRoundSolver(Solver):
     """Reference search: every round of the simplify fixpoint runs every
-    pass. The fixpoint is the earlier solver's, kept verbatim."""
+    pass. The fixpoint is the earlier solver's, with a round's change read
+    from the trail length at its start."""
 
     def _simplify(self) -> bool:
         f = self.f
         r12 = self.config.enable_r12
         check = self._check_deadline
         while True:
-            changed = False
+            start = len(f.trail)
             if r12:
-                changed |= self._rule1_pass()
+                self._rule1_pass()
                 check()
-                changed |= self._rule2_pass()
+                self._rule2_pass()
             if f.empty_weight >= self.ub:
                 return False
             check()
-            changed |= self._pure_literal_pass()
+            self._pure_literal_pass()
             check()
-            changed |= self._duc_pass()
+            self._duc_pass()
             check()
-            alive, ch = self._empty_unit_pass()
-            if not alive:
+            if not self._empty_unit_pass():
                 return False
-            changed |= ch
             if f.empty_weight >= self.ub:
                 return False
-            if not changed:
+            if len(f.trail) == start:
                 return True
 
 
 class WrongSkipSolver(Solver):
-    """Negative control: the sweeps report that they assigned nothing, so
-    ``_simplify`` also skips a sweep after a run that assigned."""
+    """Negative control: ``Solver._simplify`` with each sweep's mark taken
+    after its run, so a sweep is also skipped after a run that assigned."""
 
-    def _pure_literal_pass(self) -> bool:
-        super()._pure_literal_pass()
-        return False
-
-    def _duc_pass(self) -> bool:
-        super()._duc_pass()
-        return False
-
-    def _empty_unit_pass(self):
-        alive, _ = super()._empty_unit_pass()
-        return alive, False
+    def _simplify(self) -> bool:
+        f = self.f
+        trail = f.trail
+        r12 = self.config.enable_r12
+        check = self._check_deadline
+        r2_done = pure_idle = duc_idle = eu_idle = -1
+        while True:
+            start = len(trail)
+            if r12:
+                self._rule1_pass()
+                if len(trail) != r2_done:
+                    check()
+                    self._rule2_pass()
+                    r2_done = len(trail)
+            if f.empty_weight >= self.ub:
+                return False
+            if len(trail) != pure_idle:
+                check()
+                self._pure_literal_pass()
+                pure_idle = len(trail)
+            if len(trail) != duc_idle:
+                check()
+                self._duc_pass()
+                duc_idle = len(trail)
+            if len(trail) != eu_idle:
+                check()
+                if not self._empty_unit_pass():
+                    return False
+                eu_idle = len(trail)
+            if f.empty_weight >= self.ub:
+                return False
+            if len(trail) == start:
+                return True
 
 
 def _search_record(cls, f, variant):
@@ -663,6 +728,31 @@ def test_wrong_skip_changes_a_pinned_search():
     assert (ref[2:4], wrong[2:4]) == WRONG_SKIP_COUNTS
 
 
+def _partners(f, c) -> list:
+    """The live binaries almost common with c = {a, b}, a < b, in the
+    order rule 1 takes them: every {-a, b} before every {a, -b}, each
+    group from the highest slot down. Each group is one list of the
+    formula's pair index, read backwards; a shrunk old ternary joins
+    its list after newer rule products, so a group of more than one
+    clause is sorted by slot. (The earlier solver's ``Solver._partners``,
+    kept verbatim but for taking the formula.)"""
+    pairs = f.pairs
+    a, b = c.lits[0], c.lits[1]
+    if b < a:
+        a, b = b, a
+    out = []
+    for key in ((-a, b) if -a < b else (b, -a),
+                (a, -b) if a < -b else (-b, a)):
+        lst = pairs.get(key)
+        if lst is None:
+            continue
+        group = [d for d in reversed(lst) if d.live and d.size == 2]
+        if len(group) > 1:
+            group.sort(key=lambda d: d.cid, reverse=True)
+        out += group
+    return out
+
+
 def test_lower_partner_is_the_first_lower_partner(monkeypatch):
     # at every call of a gate-corpus search, _lower_partner picks what a
     # scan of the listed partners would
@@ -672,7 +762,7 @@ def test_lower_partner_is_the_first_lower_partner(monkeypatch):
     def checked(self, c):
         got = inner(self, c)
         assert got is next(
-            (d for d in self._partners(c) if d.cid < c.cid), None)
+            (d for d in _partners(self.f, c) if d.cid < c.cid), None)
         calls[0] += 1
         calls[1] += got is not None
         return got

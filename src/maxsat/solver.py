@@ -124,11 +124,12 @@ def initial_upper_bound(formula: Formula, deadline: float | None = None):
 
 def repair_incumbent(formula: Formula, assignment: dict[int, bool],
                      cost: int, deadline: float | None = None):
-    """Weighted WalkSAT from an incumbent that breaks a hard clause.
+    """Weighted WalkSAT from the incumbent of a formula with a TOP.
 
-    Returns ``(cost, assignment)`` as given unless the formula has a TOP
-    and ``cost`` reaches it. Otherwise it makes at most ``REPAIR_FLIPS``
-    flips, checking ``deadline`` before each. A flip takes the variable
+    Returns ``(cost, assignment)`` as given when the formula has no TOP,
+    ``cost`` is 0, or ``deadline`` has passed on entry, before any clause
+    is copied. Otherwise it makes at most ``REPAIR_FLIPS`` flips,
+    checking ``deadline`` before each. A flip takes the variable
     whose flip lowers the cost most, the lowest index on ties; when no
     flip lowers it, a random literal of a random falsified clause, drawn
     from ``random.Random(0)``. The make/break score of every variable is
@@ -138,7 +139,9 @@ def repair_incumbent(formula: Formula, assignment: dict[int, bool],
     Returns (cost, complete assignment) of the best assignment seen,
     priced by ``Formula.cost``.
     """
-    if not formula.is_top(cost):
+    if formula.top is None or cost == 0:
+        return cost, assignment
+    if deadline is not None and time.monotonic() > deadline:
         return cost, assignment
     n = formula.num_vars
     value = [False] + [assignment[v] for v in range(1, n + 1)]
@@ -599,11 +602,11 @@ def solve(formula: Formula, config: SolverConfig | None = None, *,
     """Prove the minimum unsatisfied weight of a formula.
 
     The search starts from the greedy incumbent of ``initial_upper_bound``.
-    If the formula has a TOP and that incumbent breaks a hard clause,
+    If the formula has a TOP and that incumbent costs more than 0,
     ``repair_incumbent`` first runs a seeded weighted WalkSAT from it (at
     most ``REPAIR_FLIPS`` = 50 flips, random choices from
-    ``random.Random(0)``, the deadline checked before every flip) and the
-    search starts from the best assignment seen.
+    ``random.Random(0)``, the deadline checked on entry and before every
+    flip) and the search starts from the best assignment seen.
 
     The formula is mutated during the search but restored before returning.
     An ``OPTIMAL`` result carries a witness whose cost is the optimum; a

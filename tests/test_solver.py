@@ -226,6 +226,48 @@ def test_repair_with_a_past_deadline_returns_its_input():
     assert out[0] == 10 and out[1] is assignment
 
 
+def test_repair_with_a_past_deadline_copies_no_clause(monkeypatch):
+    # the incumbent breaks a hard clause, so the repair would run; with the
+    # deadline already passed it returns before reading any clause
+    f = build(2, [[2, -1], [1]], weights=[10, 10], top=10)
+    inner = f.clauses
+    reads = [0]
+
+    def counted():
+        reads[0] += 1
+        return inner()
+
+    monkeypatch.setattr(f, "clauses", counted)
+    assignment = {1: False, 2: False}
+    out = repair_incumbent(f, assignment, 10, time.monotonic() - 1)
+    assert out[0] == 10 and out[1] is assignment
+    assert reads[0] == 0
+
+
+def _partial_instance(seed):
+    """8 variables: 32 soft binaries of weight 1-9 and 8 TOP ternaries."""
+    rng = random.Random(seed)
+    n = 8
+    soft = [c.active() for c in gen_random_maxksat(n, 4 * n, 2, seed).clauses()]
+    hard = [c.active() for c in
+            gen_random_maxksat(n, n, 3, 1000 + seed).clauses()]
+    weights = [rng.randint(1, 9) for _ in soft] + [100] * len(hard)
+    return Formula.from_clauses(n, soft + hard, weights=weights, top=100)
+
+
+def test_repair_improves_a_feasible_greedy_incumbent():
+    # seed 0 is the first of a scan over seeds 0, 1, ... whose greedy
+    # incumbent breaks no hard clause and which the repair improves
+    # (greedy 23, repaired 15, optimum 5); the search starts from the
+    # repaired incumbent and still proves the optimum
+    f = _partial_instance(0)
+    res = solve(f)
+    assert res.stats.start_ub < res.stats.greedy_ub < f.top
+    assert res.status == OPTIMAL
+    assert res.optimum == brute_force_optimum(f)[0]
+    assert f.cost(res.best_assignment) == res.optimum
+
+
 @st.composite
 def repair_inputs(draw):
     """Up to 8 variables, 1-5n clauses of length 1-3, weights from
@@ -247,7 +289,8 @@ def repair_inputs(draw):
 @given(repair_inputs())
 def test_repair_incumbent_properties(spec):
     # the repair prices what it returns, never returns worse, repeats
-    # itself, leaves the formula as it was, and runs only at or above TOP
+    # itself, leaves the formula as it was, and runs only on a formula
+    # with a TOP whose incumbent costs more than 0
     n, clauses, weights, top, assignment = spec
     f = build(n, clauses, weights=weights, top=top)
     before = (f.as_multiset(), len(f.slots), len(f.trail))
@@ -257,7 +300,7 @@ def test_repair_incumbent_properties(spec):
     assert repair_incumbent(f, assignment, cost) == out
     assert (f.as_multiset(), len(f.slots), len(f.trail)) == before
     f.audit()
-    if top is None or cost < top:
+    if top is None or cost == 0:
         assert out[0] == cost and out[1] is assignment
 
 
@@ -714,8 +757,8 @@ def test_simplify_matches_full_rounds():
 
 # an over-constrained instance on which the negative control branches
 # more under z, and (branches, nodes) of the reference and of the control
-WRONG_SKIP_INSTANCE = 23
-WRONG_SKIP_COUNTS = ((2, 5), (3, 7))
+WRONG_SKIP_INSTANCE = 7
+WRONG_SKIP_COUNTS = ((4, 9), (5, 11))
 
 
 def test_wrong_skip_changes_a_pinned_search():
@@ -875,29 +918,50 @@ def test_assigned_variables_have_zero_counts(monkeypatch):
     assert calls[0] > 0 and calls[1] > 0
 
 
-# per variant: nodes, branches, pruned, MandatoryConflictErrors raised
+# per group of gate formulas, then per variant: nodes, branches, pruned,
+# MandatoryConflictErrors raised. "no_top" is the 40 formulas without a
+# TOP, the unweighted two thirds of the rule-1 gate corpus, which the
+# incumbent repair leaves alone; "top" is its weighted third plus the 40
+# over-constrained formulas
 PINNED_SEARCH_COUNTS = {
-    "0": (1502, 742, 618, 0),
-    "12": (765, 370, 262, 40),
-    "1234": (718, 351, 235, 34),
-    "z": (689, 341, 215, 31),
+    "no_top": {
+        "0": (423, 231, 135, 0),
+        "12": (276, 152, 70, 0),
+        "1234": (270, 150, 67, 0),
+        "z": (264, 148, 63, 0),
+    },
+    "top": {
+        "0": (978, 460, 488, 0),
+        "12": (404, 173, 206, 40),
+        "1234": (371, 158, 188, 34),
+        "z": (343, 144, 174, 31),
+    },
 }
 
 
-# per variant: sha256 over each solve's optimum, branches, nodes and
-# trace, in corpus order, so a reordered firing with equal totals shows
+# per group and variant: sha256 over each solve's optimum, branches, nodes
+# and trace, in corpus order, so a reordered firing with equal totals shows
 PINNED_SEARCH_DIGEST = {
-    "0": "e935f3bec8d4166982eb9293a82fb1a979e389cd8b8279980b450333faf04c16",
-    "12": "151522362806b25edeaa31914763fe84396beb39766f7a35fb856fe08fe2210f",
-    "1234": "d13d08061b281e8f5fe89206776fc18bf110730d916bd5c2f7a2e468862192bf",
-    "z": "5ecc63aacf59c50c579bef3a38d1a8081ba14a3ab81bb1acdd405adc47b6e9dc",
+    "no_top": {
+        "0": "da767339000e504e96fc1ba8575e5a0b57cef0ff49fb7b2ec9ee38cf0b56bccc",
+        "12": "ac2ce4c8bd33282a29e99458fa7aa86955ae46b594cdb437238b91a3e3b89be7",
+        "1234": "f7f4339c2b4582584e3a74d0b43d56ba16c8aecd2a8b3447a82a6f28fe13d38a",
+        "z": "2e1bbb89c392f3c4b767acaec754550de01907ad17c878fe2f1d1249373cb72d",
+    },
+    "top": {
+        "0": "33945a659b00548163384196916266db0b6794228cb9dd3e2c887fafd4ff8ed4",
+        "12": "750b6a90c00d5f448c9cee4289a92553b51735928477a6fd2b26deb52a8ba787",
+        "1234": "4dd295b46dabb5bf8de92e6ef6857cf8910c85046976a2875a3a53a2269d3b4c",
+        "z": "84f8f6da02e50900ebb5138bed7c333cec292cad67cbab49a0db69b2ee7b3029",
+    },
 }
 
 
 def test_search_counts_pinned(monkeypatch):
     # the exact tree of the gate corpus and of the over-constrained corpus,
     # and every firing in it; a change here moves the search and must say
-    # why
+    # why. The formulas without a TOP are pinned apart, so a change that
+    # moves only searches with hard clauses shows that it does
     raised = [0]
 
     def counting(fn):
@@ -913,23 +977,29 @@ def test_search_counts_pinned(monkeypatch):
                         counting(solver_mod.underestimation))
     monkeypatch.setattr(Solver, "_simplify", counting(Solver._simplify))
     corpus = list(_rule1_gate_instances()) + list(_over_constrained_instances())
-    for variant in VARIANTS:
-        raised[0] = 0
-        totals = [0, 0, 0]
-        digest = hashlib.sha256()
-        for f in corpus:
-            trace = []
-            res = solve(f, SolverConfig.variant(variant), trace=trace)
-            stats = res.stats
-            totals[0] += stats.nodes
-            totals[1] += stats.branches
-            totals[2] += stats.pruned
-            digest.update(repr((
-                res.optimum, stats.branches, stats.nodes,
-                [(app.rule_id, app.consumed, app.produced, app.weight)
-                 for app in trace])).encode())
-        assert (*totals, raised[0]) == PINNED_SEARCH_COUNTS[variant], variant
-        assert digest.hexdigest() == PINNED_SEARCH_DIGEST[variant], variant
+    groups = {"no_top": [f for f in corpus if f.top is None],
+              "top": [f for f in corpus if f.top is not None]}
+    assert (len(groups["no_top"]), len(groups["top"])) == (40, 60)
+    for group, formulas in groups.items():
+        for variant in VARIANTS:
+            raised[0] = 0
+            totals = [0, 0, 0]
+            digest = hashlib.sha256()
+            for f in formulas:
+                trace = []
+                res = solve(f, SolverConfig.variant(variant), trace=trace)
+                stats = res.stats
+                totals[0] += stats.nodes
+                totals[1] += stats.branches
+                totals[2] += stats.pruned
+                digest.update(repr((
+                    res.optimum, stats.branches, stats.nodes,
+                    [(app.rule_id, app.consumed, app.produced, app.weight)
+                     for app in trace])).encode())
+            got = (*totals, raised[0])
+            assert got == PINNED_SEARCH_COUNTS[group][variant], (group, variant)
+            assert digest.hexdigest() == PINNED_SEARCH_DIGEST[group][variant], \
+                (group, variant)
 
 
 def _small_instances():

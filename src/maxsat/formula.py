@@ -88,13 +88,6 @@ class Formula:
         self.w3 = [0] * z
         # the counts of each size bucket, by min(size, 3)
         self._buckets = (None, self.w1, self.w2, self.w3)
-        # the pair index, None unless a search has built it (see
-        # build_pair_index): sorted literal pair -> the clauses that were
-        # binaries with that pair, and the log of the binaries trailed
-        # edits made since the build, as (record position, clause, list)
-        self.pairs: dict[tuple[int, int], list[Clause]] | None = None
-        self.pair_log: list[tuple[int, Clause, list[Clause]]] = []
-        self.pairs_base = 0  # position of the build's trail record
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses, weights=None,
@@ -158,8 +151,6 @@ class Formula:
             cnt[x + n] += weight
         if k == 1:
             self.units[c] = None
-        elif k == 2 and self.pairs is not None:
-            self._log_binary(c, len(self.trail))
         self.trail.append(("add", c))
         return c
 
@@ -167,7 +158,7 @@ class Formula:
         """Append each literal list with its weight in a new slot, in order,
         unchecked (each list nonempty with distinct variables in range, each
         weight at least 1, as ``add_clause`` checks) and untrailed, so it
-        refuses a formula that has a trail record (a pair index has one)."""
+        refuses a formula that has a trail record."""
         if self.trail:
             raise ValueError("untrailed adds must precede every trailed edit")
         slots = self.slots
@@ -265,7 +256,7 @@ class Formula:
         ``"hide"`` record and each emptied unit ``"rm"`` then ``"empty"``,
         in occurrence-list order; the counts are updated in these loops,
         since a helper call per clause cost more than the count arithmetic
-        itself. A 3->2 hide enters the pair index when it exists."""
+        itself."""
         n = self.num_vars
         v = abs(lit)
         if not 0 < v <= n:
@@ -328,8 +319,6 @@ class Formula:
                         x += n
                         w3[x] -= w
                         w2[x] += w
-                    if self.pairs is not None:
-                        self._log_binary(c, len(self.trail))
             append(("hide", c, i))
         self.assignment[v] = lit > 0
         append(("assign", v))
@@ -372,13 +361,8 @@ class Formula:
     def undo_to(self, mark: int) -> None:
         """Pop trail records down to ``mark``, newest first, each undoing
         its edit's count updates in line: a helper call per record cost
-        more than its arithmetic. While the pair index exists, an ``"add"``
-        of a binary and a ``"hide"`` back to three literals pop their log
-        entry and the clause's entry in the index; the ``"pairs"`` record
-        of its build drops it. An ``"occ"`` record puts back the
+        more than its arithmetic. An ``"occ"`` record puts back the
         occurrence lists ``compact_occ`` replaced."""
-        pairs = self.pairs
-        log = self.pair_log
         trail = self.trail
         pop = trail.pop
         units = self.units
@@ -424,8 +408,6 @@ class Formula:
                             x += n
                             w2[x] -= w
                             w3[x] += w
-                        if pairs is not None:
-                            log.pop()[2].pop()
                     w3[h] += w
                 c.size = last + 1
                 lits[i], lits[last] = lits[last], lits[i]
@@ -443,8 +425,6 @@ class Formula:
                     cnt[x + n] -= w
                 if k == 1:
                     units.pop(c, None)
-                elif k == 2 and pairs is not None:
-                    log.pop()[2].pop()
                 occ = self.occ
                 for x in lits:
                     occ[x + n].pop()
@@ -459,8 +439,6 @@ class Formula:
                 c.weight = old
             elif op == "assign":
                 del self.assignment[rec[1]]
-            elif op == "pairs":  # the log entries above it are popped
-                self.pairs = pairs = None
             elif op == "occ":
                 self.occ = rec[1]
             else:  # pragma: no cover
@@ -478,49 +456,6 @@ class Formula:
         old = self.occ
         self.occ = [[c for c in lst if c.live] for lst in old]
         self.trail.append(("occ", old))
-
-    # ---------- pair index ----------
-
-    def build_pair_index(self) -> list[Clause]:
-        """Index the live binaries by their sorted literal pair, start an
-        empty log, write the ``("pairs",)`` trail record at ``pairs_base``
-        and return those binaries in slot order.
-
-        Until the index is dropped, every trailed edit that makes a binary
-        (an ``"add"`` of a 2-literal clause, a 3->2 hide) appends the
-        clause to its pair's list and logs it at its record's position,
-        and the undo of that record pops both. A clause that dies or
-        shrinks to a unit stays listed, so a reader skips entries by
-        ``live`` and ``size``; a live binary is always listed under its
-        own pair and no other (``audit`` checks it). Undoing the build
-        record drops the index."""
-        pairs: dict[tuple[int, int], list[Clause]] = {}
-        out = []
-        for c in self.slots:
-            if c.live and c.size == 2:
-                x, y = c.lits[0], c.lits[1]
-                key = (x, y) if x < y else (y, x)
-                lst = pairs.get(key)
-                if lst is None:
-                    pairs[key] = lst = []
-                lst.append(c)
-                out.append(c)
-        self.pairs = pairs
-        self.pair_log = []
-        self.pairs_base = len(self.trail)
-        self.trail.append(("pairs",))
-        return out
-
-    def _log_binary(self, c: Clause, pos: int) -> None:
-        """Enter c, a binary made by the trail record at ``pos``, in the
-        pair index and its log."""
-        x, y = c.lits[0], c.lits[1]
-        key = (x, y) if x < y else (y, x)
-        lst = self.pairs.get(key)
-        if lst is None:
-            self.pairs[key] = lst = []
-        lst.append(c)
-        self.pair_log.append((pos, c, lst))
 
     # ---------- queries ----------
 
@@ -572,8 +507,7 @@ class Formula:
 
     def audit(self) -> None:
         """Full-scan consistency check of counts, units and occurrence lists,
-        of the slot order of every occurrence list, and of the pair index
-        when one exists."""
+        and of the slot order of every occurrence list."""
         n = self.num_vars
         exp = {name: [0] * (2 * n + 1) for name in ("w1", "w2", "w3")}
         units = []
@@ -601,36 +535,3 @@ class Formula:
                         f"clauses {a.cid}, {b.cid}")
         if self.empty_weight < 0:
             raise AssertionError("negative empty_weight")
-        if self.pairs is not None:
-            self._audit_pairs()
-
-    def _audit_pairs(self) -> None:
-        """Every live binary is listed under its pair, and no live binary
-        under another pair; the log's positions lie above the build record
-        at ``pairs_base``, in increasing order, each at a trail record."""
-        base = self.pairs_base
-        if self.trail[base:base + 1] != [("pairs",)]:
-            raise AssertionError(f"no pair index build record at {base}")
-        listed = {}
-        for key, lst in self.pairs.items():
-            for c in lst:
-                if c.live and c.size == 2:
-                    if tuple(sorted(c.lits[:2])) != key:
-                        raise AssertionError(
-                            f"clause {c.cid} listed under pair {key}")
-                    if id(c) in listed:
-                        raise AssertionError(
-                            f"clause {c.cid} listed twice under pair {key}")
-                    listed[id(c)] = c
-        for c in self.clauses():
-            if c.size == 2 and id(c) not in listed:
-                raise AssertionError(
-                    f"binary clause {c.cid} missing from the pair index")
-        last = base
-        for pos, c, _ in self.pair_log:
-            if not last < pos < len(self.trail):
-                raise AssertionError(f"pair log position {pos} out of order")
-            if self.trail[pos][1] is not c:
-                raise AssertionError(
-                    f"pair log entry {pos} names the wrong clause")
-            last = pos

@@ -254,8 +254,13 @@ class Solver:
         # the incumbent's cost: the search's upper bound
         self.ub = 0
         self.incumbent: dict[int, bool] = {}
-        # the pair log's length at the last point with no almost-common
-        # binary pair, None until the first rule-1 pass
+        # rule 1's pair index (see _rule1_pass): sorted literal pair -> the
+        # clauses that were binaries with that pair, and the index lists
+        # the passes appended to, in order
+        self.pairs: dict[tuple[int, int], list] = {}
+        self.pair_adds: list[list] = []
+        # the trail length at the last point with no almost-common binary
+        # pair, None until the first rule-1 pass
         self.r1_mark: int | None = None
         # whether a node's bound first counts the surviving subsets its
         # parent's bound set aside. Only without rules 3-6: carried subsets
@@ -295,6 +300,8 @@ class Solver:
         finally:
             f.undo_to(mark)
             sys.setrecursionlimit(limit)
+            self.pairs = {}
+            self.pair_adds.clear()
         self.stats.elapsed = time.perf_counter() - start
         # below TOP the trail arithmetic is exact; at or above it raw sums
         # may drift from the input formula's (all such costs mean infeasible)
@@ -337,6 +344,8 @@ class Solver:
         f = self.f
         mark = f.mark()
         r1_mark = self.r1_mark
+        adds = self.pair_adds
+        added = len(adds)
         try:
             try:
                 alive = self._simplify()
@@ -380,6 +389,8 @@ class Solver:
         finally:
             f.undo_to(mark)
             self.r1_mark = r1_mark
+            while len(adds) > added:
+                adds.pop().pop()
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -399,7 +410,8 @@ class Solver:
         writes a record and ``ub`` is fixed, so a pass changed the formula
         exactly when it grew the trail, and a pass whose input trail is as
         long as at an earlier point sees the formula of that point. Rule 1
-        returns at once when no binary was logged since its last run (see
+        returns at once while the trail is as long as at the end of its
+        last run, and otherwise reads only the records written since (see
         ``_rule1_pass``). Rule 2 exhausts its pairs, so it is skipped while
         the trail is as long as at the end of its last run. Pure literal,
         DUC and empty-unit may find more to assign after assigning, so each
@@ -446,44 +458,67 @@ class Solver:
 
         Candidates are visited in slot order; while one is live it fires
         with a partner (an almost-common live binary, see
-        ``_lower_partner``) in a lower slot. The first pass of a search
-        builds the formula's pair index (``Formula.build_pair_index``) and
-        takes every live binary. When a pass ends no two live binaries are
-        almost common, and ``r1_mark`` keeps the pair log's length then:
-        the log is in trail order, and an undo pops its entries with their
-        records. Removals, weight cuts and detach/attach create no binary,
-        and undo returns to an earlier state whose records are still on the
-        trail, so a live binary outside the "add" (rule product) and "hide"
-        (shrunk ternary) records since the mark was live at the mark, and
-        no two such are almost common. Firing two binaries makes a unit,
-        never a binary. So a later pass returns at once while the log is as
-        long as the mark, and otherwise takes each binary that has a partner
-        among the clauses the index logged since the mark, plus all its
-        partners: every pair that fires contains one of them, every partner
-        of a candidate is a candidate, and the pass fires exactly as a scan
-        of every slot would. The log holds each "add" of a binary and each
-        3->2 hide; a clause with a "hide" record since the mark that is a
-        binary now had its 3->2 hide since the mark (a size grows back only
-        when its hide is undone), so the log selects exactly the binaries
-        those records name.
+        ``_lower_partner``) in a lower slot, found through the pair index
+        ``pairs``. The first pass of a search indexes every live binary and
+        takes them all. When a pass ends no two live binaries are almost
+        common, and ``r1_mark`` keeps the trail length then. Only an
+        ``"add"`` of a binary or a 3->2 ``"hide"`` makes a binary, and an
+        undo returns to an earlier state whose records are still on the
+        trail, so a live binary that no ``"add"`` or ``"hide"`` record from
+        the mark on names was live at the mark, and no two such are almost
+        common. Firing two binaries makes a unit, never a binary. So a later
+        pass indexes the live binaries those records name (a clause that is
+        a binary now had its 3->2 hide after any record that names it
+        earlier, since a size grows back only when its hide is undone), and
+        takes each that has a partner, plus all its partners: every pair
+        that fires contains one of them, every partner of a candidate is a
+        candidate, and the pass fires exactly as a scan of every slot would.
+
+        Every live binary is listed under its own pair, and under no other,
+        at every lookup. A pass appends to ``pair_adds`` each list it
+        appended to, and the exit of the node whose pass it was pops those
+        entries (``_search``). That exit comes no later than the undo of any
+        record the pass read: every undo inside the node goes to a mark
+        above its passes. So while an entry is listed its clause keeps the
+        literals it had when it was indexed, and a live binary named by a
+        record below the mark was live when the pass over that record ran,
+        since the edits that would have hidden it from that pass are still
+        on the trail, and was indexed then. (The first pass runs at the
+        root and reads the slots, whose binaries no search undo touches.)
         """
         f = self.f
+        trail = f.trail
         mark = self.r1_mark
         if mark is None:
-            candidates = f.build_pair_index()
-        elif mark == len(f.pair_log):
+            self.pairs = pairs = {}
+            new = [c for c in f.slots if c.live and c.size == 2]
+        elif mark == len(trail):
             return
         else:
-            pairs = f.pairs
+            pairs = self.pairs
+            new = {rec[1]: None for rec in trail[mark:]
+                   if (rec[0] == "hide" or rec[0] == "add")
+                   and rec[1].live and rec[1].size == 2}
+        adds = self.pair_adds
+        for c in new:
+            x, y = c.lits[0], c.lits[1]
+            key = (x, y) if x < y else (y, x)
+            lst = pairs.get(key)
+            if lst is None:
+                pairs[key] = lst = []
+            lst.append(c)
+            adds.append(lst)
+        if mark is None:
+            candidates = new
+        else:
             picked = set()
-            for _, c, _ in f.pair_log[mark:]:
-                if c.live and c.size == 2:
-                    partners = [d for key in _partner_keys(c)
-                                for d in pairs.get(key, ())
-                                if d.live and d.size == 2]
-                    if partners:
-                        picked.add(c)
-                        picked.update(partners)
+            for c in new:
+                partners = [d for key in _partner_keys(c)
+                            for d in pairs.get(key, ())
+                            if d.live and d.size == 2]
+                if partners:
+                    picked.add(c)
+                    picked.update(partners)
             candidates = sorted(picked, key=_cid)
         check = self._check_deadline
         for c in candidates:
@@ -493,7 +528,7 @@ class Solver:
                 if partner is None:
                     break
                 self._record(apply_rule1(f, c, partner))
-        self.r1_mark = len(f.pair_log)
+        self.r1_mark = len(trail)
 
     def _record(self, app) -> None:
         """Count a rule firing and append it to the trace."""
@@ -505,7 +540,7 @@ class Solver:
         """The partner rule 1 takes for c = {a, b}, a < b, or None: the
         live binary {-a, b} with the highest slot below c's, else the live
         binary {a, -b} with the highest slot below c's."""
-        pairs = self.f.pairs
+        pairs = self.pairs
         cid = c.cid
         for key in _partner_keys(c):
             lst = pairs.get(key)

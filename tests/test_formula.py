@@ -270,44 +270,13 @@ def test_every_add_after_a_mark_is_undone():
 
 def test_untrailed_build_refused_after_a_trailed_edit():
     # add_clauses_unchecked writes no trail record, so it refuses a
-    # formula that has one or that keeps a pair index
+    # formula that has one
     f = build(2, [[1, 2]])
     f.add_clauses_unchecked([[-1]], [1])
     f.add_empty(1)
     with pytest.raises(ValueError, match="untrailed"):
         f.add_clauses_unchecked([[2]], [1])
-    g = build(2, [[1, 2]])
-    g.build_pair_index()
-    with pytest.raises(ValueError, match="untrailed"):
-        g.add_clauses_unchecked([[2]], [1])
     assert [c.active() for c in f.slots] == [[1, 2], [-1]]
-    assert [c.active() for c in g.slots] == [[1, 2]]
-    f.audit()
-    g.audit()
-
-
-def test_undoing_the_build_record_drops_the_pair_index():
-    # the build writes a trail record at its point; undoing anything above
-    # it keeps the index and pops the log entries of what is undone, and
-    # undoing the record itself drops the index and its log
-    f = build(3, [[1, 2], [1, 2, 3]])
-    p = f.mark()
-    assert [c.cid for c in f.build_pair_index()] == [0]
-    assert f.trail[p] == ("pairs",) and f.pairs_base == p
-    f.audit()
-    f.assign_literal(-3)
-    f.add_clause([-1, 2])
-    assert [(pos, c.cid) for pos, c, _ in f.pair_log] == [(p + 1, 1),
-                                                          (p + 3, 2)]
-    f.audit()
-    f.undo_to(p + 1)
-    assert f.pairs[(1, 2)] == [f.slots[0]] and f.pair_log == []
-    f.audit()
-    f.undo_to(p)
-    assert f.pairs is None and f.pair_log == []
-    f.audit()
-    f.add_clause([2, 3])
-    assert f.pairs is None and f.pair_log == []
     f.audit()
 
 
@@ -450,8 +419,7 @@ class ReferenceKernelFormula(Formula):
     ``add_clause``, ``remove_clause``, ``reduce_weight`` and
     ``hide_literal``, kept verbatim, which make one
     ``remove_clause``/``hide_literal`` call per clause and one
-    ``_resize``/``_bump_counts`` call per edit or undone record. The
-    pair index is not theirs, so they run without one."""
+    ``_resize``/``_bump_counts`` call per edit or undone record."""
 
     _resize = reference_resize
 
@@ -515,8 +483,6 @@ class ReferenceKernelFormula(Formula):
         c.lits[i], c.lits[last] = c.lits[last], c.lits[i]
         c.size = last
         self._resize(c, last + 1, last)
-        if last == 2 and self.pairs is not None:
-            self._log_binary(c, len(self.trail))
         self.trail.append(("hide", c, i))
 
     def reduce_weight(self, c: Clause, d: int) -> None:
@@ -681,126 +647,11 @@ def test_kernels_match_reference_kernels(data):
         n, clauses, weights=weights, top=top).as_multiset()
 
 
-def _pairs_of_live_binaries(f, clauses):
-    """Per sorted literal pair, the sorted slot ids of the live binaries
-    among ``clauses``; a clause listed twice counts twice."""
-    out = {}
-    for c in clauses:
-        if c.live and c.size == 2:
-            out.setdefault(tuple(sorted(c.active())), []).append(c.cid)
-    return {key: sorted(cids) for key, cids in out.items()}
-
-
-def _binaries_made_since(f, base):
-    """(position, slot id) of every trail record from ``base`` on that made
-    a binary: an add of two literals, or a hide that left two. A hide
-    left ``size`` plus the number of later hides of its clause, since
-    every later hide is still on the trail."""
-    trail = f.trail
-    out = []
-    for p in range(base, len(trail)):
-        rec = trail[p]
-        c = rec[1] if rec[0] in ("add", "hide") else None
-        if c is None:
-            continue
-        if rec[0] == "add":
-            made = len(c.lits) == 2
-        else:
-            later = sum(1 for r in trail[p + 1:] if r[0] == "hide" and r[1] is c)
-            made = c.size + later == 2
-        if made:
-            out.append((p, c.cid))
-    return out
-
-
 def _almost_common(a, b):
     if a.size != b.size:
         return False
     sa, sb = set(a.active()), set(b.active())
     return len([x for x in sa if -x in sb]) == 1 and len(sa - sb) == 1
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.data())
-def test_pair_index_matches_a_rebuild_after_every_edit(data):
-    # the edit mix of test_kernels_match_reference_kernels plus rule 1 and
-    # rule 2 firings, run with the pair index built: after every step the
-    # index lists exactly the live binaries under their pairs, the log
-    # holds exactly the binaries made since the build, and an undo to or
-    # below the build record drops the index
-    from maxsat.rules import PatternError, apply_rule1, apply_rule2
-    n = data.draw(st.integers(2, 6), label="n")
-    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
-    clause = st.lists(lit, min_size=1, max_size=4, unique_by=abs)
-    clauses = data.draw(st.lists(clause, min_size=1, max_size=14),
-                        label="clauses")
-    top = data.draw(st.sampled_from([None, 40]), label="top")
-    weights = data.draw(st.lists(st.sampled_from([1, 2, 3, 40]),
-                                 min_size=len(clauses), max_size=len(clauses)),
-                        label="weights")
-    if top is None:
-        weights = [min(w, 3) for w in weights]
-    f = Formula.from_clauses(n, clauses, weights=weights, top=top)
-    marks = []
-    built = 0
-    ops = ["assign", "assign", "remove", "reduce", "add", "bound",
-           "rule1", "rule2", "mark", "mark", "undo", "undo", "build"]
-    for _ in range(data.draw(st.integers(1, 30), label="steps")):
-        if f.pairs is None and (built == 0 or data.draw(st.booleans())):
-            f.build_pair_index()
-            built += 1
-        base = f.pairs_base if f.pairs is not None else None
-        op = data.draw(st.sampled_from(ops), label="op")
-        live = list(f.clauses())
-        try:
-            if op == "assign":
-                f.assign_literal(data.draw(lit, label="literal"))
-            elif op == "remove" and live:
-                f.remove_clause(data.draw(st.sampled_from(live)))
-            elif op == "reduce" and live:
-                f.reduce_weight(data.draw(st.sampled_from(live)),
-                                data.draw(st.sampled_from([1, 2, 40])))
-            elif op == "add":
-                f.add_clause(list(data.draw(clause, label="added")),
-                             data.draw(st.sampled_from([1, 2])))
-            elif op == "bound":
-                underestimation(f, data.draw(st.sampled_from([3, 1000])),
-                                SolverConfig.variant(
-                                    data.draw(st.sampled_from(["0", "z"]))))
-            elif op == "rule1":
-                pairs = [(a, b) for a in live for b in live
-                         if a.cid < b.cid and _almost_common(a, b)]
-                if pairs:
-                    apply_rule1(f, *data.draw(st.sampled_from(pairs)))
-            elif op == "rule2":
-                pairs = [(a, b) for a in live for b in live
-                         if a.cid < b.cid and a.size == b.size == 1
-                         and a.lits[0] == -b.lits[0]]
-                if pairs:
-                    apply_rule2(f, *data.draw(st.sampled_from(pairs)))
-            elif op == "mark":
-                marks.append(f.mark())
-            elif op == "undo" and marks:
-                m = marks.pop()
-                f.undo_to(m)
-                if base is not None:
-                    assert (f.pairs is None) == (m <= base), (m, base)
-            elif op == "build" and f.pairs is not None:
-                f.build_pair_index()
-        except (ValueError, MandatoryConflictError, PatternError):
-            pass
-        f.audit()
-        if f.pairs is None:
-            continue
-        assert _pairs_of_live_binaries(
-            f, [c for lst in f.pairs.values() for c in lst]) == \
-            _pairs_of_live_binaries(f, f.slots)
-        made = _binaries_made_since(f, f.pairs_base)
-        assert [(p, c.cid) for p, c, _ in f.pair_log] == made
-    f.undo_to(0)
-    assert f.pairs is None and f.pair_log == []
-    assert f.as_multiset() == Formula.from_clauses(
-        n, clauses, weights=weights, top=top).as_multiset()
 
 
 def _live_occ(f):

@@ -228,7 +228,7 @@ def test_every_trail_kind_has_one_undo_branch():
     written, undone = trail_kinds(
         (PACKAGE / "formula.py").read_text(encoding="utf-8"))
     assert written == undone
-    assert {"add", "assign", "empty", "hide", "pairs", "rm", "wt"} <= written
+    assert {"add", "assign", "empty", "hide", "occ", "rm", "wt"} <= written
 
 
 def test_trail_kinds_finds_a_kind_without_an_undo_branch():
@@ -247,6 +247,52 @@ def test_trail_kinds_finds_a_kind_without_an_undo_branch():
               "            elif op == 'shrink':\n"
               "                pass\n")
     assert trail_kinds(source) == ({"add", "grow"}, {"add", "shrink"})
+
+
+def read_kinds(source: str) -> set[str]:
+    """The strings a module compares a record's kind ``rec[0]`` with: the
+    constant of ``x[0] == "k"`` (either side) or each constant of
+    ``x[0] in ("k", ...)``."""
+    def kind_of(node):
+        return (isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value == 0)
+
+    def strings(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.Set)) else [node]
+        return {e.value for e in elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            for a, b in zip(sides, sides[1:]):
+                if kind_of(a):
+                    read |= strings(b)
+                elif kind_of(b):
+                    read |= strings(a)
+    return read
+
+
+def test_solver_reads_only_kinds_the_formula_writes():
+    # rule 1 indexes the binaries of "add" and "hide" records; a kind the
+    # formula renamed would silently stop it indexing them
+    written, _ = trail_kinds(
+        (PACKAGE / "formula.py").read_text(encoding="utf-8"))
+    read = read_kinds((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    assert read >= {"add", "hide"}
+    assert read <= written, sorted(read - written)
+
+
+def test_read_kinds_finds_a_kind_the_formula_does_not_write():
+    source = ("def scan(trail):\n"
+              "    return [rec for rec in trail\n"
+              "            if rec[0] == 'add' or 'grow' == rec[0]\n"
+              "            or rec[0] in ('shrink', 'hide') or rec[1] == 'x']\n")
+    assert read_kinds(source) == {"add", "grow", "shrink", "hide"}
+    written = {"add", "grow", "hide"}
+    assert read_kinds(source) - written == {"shrink"}
 
 
 # a backticked dotted name that starts with a class the README documents
@@ -297,7 +343,7 @@ def test_unresolved_names_finds_a_stale_name():
     # class attributes, instance attributes set in __init__ and members of
     # submodules resolve; a removed method and a missing module do not
     text = ("`Solver._lower_partner(c)` and `Solver._partners` read "
-            "`Formula.pairs`, `Formula.from_clauses` and "
+            "`Solver.pairs`, `Formula.from_clauses` and "
             "`maxsat.dimacs.VARIABLE_SLACK`, unlike `maxsat.nomodule.x`; "
             "`maxsat.solver` alone and `Solver` are no dotted names\n")
     assert unresolved_names(text, _readme_roots()) == \

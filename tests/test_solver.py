@@ -12,7 +12,7 @@ from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     initial_upper_bound, repair_incumbent, select_value,
                     select_variable, solve)
 import maxsat.solver as solver_mod
-from maxsat.rules import apply_rule1
+from maxsat.rules import MandatoryConflictError, apply_rule1
 from maxsat.solver import Solver
 
 from formulas import THREE_DISJOINT, build, random_clauses, run_optimized
@@ -134,9 +134,7 @@ def test_a_pass_grows_the_trail_exactly_when_it_changes_the_formula(data):
     # Solver._simplify reads "the pass changed the formula" from the trail
     # length alone. On random weighted states with a finite bound, each
     # pass writes a trail record exactly when it changes the live clauses,
-    # their weights, the empty weight or the assignment. The one record
-    # that changes none of them is rule 1's pair-index build, written by
-    # the first rule-1 pass of a search
+    # their weights, the empty weight or the assignment
     n = data.draw(st.integers(2, 7), label="n")
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
     clause = st.lists(lit, min_size=1, max_size=3, unique_by=abs)
@@ -173,7 +171,7 @@ def test_a_pass_grows_the_trail_exactly_when_it_changes_the_formula(data):
     before = (f.as_multiset(), f.empty_weight, dict(f.assignment))
     out = getattr(s, name)()
     assert out is None or name == "_empty_unit_pass"
-    records = [rec for rec in f.trail[mark:] if rec != ("pairs",)]
+    records = f.trail[mark:]
     changed = (f.as_multiset(), f.empty_weight, f.assignment) != before
     assert bool(records) == changed, name
 
@@ -477,7 +475,7 @@ def test_solve_again_starts_fresh_counters_and_clock():
     assert second.stats.as_dict() | {"elapsed_ms": 0} == \
         first.stats.as_dict() | {"elapsed_ms": 0}
     assert (second.optimum, second.status) == (first.optimum, OPTIMAL)
-    assert f.trail == [] and f.pairs is None
+    assert f.trail == [] and solver.pairs == {} and solver.pair_adds == []
     solver = Solver(f, timeout=0.5)
     time.sleep(0.6)
     res = solver.solve()
@@ -771,15 +769,15 @@ def test_wrong_skip_changes_a_pinned_search():
     assert (ref[2:4], wrong[2:4]) == WRONG_SKIP_COUNTS
 
 
-def _partners(f, c) -> list:
+def _partners(s, c) -> list:
     """The live binaries almost common with c = {a, b}, a < b, in the
     order rule 1 takes them: every {-a, b} before every {a, -b}, each
     group from the highest slot down. Each group is one list of the
-    formula's pair index, read backwards; a shrunk old ternary joins
+    solver's pair index, read backwards; a shrunk old ternary joins
     its list after newer rule products, so a group of more than one
     clause is sorted by slot. (The earlier solver's ``Solver._partners``,
-    kept verbatim but for taking the formula.)"""
-    pairs = f.pairs
+    kept verbatim but for taking the solver as an argument.)"""
+    pairs = s.pairs
     a, b = c.lits[0], c.lits[1]
     if b < a:
         a, b = b, a
@@ -805,7 +803,7 @@ def test_lower_partner_is_the_first_lower_partner(monkeypatch):
     def checked(self, c):
         got = inner(self, c)
         assert got is next(
-            (d for d in _partners(self.f, c) if d.cid < c.cid), None)
+            (d for d in _partners(self, c) if d.cid < c.cid), None)
         calls[0] += 1
         calls[1] += got is not None
         return got
@@ -815,6 +813,129 @@ def test_lower_partner_is_the_first_lower_partner(monkeypatch):
         for variant in ("12", "1234", "z"):
             solve(f, SolverConfig.variant(variant))
     assert calls[0] > calls[1] > 0
+
+
+def _pair_index_fault(s):
+    """What is wrong with the solver's pair index, or None: every live
+    binary must be listed under its own sorted pair, and no listed live
+    binary under another."""
+    listed = set()
+    for key, lst in s.pairs.items():
+        for c in lst:
+            if c.live and c.size == 2:
+                if tuple(sorted(c.active())) != key:
+                    return (f"clause {c.cid} {c.lits} listed under {key} "
+                            f"while a binary on {sorted(c.active())}")
+                listed.add(c)
+    for c in s.f.clauses():
+        if c.size == 2 and c not in listed:
+            return f"binary clause {c.cid} {c.active()} is not listed"
+    return None
+
+
+class StalePairsSolver(Solver):
+    """Negative control: ``Solver._search`` with a node's exit dropping
+    its pair-index log entries (``del adds[added:]``) without popping the
+    index lists they name, so an entry outlives the binary it indexed."""
+
+    def _search(self, depth: int, prior: list) -> None:
+        stats = self.stats
+        stats.nodes += 1
+        if depth > stats.peak_depth:
+            stats.peak_depth = depth
+        self._check_deadline()
+        f = self.f
+        mark = f.mark()
+        r1_mark = self.r1_mark
+        adds = self.pair_adds
+        added = len(adds)
+        try:
+            try:
+                alive = self._simplify()
+                if depth == 0:
+                    stats.root_lb = min(f.empty_weight, self.ub)
+                if not alive:
+                    stats.pruned += 1
+                    return
+                if f.is_empty():
+                    cost = f.empty_weight
+                    if cost < self.ub:
+                        self.ub = cost
+                        self.incumbent = solver_mod._complete_assignment(f)
+                    return
+                found: list = []
+                u = solver_mod.underestimation(
+                    f, self.ub, self.config, record=self._record,
+                    prior=prior if self.carry else (), found=found,
+                    deadline=self.deadline)
+            except MandatoryConflictError:
+                stats.pruned += 1
+                return
+            lb = f.empty_weight + u
+            if depth == 0:
+                stats.root_lb = min(lb, self.ub)
+            if lb >= self.ub:
+                stats.pruned += 1
+                return
+            if depth == 0:
+                f.compact_occ()
+            var = select_variable(f)
+            first = var if select_value(f, var) else -var
+            stats.branches += 1
+            for lit in (first, -first):
+                child = f.mark()
+                f.assign_literal(lit)
+                self._search(depth + 1, found)
+                f.undo_to(child)
+                if lb >= self.ub:
+                    break
+        finally:
+            f.undo_to(mark)
+            self.r1_mark = r1_mark
+            del adds[added:]
+
+
+def _pair_index_faults(cls, monkeypatch):
+    """Per gate-corpus search (``_rule1_gate_instances`` and
+    ``_over_constrained_instances`` under 12, 1234 and z) by ``cls``, the
+    first fault ``_pair_index_fault`` finds at a ``_lower_partner`` call,
+    or None; and the number of calls checked."""
+    inner = Solver._lower_partner
+    calls = [0]
+    fault = []
+
+    def checked(self, c):
+        if not fault:
+            calls[0] += 1
+            found = _pair_index_fault(self)
+            if found is not None:
+                fault.append(found)
+        return inner(self, c)
+
+    monkeypatch.setattr(Solver, "_lower_partner", checked)
+    faults = []
+    corpus = list(_rule1_gate_instances()) + list(_over_constrained_instances())
+    for f in corpus:
+        for variant in ("12", "1234", "z"):
+            fault.clear()
+            cls(f, SolverConfig.variant(variant)).solve()
+            faults.append(fault[0] if fault else None)
+    return faults, calls[0]
+
+
+def test_pair_index_lists_every_live_binary_under_its_pair(monkeypatch):
+    # at every partner lookup of the gate corpora, every live binary is
+    # listed in Solver.pairs under its own pair and none under another
+    faults, calls = _pair_index_faults(Solver, monkeypatch)
+    assert calls > 0
+    assert [x for x in faults if x is not None] == []
+
+
+def test_stale_pair_index_entries_are_caught(monkeypatch):
+    # the negative control: a node that forgets its entries without
+    # popping them leaves a clause listed under a pair it no longer has
+    faults, _ = _pair_index_faults(StalePairsSolver, monkeypatch)
+    assert any(x is not None for x in faults)
 
 
 def test_solve_twice_restores_slots_and_repeats_trace():

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -17,12 +18,12 @@ from .dimacs import DimacsError, parse_dimacs, write_cnf, write_wcnf
 from .formula import Formula
 from .gen import GeneratorSpec
 from .rules import RULE_IDS, SolverConfig, VARIANT_NAMES
-from .solver import MANDATORY_CONFLICT, OPTIMAL, TIMED_OUT, solve
+from .solver import MANDATORY_CONFLICT, OPTIMAL, TIMED_OUT, SearchStats, solve
 
 # the search counters and bounds of SearchStats, so a regression can be
 # read from a run's CSV without running it again
-STATS_COLUMNS = ["branches", "nodes", "pruned", "peak_depth", "greedy_ub",
-                 "start_ub", "root_lb"]
+STATS_COLUMNS = [f.name for f in dataclasses.fields(SearchStats)
+                 if f.name not in ("elapsed", "rule_apps")]
 CSV_COLUMNS = ["instance", "variant", "optimum", *STATS_COLUMNS, "time_ms",
                *RULE_IDS, "status"]
 
@@ -212,11 +213,8 @@ def _bench_task(task):
         row["optimum"] = str(exc).replace(",", ";")[:80]
         return row
     row["optimum"] = result.optimum
-    for col in STATS_COLUMNS:
-        row[col] = getattr(result.stats, col)
-    row["time_ms"] = round(result.stats.elapsed * 1000, 3)
-    for rule in RULE_IDS:
-        row[rule] = result.stats.rule_apps[rule]
+    row.update(result.stats.as_dict())
+    row["time_ms"] = row.pop("elapsed_ms")
     row["status"] = result.status
     return row
 

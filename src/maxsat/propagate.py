@@ -15,6 +15,7 @@ subsets toward containing few original unit clauses.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -300,7 +301,7 @@ def _live_weight(subset) -> int:
 
 def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                     *, record=None, prior=(), found=None,
-                    deadline: float | None = None) -> int:
+                    deadline: float = math.inf) -> int:
     """Lower-bound underestimation via repeated propagation conflicts.
 
     Each conflict either fires an enabled inference rule (the formula is
@@ -312,12 +313,14 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     exit, so apart from rule transformations the formula is unchanged.
     Each firing's `RuleApplication` is passed to ``record``, when given.
 
-    ``prior`` holds subsets set aside at an ancestor node. Before any
-    propagation, each one whose clauses are all ``live`` is set aside
-    again, counted at the minimum of its clauses' current weights (rules
-    1 and 2 may have lowered them since); the survivors, in ``prior``
-    order up to the one that reaches ub, go aside in one `detach_clause`
-    call. Liveness is the whole test:
+    ``prior`` holds subsets set aside at an ancestor node. It is ignored
+    when rule group 3/4 or 5/6 is on: carried subsets take the clauses
+    those rules fire on, and with them on the search branched more in
+    measurements. Otherwise, before any propagation, each one whose
+    clauses are all ``live`` is set aside again, counted at the minimum
+    of its clauses' current weights (rules 1 and 2 may have lowered them
+    since); the survivors, in ``prior`` order up to the one that reaches
+    ub, go aside in one `detach_clause` call. Liveness is the whole test:
     every variable of a propagation subset occurs in both polarities
     among its active literals (a node's reason holds the node literal,
     and a successor's reason or the other conflict side holds its
@@ -329,11 +332,13 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     the ones reattached on exit.
 
     Between propagation passes, ``SearchTimeout`` is raised once
-    ``time.monotonic()`` has passed ``deadline``, when given; the clauses
-    set aside are reattached as on any other exit.
+    ``time.monotonic()`` has passed ``deadline`` (``inf``: never); the
+    clauses set aside are reattached as on any other exit.
     """
     r34 = config is not None and config.enable_r34
     r56 = config is not None and config.enable_r56
+    if r34 or r56:
+        prior = ()
     if found is None:
         found = []
     start = len(found)
@@ -379,7 +384,7 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                 found.append(subset)
             if count + formula.empty_weight >= ub:
                 break
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise SearchTimeout
     finally:
         formula.attach_clause([c for s in found[start:] for c in s])

@@ -9,10 +9,11 @@ trail, so the input formula is left untouched after a solve.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .formula import Formula
 from .propagate import SearchTimeout, underestimation
@@ -43,18 +44,17 @@ class SearchStats:
         default_factory=lambda: {r: 0 for r in RULE_IDS})
 
     def as_dict(self) -> dict:
-        out = {
-            "branches": self.branches,
-            "nodes": self.nodes,
-            "pruned": self.pruned,
-            "peak_depth": self.peak_depth,
-            "elapsed_ms": round(self.elapsed * 1000, 3),
-            "greedy_ub": self.greedy_ub,
-            "start_ub": self.start_ub,
-            "root_lb": self.root_lb,
-        }
-        for r in RULE_IDS:
-            out[r] = self.rule_apps[r]
+        """The fields in order, with ``elapsed`` as ``elapsed_ms`` and
+        ``rule_apps`` as one entry per rule."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "elapsed":
+                out["elapsed_ms"] = round(value * 1000, 3)
+            elif f.name == "rule_apps":
+                out.update((r, value[r]) for r in RULE_IDS)
+            else:
+                out[f.name] = value
         return out
 
 
@@ -101,17 +101,17 @@ def select_value(formula: Formula, var: int) -> bool:
     return w1[q] + 4 * w2[q] + w3[q] < w1[p] + 4 * w2[p] + w3[p]
 
 
-def initial_upper_bound(formula: Formula, deadline: float | None = None):
+def initial_upper_bound(formula: Formula, deadline: float = math.inf):
     """Greedy incumbent: assign the heuristic's literal until no clause
-    is left or ``time.monotonic()`` passes ``deadline``; unassigned
-    variables default to False.
+    is left or ``time.monotonic()`` passes ``deadline`` (``inf``: never);
+    unassigned variables default to False.
 
     Returns (cost, complete assignment); never exceeds the total weight.
     """
     mark = formula.mark()
     try:
         while not formula.is_empty():
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 break
             v = select_variable(formula)
             lit = v if select_value(formula, v) else -v
@@ -123,92 +123,91 @@ def initial_upper_bound(formula: Formula, deadline: float | None = None):
 
 
 def repair_incumbent(formula: Formula, assignment: dict[int, bool],
-                     cost: int, deadline: float | None = None):
+                     cost: int, deadline: float = math.inf):
     """Weighted WalkSAT from the incumbent of a formula with a TOP.
 
     Returns ``(cost, assignment)`` as given when the formula has no TOP,
     ``cost`` is 0, or ``deadline`` has passed on entry, before any clause
-    is copied. Otherwise it makes at most ``REPAIR_FLIPS`` flips,
+    is read. Otherwise it makes at most ``REPAIR_FLIPS`` flips,
     checking ``deadline`` before each. A flip takes the variable
     whose flip lowers the cost most, the lowest index on ties; when no
     flip lowers it, a random literal of a random falsified clause, drawn
     from ``random.Random(0)``. The make/break score of every variable is
-    kept incrementally over arrays copied from the live clauses, so the
-    formula and its trail are not touched.
+    kept incrementally over the formula's own clauses: the per-clause
+    state is indexed by slot id, and a flip walks ``Formula.occ``,
+    skipping dead entries (a flipped variable occurs in a live clause, so
+    it is free and no live entry of its lists hides it). The formula and
+    its trail are not touched.
 
     Returns (cost, complete assignment) of the best assignment seen,
     priced by ``Formula.cost``.
     """
-    if formula.top is None or cost == 0:
-        return cost, assignment
-    if deadline is not None and time.monotonic() > deadline:
+    if formula.top is None or cost == 0 or time.monotonic() > deadline:
         return cost, assignment
     n = formula.num_vars
+    occ = formula.occ
     value = [False] + [assignment[v] for v in range(1, n + 1)]
-    lits: list[list[int]] = []
-    weights: list[int] = []
-    occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # clause ids by lit
-    for c in formula.clauses():
-        active = c.lits[:c.size]
-        for lit in active:
-            occ[lit + n].append(len(lits))
-        lits.append(active)
-        weights.append(c.weight)
-    # per clause: its true literals' count and the sum of their variables,
+    # per slot: its true literals' count and the sum of their variables,
     # which is the one true variable when the count is 1
-    ntrue = [0] * len(lits)
-    truesum = [0] * len(lits)
+    ntrue = [0] * len(formula.slots)
+    truesum = [0] * len(formula.slots)
     # per variable: weight its flip makes true minus weight it falsifies
     score = [0] * (n + 1)
-    falsified: dict[int, None] = {}  # clause ids, in the order they fell
-    for i, cl in enumerate(lits):
-        for lit in cl:
+    falsified: dict[int, None] = {}  # slot ids, in the order they fell
+    for c in formula.clauses():
+        i = c.cid
+        active = c.lits[:c.size]
+        for lit in active:
             if value[abs(lit)] == (lit > 0):
                 ntrue[i] += 1
                 truesum[i] += abs(lit)
         if ntrue[i] == 0:
             falsified[i] = None
-            for lit in cl:
-                score[abs(lit)] += weights[i]
+            for lit in active:
+                score[abs(lit)] += c.weight
         elif ntrue[i] == 1:
-            score[truesum[i]] -= weights[i]
+            score[truesum[i]] -= c.weight
 
     rng = random.Random(0)
     current = best_cost = cost
     best = None
     for _ in range(REPAIR_FLIPS):
-        if not falsified:
-            break
-        if deadline is not None and time.monotonic() > deadline:
+        if not falsified or time.monotonic() > deadline:
             break
         v = max(range(1, n + 1), key=score.__getitem__)
         if score[v] <= 0:
-            cl = lits[list(falsified)[rng.randrange(len(falsified))]]
-            v = abs(cl[rng.randrange(len(cl))])
+            c = formula.slots[list(falsified)[rng.randrange(len(falsified))]]
+            v = abs(c.lits[rng.randrange(c.size)])
         current -= score[v]
         value[v] = not value[v]
         made = v if value[v] else -v
-        for i in occ[made + n]:
-            w = weights[i]
+        for c in occ[made + n]:
+            if not c.live:
+                continue
+            i = c.cid
+            w = c.weight
             if ntrue[i] == 0:
                 # satisfied by v alone: no literal makes it, v breaks it
                 del falsified[i]
-                for lit in lits[i]:
+                for lit in c.lits[:c.size]:
                     score[abs(lit)] -= w
                 score[v] -= w
             elif ntrue[i] == 1:
                 score[truesum[i]] += w
             ntrue[i] += 1
             truesum[i] += v
-        for i in occ[n - made]:
-            w = weights[i]
+        for c in occ[n - made]:
+            if not c.live:
+                continue
+            i = c.cid
+            w = c.weight
             ntrue[i] -= 1
             truesum[i] -= v
             if ntrue[i] == 0:
                 # v was its one true literal: now every literal makes it
                 falsified[i] = None
                 score[v] += w
-                for lit in lits[i]:
+                for lit in c.lits[:c.size]:
                     score[abs(lit)] += w
             elif ntrue[i] == 1:
                 score[truesum[i]] -= w
@@ -242,6 +241,9 @@ def _complete_assignment(formula: Formula) -> dict[int, bool]:
 
 
 class Solver:
+    """Branch and bound over ``formula``. ``deadline`` is a
+    ``time.monotonic()`` time, ``inf`` without a timeout."""
+
     def __init__(self, formula: Formula, config: SolverConfig | None = None,
                  *, timeout: float | None = None, trace=None):
         self.f = formula
@@ -249,7 +251,7 @@ class Solver:
         self.trace = trace
         if timeout is not None and not timeout >= 0:
             raise ValueError(f"timeout must be None or >= 0, got {timeout!r}")
-        self.timeout = timeout
+        self.timeout = math.inf if timeout is None else timeout
         self._start_search()
         # the incumbent's cost: the search's upper bound
         self.ub = 0
@@ -262,17 +264,12 @@ class Solver:
         # the trail length at the last point with no almost-common binary
         # pair, None until the first rule-1 pass
         self.r1_mark: int | None = None
-        # whether a node's bound first counts the surviving subsets its
-        # parent's bound set aside. Only without rules 3-6: carried subsets
-        # take the clauses those rules fire on, and with them on the search
-        # branched more in measurements
-        self.carry = not (self.config.enable_r34 or self.config.enable_r56)
 
     def _start_search(self) -> None:
-        """Fresh counters, and the deadline ``timeout`` seconds from now."""
+        """Fresh counters, and the deadline ``timeout`` seconds from now
+        (``inf`` without a timeout)."""
         self.stats = SearchStats()
-        self.deadline = (None if self.timeout is None
-                         else time.monotonic() + self.timeout)
+        self.deadline = time.monotonic() + self.timeout
 
     def solve(self) -> SolveResult:
         """Search afresh: each call has its own counters and timeout."""
@@ -362,8 +359,7 @@ class Solver:
                     return
                 found: list = []
                 u = underestimation(f, self.ub, self.config,
-                                    record=self._record,
-                                    prior=prior if self.carry else (),
+                                    record=self._record, prior=prior,
                                     found=found, deadline=self.deadline)
             except MandatoryConflictError:
                 stats.pruned += 1
@@ -393,7 +389,7 @@ class Solver:
                 adds.pop().pop()
 
     def _check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise SearchTimeout
 
     # ---------- node simplification ----------

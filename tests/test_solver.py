@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     SolverConfig, brute_force_optimum, gen_random_maxksat,
@@ -13,7 +13,7 @@ from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     select_variable, solve)
 import maxsat.solver as solver_mod
 from maxsat.rules import MandatoryConflictError, apply_rule1
-from maxsat.solver import Solver
+from maxsat.solver import REPAIR_FLIPS, Solver
 
 from formulas import THREE_DISJOINT, build, random_clauses, run_optimized
 
@@ -300,6 +300,209 @@ def test_repair_incumbent_properties(spec):
     f.audit()
     if top is None or cost == 0:
         assert out[0] == cost and out[1] is assignment
+
+
+def reference_repair_incumbent(formula, assignment, cost, deadline=None):
+    """The repair as it was before it walked the formula's own clauses:
+    it copies every live clause into private literal, weight and
+    occurrence arrays and keeps its per-clause state by copy index."""
+    if formula.top is None or cost == 0:
+        return cost, assignment
+    if deadline is not None and time.monotonic() > deadline:
+        return cost, assignment
+    n = formula.num_vars
+    value = [False] + [assignment[v] for v in range(1, n + 1)]
+    lits: list[list[int]] = []
+    weights: list[int] = []
+    occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # clause ids by lit
+    for c in formula.clauses():
+        active = c.lits[:c.size]
+        for lit in active:
+            occ[lit + n].append(len(lits))
+        lits.append(active)
+        weights.append(c.weight)
+    # per clause: its true literals' count and the sum of their variables,
+    # which is the one true variable when the count is 1
+    ntrue = [0] * len(lits)
+    truesum = [0] * len(lits)
+    # per variable: weight its flip makes true minus weight it falsifies
+    score = [0] * (n + 1)
+    falsified: dict[int, None] = {}  # clause ids, in the order they fell
+    for i, cl in enumerate(lits):
+        for lit in cl:
+            if value[abs(lit)] == (lit > 0):
+                ntrue[i] += 1
+                truesum[i] += abs(lit)
+        if ntrue[i] == 0:
+            falsified[i] = None
+            for lit in cl:
+                score[abs(lit)] += weights[i]
+        elif ntrue[i] == 1:
+            score[truesum[i]] -= weights[i]
+
+    rng = random.Random(0)
+    current = best_cost = cost
+    best = None
+    for _ in range(REPAIR_FLIPS):
+        if not falsified:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        v = max(range(1, n + 1), key=score.__getitem__)
+        if score[v] <= 0:
+            cl = lits[list(falsified)[rng.randrange(len(falsified))]]
+            v = abs(cl[rng.randrange(len(cl))])
+        current -= score[v]
+        value[v] = not value[v]
+        made = v if value[v] else -v
+        for i in occ[made + n]:
+            w = weights[i]
+            if ntrue[i] == 0:
+                # satisfied by v alone: no literal makes it, v breaks it
+                del falsified[i]
+                for lit in lits[i]:
+                    score[abs(lit)] -= w
+                score[v] -= w
+            elif ntrue[i] == 1:
+                score[truesum[i]] += w
+            ntrue[i] += 1
+            truesum[i] += v
+        for i in occ[n - made]:
+            w = weights[i]
+            ntrue[i] -= 1
+            truesum[i] -= v
+            if ntrue[i] == 0:
+                # v was its one true literal: now every literal makes it
+                falsified[i] = None
+                score[v] += w
+                for lit in lits[i]:
+                    score[abs(lit)] += w
+            elif ntrue[i] == 1:
+                score[truesum[i]] -= w
+        if current < best_cost:
+            best_cost = current
+            best = value[:]
+    if best is None:
+        return cost, assignment
+    repaired = {v: best[v] for v in range(1, n + 1)}
+    return formula.cost(repaired), repaired
+
+
+def unskipped_repair_incumbent(formula, assignment, cost):
+    """Negative control: ``repair_incumbent`` walking every slot and every
+    occurrence-list entry, dead or live, as if no clause had died."""
+    if formula.top is None or cost == 0:
+        return cost, assignment
+    n = formula.num_vars
+    slots = formula.slots
+    occ = formula.occ
+    value = [False] + [assignment[v] for v in range(1, n + 1)]
+    ntrue = [0] * len(slots)
+    truesum = [0] * len(slots)
+    score = [0] * (n + 1)
+    falsified: dict[int, None] = {}
+    for c in slots:
+        i = c.cid
+        for lit in c.lits[:c.size]:
+            if value[abs(lit)] == (lit > 0):
+                ntrue[i] += 1
+                truesum[i] += abs(lit)
+        if ntrue[i] == 0:
+            falsified[i] = None
+            for lit in c.lits[:c.size]:
+                score[abs(lit)] += c.weight
+        elif ntrue[i] == 1:
+            score[truesum[i]] -= c.weight
+    rng = random.Random(0)
+    current = best_cost = cost
+    best = None
+    for _ in range(REPAIR_FLIPS):
+        if not falsified:
+            break
+        v = max(range(1, n + 1), key=score.__getitem__)
+        if score[v] <= 0:
+            c = slots[list(falsified)[rng.randrange(len(falsified))]]
+            v = abs(c.lits[rng.randrange(c.size)])
+        current -= score[v]
+        value[v] = not value[v]
+        made = v if value[v] else -v
+        for c in occ[made + n]:
+            i = c.cid
+            if ntrue[i] == 0:
+                del falsified[i]
+                for lit in c.lits[:c.size]:
+                    score[abs(lit)] -= c.weight
+                score[v] -= c.weight
+            elif ntrue[i] == 1:
+                score[truesum[i]] += c.weight
+            ntrue[i] += 1
+            truesum[i] += v
+        for c in occ[n - made]:
+            i = c.cid
+            ntrue[i] -= 1
+            truesum[i] -= v
+            if ntrue[i] == 0:
+                falsified[i] = None
+                score[v] += c.weight
+                for lit in c.lits[:c.size]:
+                    score[abs(lit)] += c.weight
+            elif ntrue[i] == 1:
+                score[truesum[i]] -= c.weight
+        if current < best_cost:
+            best_cost = current
+            best = value[:]
+    if best is None:
+        return cost, assignment
+    repaired = {v: best[v] for v in range(1, n + 1)}
+    return formula.cost(repaired), repaired
+
+
+@st.composite
+def edited_repair_inputs(draw):
+    """``repair_inputs`` plus trailed edits made before the repair: maybe
+    the removal of one clause, then maybe the assignment of one variable
+    to its incumbent value, so ``occ`` holds dead entries and hidden
+    literals."""
+    n, clauses, weights, top, assignment = draw(repair_inputs())
+    removed = draw(st.none() | st.integers(0, len(clauses) - 1))
+    assigned = draw(st.none() | st.integers(1, n))
+    return n, clauses, weights, top, assignment, removed, assigned
+
+
+def _edited_repair_differs(spec, repair) -> bool:
+    """Whether ``repair`` returns another (cost, assignment) than the
+    reference on the edited formula; each run must leave the formula's
+    clauses, slots and trail as they were."""
+    n, clauses, weights, top, assignment, removed, assigned = spec
+    f = build(n, clauses, weights=weights, top=top)
+    if removed is not None:
+        f.remove_clause(f.slots[removed])
+    if assigned is not None:
+        f.assign_literal(assigned if assignment[assigned] else -assigned)
+    before = (f.as_multiset(), list(f.slots), list(f.trail))
+    cost = f.cost(assignment)
+    ref = reference_repair_incumbent(f, assignment, cost)
+    out = repair(f, assignment, cost)
+    assert (f.as_multiset(), list(f.slots), list(f.trail)) == before
+    f.audit()
+    return out != ref
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edited_repair_inputs())
+def test_repair_matches_the_copying_reference(spec):
+    # the per-slot repair over the formula's own occurrence lists returns
+    # what the repair over private copies of the live clauses returned
+    assert not _edited_repair_differs(spec, repair_incumbent)
+
+
+def test_repair_reference_rejects_a_repair_that_reads_dead_clauses():
+    # the negative control: counting the dead clauses' entries as live
+    # changes the result on some edited formula, and the comparison above
+    # must see it
+    find(edited_repair_inputs(),
+         lambda spec: _edited_repair_differs(spec, unskipped_repair_incumbent),
+         settings=settings(max_examples=300, derandomize=True, database=None))
 
 
 # ---------- solve ----------
@@ -866,7 +1069,7 @@ class StalePairsSolver(Solver):
                 found: list = []
                 u = solver_mod.underestimation(
                     f, self.ub, self.config, record=self._record,
-                    prior=prior if self.carry else (), found=found,
+                    prior=prior, found=found,
                     deadline=self.deadline)
             except MandatoryConflictError:
                 stats.pruned += 1

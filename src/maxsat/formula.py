@@ -31,10 +31,13 @@ class Clause:
     ``lits[:size]`` are the active literals; literals hidden by the
     one-literal rule are swapped behind ``size`` so undo can restore them.
     ``nfalse``/``stamp`` are scratch counters that unit propagation keeps
-    for clauses of length three or more.
+    for clauses of length three or more. ``taken`` is the weight that the
+    running lower-bound call has set aside from the clause, untrailed and
+    0 outside such a call (see ``propagate.underestimation``).
     """
 
-    __slots__ = ("lits", "size", "weight", "cid", "live", "nfalse", "stamp")
+    __slots__ = ("lits", "size", "weight", "cid", "live", "nfalse", "stamp",
+                 "taken")
 
     def __init__(self, lits: list[int], weight: int, cid: int):
         self.lits = lits
@@ -44,6 +47,7 @@ class Clause:
         self.live = True
         self.nfalse = 0
         self.stamp = 0
+        self.taken = 0
 
     def active(self) -> list[int]:
         return self.lits[: self.size]
@@ -507,8 +511,12 @@ class Formula:
 
     def audit(self) -> None:
         """Full-scan consistency check of counts, units and occurrence lists,
-        and of the slot order of every occurrence list."""
+        of the slot order of every occurrence list, and that no clause holds
+        weight taken by a lower-bound call."""
         n = self.num_vars
+        for c in self.slots:
+            if c.taken:
+                raise AssertionError(f"clause {c.cid} holds taken weight")
         exp = {name: [0] * (2 * n + 1) for name in ("w1", "w2", "w3")}
         units = []
         for c in self.clauses():

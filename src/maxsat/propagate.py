@@ -299,6 +299,42 @@ def _live_weight(subset) -> int:
     return w
 
 
+def _take(formula: Formula, subset, aside: list, touched: list) -> int:
+    """Set a subset aside at w, the least of its clauses' weights net of
+    ``taken``, and return w. Each soft clause gives w to its ``taken``
+    (clauses giving for the first time go to ``touched``), and those left
+    with nothing are detached and appended to ``aside``; a TOP clause
+    gives nothing under a soft w, as TOP - w = TOP. When every clause
+    holds exactly w, or w is TOP, the whole subset goes in one detach."""
+    c = subset[0]
+    w = c.weight - c.taken
+    equal = True
+    for c in subset:
+        v = c.weight - c.taken
+        if v != w:
+            equal = False
+            if v < w:
+                w = v
+    top = formula.top
+    if equal or (top is not None and w >= top):
+        formula.detach_clause(subset)
+        aside.extend(subset)
+        return w
+    spent = []
+    for c in subset:
+        v = c.weight
+        if top is not None and v >= top:
+            continue
+        if not c.taken:
+            touched.append(c)
+        c.taken += w
+        if c.taken == v:
+            spent.append(c)
+    formula.detach_clause(spent)
+    aside.extend(spent)
+    return w
+
+
 def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
                     *, record=None, prior=(), found=None,
                     deadline: float = math.inf) -> int:
@@ -307,11 +343,24 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     Each conflict either fires an enabled inference rule (the formula is
     transformed in place on the trail and the contradiction moves into
     empty-clause weight) or its inconsistent subset is set aside and the
-    count grows by the subset's minimum weight. Conflicts are classified
+    count grows by the subset's minimum weight w. Conflicts are classified
     only when rule group 3/4 or 5/6 is enabled. Stops early once
     count + empty_weight reaches ub. Clauses set aside are reattached on
     exit, so apart from rule transformations the formula is unchanged.
     Each firing's `RuleApplication` is passed to ``record``, when given.
+
+    With rule group 3/4 or 5/6 on, a subset set aside gives w from each
+    of its clauses and keeps the rest in the bound's formula (`_take`):
+    w goes to the clause's untrailed ``taken``, a clause left with
+    nothing is detached, and a TOP clause stays live under a soft w. So
+    every clause counts up to its weight over all the subsets that hold
+    it, the standard weighted form of this bound. `_fire` reads weights
+    net of ``taken``, and a clause that a firing leaves with nothing is
+    detached too. Every ``taken`` is 0 again, and every detached clause
+    reattached, on any exit. The trail keeps the true weights, so undo
+    and the rest of the search never see ``taken``. With rules 3-6 off
+    (variants ``0`` and ``12``) each subset is set aside whole, because
+    the carried subsets described below must share no clause.
 
     ``prior`` holds subsets set aside at an ancestor node. It is ignored
     when rule group 3/4 or 5/6 is on: carried subsets take the clauses
@@ -328,8 +377,7 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     its clauses and kills it. A subset whose clauses are all live thus
     has no assigned variable, its literals are unchanged, and it is still
     inconsistent. Every subset set aside, carried or new, is appended to
-    ``found``, and the clauses of the subsets appended by this call are
-    the ones reattached on exit.
+    ``found``.
 
     Between propagation passes, ``SearchTimeout`` is raised once
     ``time.monotonic()`` has passed ``deadline`` (``inf``: never); the
@@ -337,11 +385,13 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     """
     r34 = config is not None and config.enable_r34
     r56 = config is not None and config.enable_r56
-    if r34 or r56:
+    residual = r34 or r56
+    if residual:
         prior = ()
     if found is None:
         found = []
-    start = len(found)
+    aside: list[Clause] = []      # detached by this call, in detach order
+    touched: list[Clause] = []    # clauses whose ``taken`` this call raised
     count = 0
     try:
         # carried subsets are disjoint: setting one aside leaves the
@@ -357,7 +407,8 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
             if count >= limit:
                 break
         if survivors:
-            formula.detach_clause([c for s in survivors for c in s])
+            aside = [c for s in survivors for c in s]
+            formula.detach_clause(aside)
             found.extend(survivors)
             # the count grows with each survivor, so the loop broke at the
             # last one; with none set aside, propagation decides
@@ -368,24 +419,36 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
             if graph.conflict is None:
                 break
             analysis = extract_inconsistent_subset(graph)
-            applied = False
-            if r34 or r56:
+            subset = analysis.subset
+            if residual:
                 cls = classify_conflict(analysis, graph)
                 if (r34 and cls in (R3, R4)) or (r56 and cls in (R5, R6)):
                     app = _fire(formula, cls, analysis.consumed,
                                 analysis.produced)
                     if record is not None:
                         record(app)
-                    applied = True
-            if not applied:
-                subset = analysis.subset
+                    # with nothing taken, every clause a firing keeps
+                    # has weight left for the bound
+                    if touched:
+                        spent = [c for c in analysis.consumed
+                                 if c.taken == c.weight]
+                        if spent:
+                            formula.detach_clause(spent)
+                            aside += spent
+                else:
+                    count += _take(formula, subset, aside, touched)
+                    found.append(subset)
+            else:
                 count += _live_weight(subset)
                 formula.detach_clause(subset)
+                aside += subset
                 found.append(subset)
             if count + formula.empty_weight >= ub:
                 break
             if time.monotonic() > deadline:
                 raise SearchTimeout
     finally:
-        formula.attach_clause([c for s in found[start:] for c in s])
+        formula.attach_clause(aside)
+        for c in touched:
+            c.taken = 0
     return count

@@ -17,7 +17,8 @@ clause takes a fresh slot at the end of the formula's ``slots`` (undo
 pops it), and each rule function returns its `RuleApplication` for the
 caller to count and trace.
 
-In weighted mode a rule fires with w = min over the pattern weights: the
+In weighted mode a rule fires with w = min over the pattern weights (net
+of the weight a running lower-bound call has set aside, see `_fire`): the
 replacement clauses carry weight w, each consumed clause loses w, and
 clauses reaching weight 0 are removed (`Formula.reduce_weight`: TOP - w
 = TOP for a soft w, and TOP - TOP = 0, so rule 1 replaces two mandatory
@@ -92,13 +93,25 @@ class RuleApplication:
 
 def _fire(formula: Formula, rule_id: str, pattern: list[Clause],
           produced_lits: list[list[int]]) -> RuleApplication:
-    """Shared weighted transformation core for every rule."""
-    w = pattern[0].weight
+    """Shared weighted transformation core for every rule.
+
+    w is the least pattern weight net of ``Clause.taken``: the weight that
+    the running `underestimation` call has taken for the subsets it set
+    aside, and gives back on every exit (0 outside such a call, and
+    always 0 in variants `0` and `12`, whose bound sets subsets aside
+    whole so that the subsets it carries to child nodes share no clause).
+    A firing inside the bound thus rewrites only weight the bound has not
+    counted yet. The rewrite itself is on the true weights and trailed, so
+    a clause keeps at least its taken weight, and `underestimation`
+    detaches a clause left with nothing else until it exits."""
+    c = pattern[0]
+    w = c.weight - c.taken
     consumed_size = 0
     for c in pattern:
         consumed_size += c.size
-        if c.weight < w:
-            w = c.weight
+        v = c.weight - c.taken
+        if v < w:
+            w = v
     if formula.is_top(w):
         raise MandatoryConflictError(
             f"rule {rule_id} pattern consists of mandatory clauses only")

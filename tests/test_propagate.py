@@ -315,6 +315,60 @@ def test_underestimation_weighted_counts_min_weight():
                                     top=100).as_multiset()
 
 
+def whole_take(formula, subset, aside, touched):
+    """`propagate._take` as it was: the whole subset set aside at its
+    minimum weight, whatever its clauses weigh."""
+    formula.detach_clause(subset)
+    aside.extend(subset)
+    return min(c.weight for c in subset)
+
+
+def test_residual_set_aside_raises_the_bound(monkeypatch):
+    # the first subset holds the ternary and [1] (weight 3) and no rule
+    # matches it; set aside whole at w = 1 it takes [1] along, while the
+    # residual set-aside leaves [1] at 2 for the rule-3 pattern
+    # {[1], [-1, -2], [2]}, which moves 2 into the empty weight
+    weights = [3, 1, 1, 1, 2, 2]
+    bounds = []
+    for take in (whole_take, propagate._take):
+        monkeypatch.setattr(propagate, "_take", take)
+        f = build(4, ORDER_HIDES_PAIR, weights=weights)
+        u = underestimation(f, math.inf, ALL_RULES)
+        bounds.append(f.empty_weight + u)
+        f.audit()
+    assert bounds == [1, 3]
+    optimum, _ = brute_force_optimum(build(4, ORDER_HIDES_PAIR, weights=weights))
+    assert optimum >= bounds[1]
+
+
+def test_residual_set_aside_keeps_a_top_clause_live(monkeypatch):
+    # the subset {[3], [-1, -2, -3], [2], [1]} is set aside at w = 1: the
+    # units [2] and [3] go, the ternary keeps 1 and the TOP unit [1] stays
+    # live (TOP - 1 = TOP), so [1] still forces 4 against [-4] and rule 3
+    # adds 3; the optimum is 4, the bound is 1 + 3
+    clauses = [[1], [2], [3], [-4], [-1, -2, -3], [-1, 4]]
+    weights = [10, 1, 1, 3, 2, 3]
+    inner = propagate._take
+    after = []
+
+    def spying(formula, subset, aside, touched):
+        w = inner(formula, subset, aside, touched)
+        after.append((w, {tuple(sorted(c.active())): (c.live, c.taken)
+                               for c in subset}))
+        return w
+
+    monkeypatch.setattr(propagate, "_take", spying)
+    f = build(4, clauses, weights=weights, top=10)
+    fired = []
+    u = underestimation(f, math.inf, ALL_RULES, record=fired.append)
+    assert after == [(1, {(3,): (False, 1), (-3, -2, -1): (True, 1),
+                          (2,): (False, 1), (1,): (True, 0)})]
+    assert [(app.rule_id, app.weight) for app in fired] == [(R3, 3)]
+    assert (u, f.empty_weight) == (1, 3)
+    f.audit()
+    assert brute_force_optimum(build(4, clauses, weights=weights, top=10))[0] == 4
+
+
 # ---------- exactness against the counter-only propagation ----------
 
 class ReferenceGraph(propagate.ImplicationGraph):
@@ -625,6 +679,50 @@ def test_underestimation_matches_unregistering_reference(state, config, ub):
         sides.append((u, [c.cid for c in f.units], f.empty_weight,
                       f.as_multiset(), trace))
     assert sides[0] == sides[1]
+
+
+@EXACTNESS
+@given(weighted_states(), st.sampled_from(["1234", "z"]),
+       st.sampled_from([math.inf, 1, 3]), st.sampled_from([math.inf, 0.0]))
+def test_underestimation_gives_taken_weight_back_on_every_exit(
+        state, variant, ub, deadline):
+    # a deadline of 0.0 has passed before the call, so the call ends in
+    # SearchTimeout after its first conflict. On every exit each taken
+    # weight is 0 again; undoing the call's trail restores every weight,
+    # live flag and the multiset, and the units that left the registry
+    # during the call (set aside or removed by a rule) come back after
+    # the units that stayed, which keep their order
+    n, clauses, weights, top, assign, _ = state
+    f = state_formula(n, clauses, weights, top, assign)
+    mark = f.mark()
+    entry = [(c.weight, c.live) for c in f.slots]
+    before = f.as_multiset()
+    registry = list(f.units)
+    left = set()
+
+    def leaving(method):
+        def wrapper(formula, arg):
+            left.update(arg if isinstance(arg, list) else [arg])
+            return method(formula, arg)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Formula, "detach_clause", leaving(Formula.detach_clause))
+        mp.setattr(Formula, "remove_clause", leaving(Formula.remove_clause))
+        try:
+            underestimation(f, ub, SolverConfig.variant(variant),
+                            deadline=deadline)
+        except (propagate.SearchTimeout, MandatoryConflictError):
+            pass
+    assert all(c.taken == 0 for c in f.slots)
+    f.audit()
+    f.undo_to(mark)
+    assert [(c.weight, c.live) for c in f.slots] == entry
+    assert f.as_multiset() == before
+    stayed = [c for c in registry if c not in left]
+    assert sorted(c.cid for c in f.units) == sorted(c.cid for c in registry)
+    assert list(f.units)[:len(stayed)] == stayed
+    f.audit()
 
 
 def reference_carried_underestimation(formula, ub, prior, found) -> int:

@@ -11,6 +11,7 @@ from maxsat import (Formula, OPTIMAL, MANDATORY_CONFLICT, TIMED_OUT,
                     SolverConfig, brute_force_optimum, gen_random_maxksat,
                     initial_upper_bound, repair_incumbent, select_value,
                     select_variable, solve)
+import maxsat.propagate as propagate
 import maxsat.solver as solver_mod
 from maxsat.rules import MandatoryConflictError, apply_rule1
 from maxsat.solver import REPAIR_FLIPS, Solver
@@ -959,7 +960,7 @@ def test_simplify_matches_full_rounds():
 # an over-constrained instance on which the negative control branches
 # more under z, and (branches, nodes) of the reference and of the control
 WRONG_SKIP_INSTANCE = 7
-WRONG_SKIP_COUNTS = ((4, 9), (5, 11))
+WRONG_SKIP_COUNTS = ((3, 6), (4, 8))
 
 
 def test_wrong_skip_changes_a_pinned_search():
@@ -1257,8 +1258,8 @@ PINNED_SEARCH_COUNTS = {
     "top": {
         "0": (978, 460, 488, 0),
         "12": (404, 173, 206, 40),
-        "1234": (371, 158, 188, 34),
-        "z": (343, 144, 174, 31),
+        "1234": (267, 109, 133, 21),
+        "z": (259, 105, 129, 21),
     },
 }
 
@@ -1275,8 +1276,8 @@ PINNED_SEARCH_DIGEST = {
     "top": {
         "0": "33945a659b00548163384196916266db0b6794228cb9dd3e2c887fafd4ff8ed4",
         "12": "750b6a90c00d5f448c9cee4289a92553b51735928477a6fd2b26deb52a8ba787",
-        "1234": "4dd295b46dabb5bf8de92e6ef6857cf8910c85046976a2875a3a53a2269d3b4c",
-        "z": "84f8f6da02e50900ebb5138bed7c333cec292cad67cbab49a0db69b2ee7b3029",
+        "1234": "fc0d15a1fb2a050cf06dfabefb9c1b785257f232887c4d221862403f6e66a14c",
+        "z": "364b46fd06ecd10eaa5f4b76a099962bc5b387b4c5403089c79133d9276f9a91",
     },
 }
 
@@ -1397,6 +1398,51 @@ def test_carried_subsets_valid_at_every_node(monkeypatch):
         for f in corpus:
             solve(f, SolverConfig.variant(variant))
     assert carried[0] > 0
+
+
+def _wpms_shaped_instances():
+    """Six formulas of the wpms-z shape, small enough for the oracle at
+    every node: n 10-12, 5n soft binaries of weight 1-10 and n // 3 hard
+    ternaries at TOP, the sum of the soft weights plus 1."""
+    rng = random.Random(0x3471)
+    for i in range(6):
+        n = rng.randint(10, 12)
+        soft = [c.active() for c in gen_random_maxksat(n, 5 * n, 2, 70 + i).clauses()]
+        hard = [c.active() for c in
+                gen_random_maxksat(n, n // 3, 3, 1070 + i).clauses()]
+        weights = [rng.randint(1, 10) for _ in soft]
+        top = sum(weights) + 1
+        yield Formula.from_clauses(n, soft + hard, weights=weights + [top] * len(hard),
+                                   top=top)
+
+
+def test_residual_bound_admissible_at_every_node_on_wpms_shapes(monkeypatch):
+    # the check of test_search_bound_admissible_at_every_node under the
+    # variants that keep residual weights, on the shape where subsets mix
+    # weights and hold TOP clauses; some subset set aside must leave a
+    # clause live that gave weight to it
+    inner = solver_mod.underestimation
+    take = propagate._take
+    kept = [0]
+
+    def checked(formula, *args, **kwargs):
+        optimum, _ = brute_force_optimum(formula)
+        u = inner(formula, *args, **kwargs)
+        lb = min(formula.empty_weight + u, formula.top)
+        assert lb <= optimum, f"bound {lb} above the node optimum {optimum}"
+        return u
+
+    def counting(formula, subset, aside, touched):
+        w = take(formula, subset, aside, touched)
+        kept[0] += any(c.live and c.taken for c in subset)
+        return w
+
+    monkeypatch.setattr(solver_mod, "underestimation", checked)
+    monkeypatch.setattr(propagate, "_take", counting)
+    for f in _wpms_shaped_instances():
+        for variant in ("1234", "z"):
+            solve(f, SolverConfig.variant(variant))
+    assert kept[0] > 0
 
 
 @st.composite

@@ -19,8 +19,9 @@ class OracleCapExceeded(ValueError):
     pass
 
 
-def _cost_vector(formula: Formula) -> np.ndarray:
-    """Weight of unsatisfied clauses for every complete assignment.
+def _cost_vector(formula: Formula):
+    """Weight of unsatisfied clauses for every complete assignment, as a
+    numpy array indexed by assignment.
 
     Mandatory weights saturate: any total at or above the TOP threshold
     is clamped to it, mirroring the infinity arithmetic TOP + w = TOP.

@@ -288,20 +288,10 @@ def apply_conflict_rule(formula: Formula, clauses) -> RuleApplication:
                  [origin[c] for c in analysis.consumed], analysis.produced)
 
 
-def _live_weight(subset) -> int:
-    """The minimum weight of a subset's clauses, or 0 if one is not live."""
-    w = subset[0].weight
-    for c in subset:
-        if not c.live:
-            return 0
-        if c.weight < w:
-            w = c.weight
-    return w
-
-
 def _take(formula: Formula, subset, aside: list, touched: list) -> int:
     """Set a subset aside at w, the least of its clauses' weights net of
-    ``taken``, and return w. Each soft clause gives w to its ``taken``
+    ``taken``, and return w; return 0 and touch nothing when one of its
+    clauses is not live. Each soft clause gives w to its ``taken``
     (clauses giving for the first time go to ``touched``), and those left
     with nothing are detached and appended to ``aside``; a TOP clause
     gives nothing under a soft w, as TOP - w = TOP. When every clause
@@ -310,6 +300,8 @@ def _take(formula: Formula, subset, aside: list, touched: list) -> int:
     w = c.weight - c.taken
     equal = True
     for c in subset:
+        if not c.live:
+            return 0
         v = c.weight - c.taken
         if v != w:
             equal = False
@@ -343,41 +335,43 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     Each conflict either fires an enabled inference rule (the formula is
     transformed in place on the trail and the contradiction moves into
     empty-clause weight) or its inconsistent subset is set aside and the
-    count grows by the subset's minimum weight w. Conflicts are classified
-    only when rule group 3/4 or 5/6 is enabled. Stops early once
-    count + empty_weight reaches ub. Clauses set aside are reattached on
-    exit, so apart from rule transformations the formula is unchanged.
-    Each firing's `RuleApplication` is passed to ``record``, when given.
+    count grows by w, the least weight its clauses have left. Conflicts
+    are classified only when rule group 3/4 or 5/6 is enabled;
+    ``config=None`` enables neither (the `Solver` default is variant
+    ``z``). Stops early once count + empty_weight reaches ub. Clauses set
+    aside are reattached on exit, so apart from rule transformations the
+    formula is unchanged. Each firing's `RuleApplication` is passed to
+    ``record``, when given.
 
-    With rule group 3/4 or 5/6 on, a subset set aside gives w from each
-    of its clauses and keeps the rest in the bound's formula (`_take`):
-    w goes to the clause's untrailed ``taken``, a clause left with
-    nothing is detached, and a TOP clause stays live under a soft w. So
-    every clause counts up to its weight over all the subsets that hold
-    it, the standard weighted form of this bound. `_fire` reads weights
-    net of ``taken``, and a clause that a firing leaves with nothing is
-    detached too. Every ``taken`` is 0 again, and every detached clause
-    reattached, on any exit. The trail keeps the true weights, so undo
-    and the rest of the search never see ``taken``. With rules 3-6 off
-    (variants ``0`` and ``12``) each subset is set aside whole, because
-    the carried subsets described below must share no clause.
+    `_take` is the one way a subset is set aside, in every variant: each
+    of its clauses gives w and keeps the rest in the bound's formula. w
+    goes to the clause's untrailed ``taken``, a clause left with nothing
+    is detached, and a TOP clause stays live under a soft w. So every
+    clause counts up to its weight over all the subsets that hold it, the
+    standard weighted form of this bound; a subset of clauses all holding
+    w, as in an unweighted formula, goes aside whole. `_fire` reads
+    weights net of ``taken``, and a clause that a firing leaves with
+    nothing is detached too. Every ``taken`` is 0 again, and every
+    detached clause reattached, on any exit. The trail keeps the true
+    weights, so undo and the rest of the search never see ``taken``.
 
-    ``prior`` holds subsets set aside at an ancestor node. It is ignored
-    when rule group 3/4 or 5/6 is on: carried subsets take the clauses
-    those rules fire on, and with them on the search branched more in
-    measurements. Otherwise, before any propagation, each one whose
-    clauses are all ``live`` is set aside again, counted at the minimum
-    of its clauses' current weights (rules 1 and 2 may have lowered them
-    since); the survivors, in ``prior`` order up to the one that reaches
-    ub, go aside in one `detach_clause` call. Liveness is the whole test:
-    every variable of a propagation subset occurs in both polarities
-    among its active literals (a node's reason holds the node literal,
-    and a successor's reason or the other conflict side holds its
-    negation), so any assignment that touches the subset satisfies one of
-    its clauses and kills it. A subset whose clauses are all live thus
-    has no assigned variable, its literals are unchanged, and it is still
-    inconsistent. Every subset set aside, carried or new, is appended to
-    ``found``.
+    ``prior`` holds subsets set aside at an ancestor node (within-problem
+    learning). It is ignored when rule group 3/4 or 5/6 is on: carried
+    subsets take the clauses those rules fire on, and with them on the
+    search branched more in measurements. Otherwise, before any
+    propagation, `_take` is called on each one in ``prior`` order, which
+    takes it again at the weight its clauses have left (rules 1 and 2
+    may have lowered them since, and earlier carried subsets may share
+    its clauses) and skips it when one of its clauses is not ``live``;
+    the call returns as soon as the count reaches ub. Liveness is the
+    whole test of validity: every variable of a propagation subset occurs
+    in both polarities among its active literals (a node's reason holds
+    the node literal, and a successor's reason or the other conflict side
+    holds its negation), so any assignment that touches the subset
+    satisfies one of its clauses and kills it. A subset whose clauses are
+    all live thus has no assigned variable, its literals are unchanged,
+    and it is still inconsistent. Every subset set aside, carried or new,
+    is appended to ``found``.
 
     Between propagation passes, ``SearchTimeout`` is raised once
     ``time.monotonic()`` has passed ``deadline`` (``inf``: never); the
@@ -385,8 +379,8 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     """
     r34 = config is not None and config.enable_r34
     r56 = config is not None and config.enable_r56
-    residual = r34 or r56
-    if residual:
+    classify = r34 or r56
+    if classify:
         prior = ()
     if found is None:
         found = []
@@ -394,55 +388,35 @@ def underestimation(formula: Formula, ub, config: SolverConfig | None = None,
     touched: list[Clause] = []    # clauses whose ``taken`` this call raised
     count = 0
     try:
-        # carried subsets are disjoint: setting one aside leaves the
-        # others' liveness as it was, so the survivors go in one call
         limit = ub - formula.empty_weight
-        survivors = []
         for subset in prior:
-            w = _live_weight(subset)
-            if not w:
-                continue
-            count += w
-            survivors.append(subset)
-            if count >= limit:
-                break
-        if survivors:
-            aside = [c for s in survivors for c in s]
-            formula.detach_clause(aside)
-            found.extend(survivors)
-            # the count grows with each survivor, so the loop broke at the
-            # last one; with none set aside, propagation decides
-            if count >= limit:
-                return count
+            w = _take(formula, subset, aside, touched)
+            if w:
+                count += w
+                found.append(subset)
+                if count >= limit:
+                    return count
         while True:
             graph = build_implication_graph(formula)
             if graph.conflict is None:
                 break
             analysis = extract_inconsistent_subset(graph)
-            subset = analysis.subset
-            if residual:
-                cls = classify_conflict(analysis, graph)
-                if (r34 and cls in (R3, R4)) or (r56 and cls in (R5, R6)):
-                    app = _fire(formula, cls, analysis.consumed,
-                                analysis.produced)
-                    if record is not None:
-                        record(app)
-                    # with nothing taken, every clause a firing keeps
-                    # has weight left for the bound
-                    if touched:
-                        spent = [c for c in analysis.consumed
-                                 if c.taken == c.weight]
-                        if spent:
-                            formula.detach_clause(spent)
-                            aside += spent
-                else:
-                    count += _take(formula, subset, aside, touched)
-                    found.append(subset)
+            cls = classify_conflict(analysis, graph) if classify else NO_RULE
+            if (r34 and cls in (R3, R4)) or (r56 and cls in (R5, R6)):
+                app = _fire(formula, cls, analysis.consumed, analysis.produced)
+                if record is not None:
+                    record(app)
+                # with nothing taken, every clause a firing keeps has
+                # weight left for the bound
+                if touched:
+                    spent = [c for c in analysis.consumed
+                             if c.taken == c.weight]
+                    if spent:
+                        formula.detach_clause(spent)
+                        aside += spent
             else:
-                count += _live_weight(subset)
-                formula.detach_clause(subset)
-                aside += subset
-                found.append(subset)
+                count += _take(formula, analysis.subset, aside, touched)
+                found.append(analysis.subset)
             if count + formula.empty_weight >= ub:
                 break
             if time.monotonic() > deadline:

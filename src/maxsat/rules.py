@@ -18,7 +18,8 @@ pops it), and each rule function returns its `RuleApplication` for the
 caller to count and trace.
 
 In weighted mode a rule fires with w = min over the pattern weights (net
-of the weight a running lower-bound call has set aside, see `_fire`): the
+of the weight a running lower-bound call has set aside through
+`propagate._take`, in every variant; see `_fire`): the
 replacement clauses carry weight w, each consumed clause loses w, and
 clauses reaching weight 0 are removed (`Formula.reduce_weight`: TOP - w
 = TOP for a soft w, and TOP - TOP = 0, so rule 1 replaces two mandatory
@@ -97,11 +98,10 @@ def _fire(formula: Formula, rule_id: str, pattern: list[Clause],
 
     w is the least pattern weight net of ``Clause.taken``: the weight that
     the running `underestimation` call has taken for the subsets it set
-    aside, and gives back on every exit (0 outside such a call, and
-    always 0 in variants `0` and `12`, whose bound sets subsets aside
-    whole so that the subsets it carries to child nodes share no clause).
-    A firing inside the bound thus rewrites only weight the bound has not
-    counted yet. The rewrite itself is on the true weights and trailed, so
+    aside, and gives back on every exit (0 outside such a call, so rules
+    1 and 2, which fire outside it, read the true weights). A firing
+    inside the bound thus rewrites only weight the bound has not counted
+    yet. The rewrite itself is on the true weights and trailed, so
     a clause keeps at least its taken weight, and `underestimation`
     detaches a clause left with nothing else until it exits."""
     c = pattern[0]

@@ -7,11 +7,14 @@ the package, the demos or the benchmark harness; since callers are found
 by name, no two package classes may define a public method of the same
 name. Every kind of trail record the formula writes has an undo branch,
 and every undo branch a kind that is written. Every package name the
-README spells out resolves."""
+README spells out resolves, and so does every annotation of a package
+function."""
 
 import ast
 import importlib
+import inspect
 import re
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -348,3 +351,47 @@ def test_unresolved_names_finds_a_stale_name():
             "`maxsat.solver` alone and `Solver` are no dotted names\n")
     assert unresolved_names(text, _readme_roots()) == \
         ["Solver._partners", "maxsat.nomodule.x"]
+
+
+def unresolved_annotations(module) -> list[str]:
+    """The functions and methods defined in ``module`` whose annotations
+    ``typing.get_type_hints`` cannot evaluate, each with its error."""
+    functions = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            functions.append(obj)
+        elif inspect.isclass(obj):
+            functions += [f for f in vars(obj).values()
+                          if inspect.isfunction(f)]
+    bad = []
+    for f in functions:
+        try:
+            typing.get_type_hints(f)
+        except NameError as e:
+            bad.append(f"{f.__qualname__}: {e}")
+    return bad
+
+
+def test_package_annotations_resolve():
+    # an annotation naming a module imported only inside the function
+    # (numpy in the oracle) is a string that typing cannot evaluate
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    bad = []
+    for path in modules:
+        name = "maxsat" if path.stem == "__init__" else f"maxsat.{path.stem}"
+        bad += unresolved_annotations(importlib.import_module(name))
+    assert bad == []
+
+
+def test_unresolved_annotations_finds_a_local_import():
+    source = ("from __future__ import annotations\n"
+              "def f(n: int) -> np.ndarray:\n"
+              "    import numpy as np\n"
+              "    return np.zeros(n)\n")
+    module = type(typing)("scratch_annotations")
+    exec(compile(source, "scratch_annotations.py", "exec"), vars(module))
+    assert unresolved_annotations(module) == \
+        ["f: name 'np' is not defined"]

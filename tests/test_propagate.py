@@ -15,7 +15,7 @@ from maxsat import (Formula, MandatoryConflictError, NoConflictError, NO_RULE,
 from maxsat.solver import solve
 
 from formulas import THREE_DISJOINT, CHAIN_THEN_SECOND, FORK_THEN_SECOND, WIDE_GRAPH, TWO_UNIT_CHAINS, SHARED_PREFIX_FORK, ORDER_HIDES_PAIR, audit_graph, build, random_clauses, reference_resize
-from test_solver import _rule1_gate_instances
+from test_solver import VARIANTS, _rule1_gate_instances
 
 ALL_RULES = SolverConfig.variant("z")
 NO_RULES = None
@@ -229,6 +229,55 @@ def test_underestimation_carries_live_prior_subsets():
     carried = []
     assert underestimation(f, 3, NO_RULES, prior=found, found=carried) == 3
     assert carried == [found[0]]
+    f.audit()
+
+
+# [1] (weight 2) is in both subsets of a residual call: {[1], [-1]} at
+# w = 1, then {[1], [-1, 2], [-2]} at the 1 that [1] has left
+SHARED_UNIT = [[1], [-1], [-1, 2], [-2]]
+SHARED_UNIT_WEIGHTS = [2, 1, 1, 1]
+
+
+def test_residual_set_aside_raises_the_bound_without_rules(monkeypatch):
+    # set aside whole at w = 1, the first subset takes [1] along and no
+    # second conflict is left; the residual set-aside leaves [1] at 1 for
+    # the second subset. The optimum is 2
+    bounds = []
+    for take in (whole_take, propagate._take):
+        monkeypatch.setattr(propagate, "_take", take)
+        f = build(2, SHARED_UNIT, weights=SHARED_UNIT_WEIGHTS)
+        bounds.append(underestimation(f, math.inf, SolverConfig.variant("0")))
+        f.audit()
+    assert bounds == [1, 2]
+    assert brute_force_optimum(
+        build(2, SHARED_UNIT, weights=SHARED_UNIT_WEIGHTS))[0] == 2
+
+
+def test_carried_subsets_sharing_a_clause_are_taken_at_what_is_left():
+    # a child call takes each carried subset again at the weight its
+    # clauses have left: with the weights unchanged it counts the parent's
+    # residual sum; once [1] is lowered to 1, the first subset spends it
+    # and the second is skipped, where the sum of the two subsets' least
+    # weights, 2, would pass the optimum, 1
+    f = build(2, SHARED_UNIT, weights=SHARED_UNIT_WEIGHTS)
+    found = []
+    assert underestimation(f, math.inf, NO_RULES, found=found) == 2
+    assert [clause_sets(s) for s in found] == [[(-1,), (1,)],
+                                               [(-2,), (-1, 2), (1,)]]
+    unit = next(c for c in found[0] if c.active() == [1])
+    assert unit in found[1]
+    carried = []
+    assert underestimation(f, math.inf, NO_RULES, prior=found,
+                           found=carried) == 2
+    assert carried == found
+    assert brute_force_optimum(f)[0] == 2
+    f.reduce_weight(unit, 1)
+    carried = []
+    assert underestimation(f, math.inf, NO_RULES, prior=found,
+                           found=carried) == 1
+    assert carried == found[:1]
+    assert brute_force_optimum(f)[0] == 1
+    assert sum(min(c.weight for c in s) for s in found) == 2
     f.audit()
 
 
@@ -682,18 +731,22 @@ def test_underestimation_matches_unregistering_reference(state, config, ub):
 
 
 @EXACTNESS
-@given(weighted_states(), st.sampled_from(["1234", "z"]),
+@given(weighted_states(), st.sampled_from(VARIANTS),
        st.sampled_from([math.inf, 1, 3]), st.sampled_from([math.inf, 0.0]))
 def test_underestimation_gives_taken_weight_back_on_every_exit(
         state, variant, ub, deadline):
-    # a deadline of 0.0 has passed before the call, so the call ends in
-    # SearchTimeout after its first conflict. On every exit each taken
-    # weight is 0 again; undoing the call's trail restores every weight,
-    # live flag and the multiset, and the units that left the registry
-    # during the call (set aside or removed by a rule) come back after
-    # the units that stayed, which keep their order
+    # the call carries the subsets of a first call under 0 (used under 0
+    # and 12 only), so it may also return with weight taken from them as
+    # soon as they reach ub. A deadline of 0.0 has passed before the call,
+    # so the call ends in SearchTimeout after its first conflict. On every
+    # exit each taken weight is 0 again; undoing the call's trail restores
+    # every weight, live flag and the multiset, and the units that left
+    # the registry during the call (set aside or removed by a rule) come
+    # back after the units that stayed, which keep their order
     n, clauses, weights, top, assign, _ = state
     f = state_formula(n, clauses, weights, top, assign)
+    prior = []
+    underestimation(f, math.inf, SolverConfig.variant("0"), found=prior)
     mark = f.mark()
     entry = [(c.weight, c.live) for c in f.slots]
     before = f.as_multiset()
@@ -711,7 +764,7 @@ def test_underestimation_gives_taken_weight_back_on_every_exit(
         mp.setattr(Formula, "remove_clause", leaving(Formula.remove_clause))
         try:
             underestimation(f, ub, SolverConfig.variant(variant),
-                            deadline=deadline)
+                            prior=prior, deadline=deadline)
         except (propagate.SearchTimeout, MandatoryConflictError):
             pass
     assert all(c.taken == 0 for c in f.slots)
@@ -726,17 +779,35 @@ def test_underestimation_gives_taken_weight_back_on_every_exit(
 
 
 def reference_carried_underestimation(formula, ub, prior, found) -> int:
-    """`underestimation` with no rule 3-6 group, setting each carried
-    subset aside on its own as it is checked."""
-    start = len(found)
+    """`underestimation` with no rule 3-6 group, taking one subset at a
+    time, carried ones first, with the weight each clause has given kept
+    in a local dict: a subset with a clause that is not live counts 0;
+    otherwise it counts w, its least weight left, and each clause gives w
+    (a TOP clause nothing under a soft w) and is detached, in subset
+    order, once it has nothing left."""
+    given = {}
+    aside = []
+
+    def take(subset):
+        if not all(c.live for c in subset):
+            return 0
+        w = min(c.weight - given.get(c, 0) for c in subset)
+        for c in subset:
+            if formula.is_top(c.weight) and not formula.is_top(w):
+                continue
+            given[c] = given.get(c, 0) + w
+            if formula.is_top(w) or given[c] == c.weight:
+                formula.detach_clause([c])
+                aside.append(c)
+        return w
+
     count = 0
     try:
         for subset in prior:
-            w = propagate._live_weight(subset)
+            w = take(subset)
             if not w:
                 continue
             count += w
-            formula.detach_clause(subset)
             found.append(subset)
             if count + formula.empty_weight >= ub:
                 return count
@@ -745,13 +816,12 @@ def reference_carried_underestimation(formula, ub, prior, found) -> int:
             if graph.conflict is None:
                 break
             subset = extract_inconsistent_subset(graph).subset
-            count += propagate._live_weight(subset)
-            formula.detach_clause(subset)
+            count += take(subset)
             found.append(subset)
             if count + formula.empty_weight >= ub:
                 break
     finally:
-        formula.attach_clause([c for s in found[start:] for c in s])
+        formula.attach_clause(aside)
     return count
 
 

@@ -1173,7 +1173,8 @@ def test_stats_counters_monotone_and_populated():
 def test_root_lb_is_capped_at_the_upper_bound(monkeypatch):
     # the greedy incumbent is optimal (cost 9), so the empty-unit rule
     # fixes x5 False at the root against the only optimal assignment; the
-    # root's bound then reads 12 on the rest, and root_lb keeps ub
+    # root's bound then reads 13 on the rest, the optimum there, and
+    # root_lb keeps ub
     f = build(5, [[-5], [-4, -1], [2, -1], [5, -2], [5, 1, -2], [-2, 4, -1],
                   [4, 1, -3], [2, 1, 5], [2], [-3], [2, -5], [5, -4], [4, 5],
                   [2, -1], [4, -5, -3]],
@@ -1189,7 +1190,7 @@ def test_root_lb_is_capped_at_the_upper_bound(monkeypatch):
     monkeypatch.setattr(solver_mod, "underestimation", spy)
     stats = solve(f, SolverConfig.variant("0")).stats
     assert brute_force_optimum(f)[0] == 9
-    assert bounds == [12]
+    assert bounds == [13]
     assert (stats.start_ub, stats.root_lb) == (9, 9)
 
 
@@ -1256,8 +1257,8 @@ PINNED_SEARCH_COUNTS = {
         "z": (264, 148, 63, 0),
     },
     "top": {
-        "0": (978, 460, 488, 0),
-        "12": (404, 173, 206, 40),
+        "0": (515, 233, 252, 0),
+        "12": (285, 119, 141, 18),
         "1234": (267, 109, 133, 21),
         "z": (259, 105, 129, 21),
     },
@@ -1274,8 +1275,8 @@ PINNED_SEARCH_DIGEST = {
         "z": "2e1bbb89c392f3c4b767acaec754550de01907ad17c878fe2f1d1249373cb72d",
     },
     "top": {
-        "0": "33945a659b00548163384196916266db0b6794228cb9dd3e2c887fafd4ff8ed4",
-        "12": "750b6a90c00d5f448c9cee4289a92553b51735928477a6fd2b26deb52a8ba787",
+        "0": "5632bec7646047d8e3947fdc23b3c93cd93edbaa2100e4acb59cfbaf037bc89c",
+        "12": "0a7d593b5b93e6f9fbb9ff08c5dc6ea6acfb979dbbd37320f51651bebe20b4c2",
         "1234": "fc0d15a1fb2a050cf06dfabefb9c1b785257f232887c4d221862403f6e66a14c",
         "z": "364b46fd06ecd10eaa5f4b76a099962bc5b387b4c5403089c79133d9276f9a91",
     },
@@ -1369,9 +1370,11 @@ def test_search_bound_admissible_at_every_node(monkeypatch):
 
 def test_carried_subsets_valid_at_every_node(monkeypatch):
     # without rules 3-6 each node's bound starts from the subsets its
-    # parent set aside; every subset a call hands on was live at entry, is
-    # disjoint from the call's other subsets and inconsistent on its own,
-    # and the call's bound is the sum of their minima at current weights
+    # parent set aside. Replayed in order against the weight each clause
+    # has left, every subset a call hands on was live at entry, is
+    # inconsistent on its own and is taken at its least net weight
+    # w > 0, a TOP clause giving nothing under a soft w; no clause gives
+    # more than its weight, and the call's bound is the sum of the w's
     inner = solver_mod.underestimation
     carried = [0]
 
@@ -1380,15 +1383,22 @@ def test_carried_subsets_valid_at_every_node(monkeypatch):
         prior = kwargs["prior"]
         u = inner(formula, *args, **kwargs)
         found = kwargs["found"]
-        seen = set()
+        taken = {}
+        total = 0
         for subset in found:
             assert all(c in live for c in subset), "a subset was not live"
-            assert seen.isdisjoint(subset), "subsets share a clause"
-            seen.update(subset)
             alone = Formula.from_clauses(
                 formula.num_vars, [c.active() for c in subset])
             assert brute_force_optimum(alone)[0] > 0, subset
-        assert u == sum(min(c.weight for c in s) for s in found)
+            w = min(c.weight - taken.get(c, 0) for c in subset)
+            assert w > 0, "a subset was taken from a clause with nothing left"
+            for c in subset:
+                if formula.is_top(c.weight) and not formula.is_top(w):
+                    continue
+                taken[c] = taken.get(c, 0) + w
+                assert taken[c] <= c.weight, "a clause gave more than its weight"
+            total += w
+        assert u == total
         carried[0] += sum(any(s is p for p in prior) for s in found)
         return u
 
@@ -1417,19 +1427,26 @@ def _wpms_shaped_instances():
 
 
 def test_residual_bound_admissible_at_every_node_on_wpms_shapes(monkeypatch):
-    # the check of test_search_bound_admissible_at_every_node under the
-    # variants that keep residual weights, on the shape where subsets mix
-    # weights and hold TOP clauses; some subset set aside must leave a
-    # clause live that gave weight to it
+    # the check of test_search_bound_admissible_at_every_node under every
+    # variant, on the shape where subsets mix weights and hold TOP
+    # clauses; some subset set aside must leave a clause live that gave
+    # weight to it, and under 0 and under 12 some call must carry two
+    # subsets that share a clause
     inner = solver_mod.underestimation
     take = propagate._take
     kept = [0]
+    shared = dict.fromkeys(("0", "12"), 0)
 
     def checked(formula, *args, **kwargs):
         optimum, _ = brute_force_optimum(formula)
+        prior = kwargs["prior"]
         u = inner(formula, *args, **kwargs)
         lb = min(formula.empty_weight + u, formula.top)
         assert lb <= optimum, f"bound {lb} above the node optimum {optimum}"
+        carried = [c for s in kwargs["found"] if any(s is p for p in prior)
+                   for c in s]
+        if len(set(carried)) < len(carried):
+            shared[variant] += 1
         return u
 
     def counting(formula, subset, aside, touched):
@@ -1440,9 +1457,10 @@ def test_residual_bound_admissible_at_every_node_on_wpms_shapes(monkeypatch):
     monkeypatch.setattr(solver_mod, "underestimation", checked)
     monkeypatch.setattr(propagate, "_take", counting)
     for f in _wpms_shaped_instances():
-        for variant in ("1234", "z"):
+        for variant in VARIANTS:
             solve(f, SolverConfig.variant(variant))
     assert kept[0] > 0
+    assert all(shared.values()), shared
 
 
 @st.composite
